@@ -19,6 +19,7 @@ from .errors import (
     NotConnected,
     NotInvariant,
     NotOrdinary,
+    NotReversible,
     NotSimple,
     NotSubset,
     NotSymmetric,

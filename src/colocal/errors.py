@@ -39,6 +39,11 @@ class NotConnected(ColocalError):
     """The site graph is not connected."""
 
 
+class NotReversible(ColocalError):
+    """Interaction fails the reversibility condition on some changed pair;
+    details carry each such pair and where swap-then-phi twice takes it."""
+
+
 class SizeTooSmall(ColocalError):
     """Periodic lattice too small: wrap-around edges would not be simple."""
 

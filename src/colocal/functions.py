@@ -4,8 +4,10 @@ over subsets, and conserved quantities.
 The expansion writes a function on ``S^Lambda`` as a sum of components
 indexed by the subsets of Lambda, where the component at ``A`` is killed by
 every projection onto a window not containing ``A``.  It exists and is
-unique over a product measure; the recursion subtracts, from the projection
-onto ``A``, the components of all proper subsets.
+unique over a product measure, where it is the Hoeffding / Efron-Stein
+(ANOVA) decomposition: splitting every site x into P_x and I - P_x, one
+site at a time, yields all (n+1)^|Lambda| component entries in
+O(|Lambda| (n+1)^|Lambda|) operations.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from .measure import (
     Measure,
     ProductMeasure,
     StateMeasure,
+    _contract,
+    _exact,
+    _from_numerators,
+    _interleave,
+    _numerators,
     conditional_expectation,
 )
 from .statespace import (
@@ -141,7 +148,17 @@ def expand_martingale(f: FnTable, nu: Measure,
                       subset_cap: int = DEFAULT_SUBSET_CAP) -> Expansion:
     """Unique expansion of ``f`` into subset components over a product
     measure.  Requires a state or product measure; window measures that are
-    not declared products are rejected."""
+    not declared products are rejected.
+
+    The component at A is prod_{x in A} (I - P_x) prod_{x not in A} P_x f,
+    where P_x integrates out site x (the Hoeffding / Efron-Stein
+    decomposition).  The factors commute, so the sites are split one at a
+    time: every piece g becomes P_x g and g - P_x g.  Splitting site x
+    touches (n+1)^j n^(N-j) entries when j sites are split, so the whole
+    expansion costs O(N (n+1)^N) rather than the 5^N of subtracting every
+    proper-subset component from every projection.  Components are keyed
+    by size, then lexicographically.
+    """
     if isinstance(nu, StateMeasure):
         prod = ProductMeasure(nu)
     elif isinstance(nu, ProductMeasure):
@@ -154,22 +171,33 @@ def expand_martingale(f: FnTable, nu: Measure,
             f"|Lambda|={len(f.sites)} exceeds the subset cap {subset_cap}",
             size=len(f.sites), cap=subset_cap)
 
-    components: dict[tuple[int, ...], FnTable] = {}
-    sites = list(f.sites)
-    for size in range(len(sites) + 1):
-        for sub in itertools.combinations(sites, size):
-            sub_set = SiteSet(sub)
-            projected = conditional_expectation(f, sub_set, prod)
-            acc = projected
-            for smaller in _proper_subsets(sub):
-                acc = acc - components[smaller].embed(sub_set)
-            components[sub] = acc
-    return Expansion(f.sites, f.n_states, prod, components)
+    n = f.n_states
+    sites = f.sites.sites
+    exact = _exact(prod, sites, f.values)
+    nums, den = _numerators(f.values, exact)
+    # piece per set of kept sites, over the kept and the not yet split sites;
+    # splitting from the most significant site down keeps strides fixed
+    pieces = {(): nums}
+    for k in reversed(range(len(sites))):
+        weights, q = _numerators(prod.factor(sites[k]).weights, exact)
+        stride = n ** k
+        split = {}
+        for kept, piece in pieces.items():
+            mean, slices = _contract(piece, n, stride, weights)
+            split[kept] = mean
+            # sum(weights) == q, so q g - mean is q (g - P_x g)
+            split[(sites[k],) + kept] = _interleave(
+                [[q * x - m for x, m in zip(part, mean)] for part in slices],
+                stride)
+        pieces = split
+        den *= q
 
-
-def _proper_subsets(sub: tuple[int, ...]):
-    for size in range(len(sub)):
-        yield from itertools.combinations(sub, size)
+    components = {
+        sub: FnTable(SiteSet(sub), n,
+                     _from_numerators(pieces[sub], den, exact))
+        for size in range(len(sites) + 1)
+        for sub in itertools.combinations(sites, size)}
+    return Expansion(f.sites, n, prod, components)
 
 
 def uniform_radius(expansion: Expansion, locale: Locale,

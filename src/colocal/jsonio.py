@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from .errors import NotReversible
 from .forms import Form, Path
 from .measure import ProductMeasure, StateMeasure, WindowMeasure
 from .scalars import format_scalar, parse_scalar
@@ -23,6 +24,7 @@ from .statespace import (
     lattice_window,
     make_interaction,
     siteset,
+    validate_interaction,
 )
 from .tables import FnTable
 from .varadhan import Cocycle, InvariantFormSpec, cocycle_from_coefficients
@@ -64,12 +66,24 @@ def locale_to_json(locale: Locale) -> dict:
 # -- interaction --------------------------------------------------------
 
 def interaction_from_json(obj: dict) -> Interaction:
+    """Build and validate an interaction; a phi that is not reversible
+    raises ``NotReversible``."""
     states = tuple(obj["states"])
     phi = {}
     for pair in obj.get("phi", []):
         (a, b), (c, d) = pair
         phi[(a, b)] = (c, d)
-    return make_interaction(states, obj["base"], phi)
+    inter = make_interaction(states, obj["base"], phi)
+    report = validate_interaction(inter)
+    if not report.ok:
+        label = inter.states
+        raise NotReversible(
+            "phi is not reversible: swap-then-phi twice does not return "
+            "every changed pair",
+            pairs=[[label[i], label[j]] for (i, j), _ in report.violations],
+            returns_to=[[label[i], label[j]]
+                        for _, (i, j) in report.violations])
+    return inter
 
 
 def interaction_to_json(inter: Interaction) -> dict:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .functions import build_chain
-from .measure import Measure, inner, materialize
-from .scalars import Scalar, as_float, format_scalar, scalar_eq
+from .measure import Measure, WindowMeasure, inner, materialize
+from .scalars import Scalar, format_scalar, scalar_eq
 from .statespace import SiteSet
 from .tables import FnTable
 
@@ -27,22 +27,23 @@ class L2Norm(NamedTuple):
 def l2_norm(f: FnTable, mu: Measure) -> L2Norm:
     """Exact squared norm E_mu[f^2] plus its float square root."""
     sq = inner(f, f, mu)
-    return L2Norm(sq, math.sqrt(as_float(sq)))
+    return L2Norm(sq, math.sqrt(float(sq)))
 
 
 def form_l2_norm(form, mu: Measure) -> L2Norm:
     """Window-form norm: the squared edge-table norms averaged over all
     directed edges."""
-    win = materialize(mu, form.sites)
+    if isinstance(mu, WindowMeasure):
+        mu = materialize(mu, form.sites)   # marginalize once, not per edge
     total = 0
     count = 0
     for pair in form.edges:
         for e in (pair, (pair[1], pair[0])):
             dense = form.dense_table(e)
-            total = inner(dense, dense, win) + total
+            total = inner(dense, dense, mu) + total
             count += 1
     sq = total / count
-    return L2Norm(sq, math.sqrt(as_float(sq)))
+    return L2Norm(sq, math.sqrt(float(sq)))
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,10 @@ class MartingaleReport:
         return {
             "windows": [list(w.sites) for w in self.windows],
             "norms_sq": [format_scalar(v) for v in self.norms_sq],
-            "norms_root": [math.sqrt(as_float(v)) for v in self.norms_sq],
+            "norms_root": [math.sqrt(float(v)) for v in self.norms_sq],
             "gaps_sq": [format_scalar(v) for v in self.gaps_sq],
             "sup_sq": format_scalar(self.sup_sq),
-            "sup_root": math.sqrt(as_float(self.sup_sq)),
+            "sup_root": math.sqrt(float(self.sup_sq)),
             "monotone": self.monotone,
             "pythagoras": self.pythagoras,
         }
@@ -75,13 +76,13 @@ def martingale_chain_report(f: FnTable, windows: Sequence[SiteSet],
     chain = build_chain(f, windows, mu)
     norms = []
     for w, table in zip(chain.windows, chain.tables):
-        norms.append(inner(table, table, materialize(mu, w)))
+        norms.append(inner(table, table, mu))
     gaps = []
     pythagoras = True
     for i in range(len(chain.windows) - 1):
         big = chain.windows[i + 1]
         diff = chain.tables[i + 1] - chain.tables[i].embed(big)
-        gap = inner(diff, diff, materialize(mu, big))
+        gap = inner(diff, diff, mu)
         gaps.append(gap)
         if not scalar_eq(norms[i + 1], norms[i] + gap, tol):
             pythagoras = False

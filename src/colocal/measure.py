@@ -10,8 +10,10 @@ projection divides by marginal weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotSubset, SiteSetMismatch
@@ -87,11 +89,17 @@ class ProductMeasure:
 
     def materialize(self, sites: SiteSet,
                     state_cap: int = DEFAULT_STATE_CAP) -> "WindowMeasure":
-        space = ConfigSpace(sites, self.n_states)
-        guard_space(space.size, state_cap)
-        values = tuple(self.config_weight(sites, space.decode(i))
-                       for i in range(space.size))
-        return WindowMeasure(sites, self.n_states, values)
+        """Kronecker product of the site weights: each site in turn becomes
+        the most significant digit."""
+        guard_space(self.n_states ** len(sites), state_cap)
+        exact = _exact(self, sites)
+        table, den = [1], 1
+        for s in sites:
+            weights, q = _numerators(self.factor(s).weights, exact)
+            table = [w * x for w in weights for x in table]
+            den *= q
+        return WindowMeasure(sites, self.n_states,
+                             _from_numerators(table, den, exact))
 
 
 def product_measure(nu: StateMeasure,
@@ -173,6 +181,9 @@ def pushforward(mu: WindowMeasure, sub: SiteSet) -> WindowMeasure:
 
 
 def expectation(f: FnTable, mu: Measure) -> Scalar:
+    prod = _as_product(mu)
+    if prod is not None:
+        return _integrate((f.values,), f.sites, f.n_states, _EMPTY, prod)[0]
     win = materialize(mu, f.sites)
     if win.sites != f.sites or win.n_states != f.n_states:
         raise SiteSetMismatch("function and measure site sets differ")
@@ -183,6 +194,10 @@ def inner(f: FnTable, g: FnTable, mu: Measure) -> Scalar:
     """<f, g>_mu = E_mu[f g]."""
     if f.sites != g.sites or f.n_states != g.n_states:
         raise SiteSetMismatch("inner product operands on different site sets")
+    prod = _as_product(mu)
+    if prod is not None:
+        return _integrate((f.values, g.values), f.sites, f.n_states, _EMPTY,
+                          prod)[0]
     win = materialize(mu, f.sites)
     return sum(a * b * w for a, b, w in zip(f.values, g.values, win.weights))
 
@@ -191,29 +206,22 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
     """Project f onto C(S^sub): average f over the fibers of the projection,
     weighted by mu and renormalized per fiber.
 
-    For product measures the fiber weight factorizes over the sites being
-    integrated out, so no division is needed.
+    Under a product measure the fiber weight factorizes, so the projection
+    integrates out the sites outside ``sub`` one digit at a time (a
+    stride contraction per site, O(n^|Lambda|) in all) with no division;
+    exact values are carried as integers over one common denominator.
     """
     if not sub.is_subset_of(f.sites):
         raise NotSubset("projection target is not a subset of the domain")
     if sub == f.sites:
         return f
-    sub_space = ConfigSpace(sub, f.n_states)
-    positions = [f.sites.position(s) for s in sub]
-
     prod = _as_product(mu)
     if prod is not None:
-        off = [(k, s) for k, s in enumerate(f.sites) if s not in sub]
-        out = [Fraction(0)] * sub_space.size
-        for idx in range(f.space.size):
-            assignment = f.space.decode(idx)
-            w = Fraction(1)
-            for k, s in off:
-                w = w * prod.factor(s).weights[assignment[k]]
-            j = sub_space.encode(tuple(assignment[p] for p in positions))
-            out[j] = out[j] + f.values[idx] * w
-        return FnTable(sub, f.n_states, tuple(out))
+        return FnTable(sub, f.n_states,
+                       _integrate((f.values,), f.sites, f.n_states, sub, prod))
 
+    sub_space = ConfigSpace(sub, f.n_states)
+    positions = [f.sites.position(s) for s in sub]
     win = mu if mu.sites == f.sites else pushforward(mu, f.sites)
     if win.n_states != f.n_states:
         raise SiteSetMismatch("measure and function state counts differ")
@@ -225,6 +233,89 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
         out[j] = out[j] + f.values[idx] * win.weights[idx]
     return FnTable(sub, f.n_states,
                    tuple(v / w for v, w in zip(out, marginal.weights)))
+
+
+# ---------------------------------------------------------------------------
+# the stride-contraction kernel for product measures
+# ---------------------------------------------------------------------------
+#
+# A table over S^Lambda is a flat sequence in mixed-radix order, so the digit
+# of the site at position k has stride n^k.  Exact values travel as Python
+# ints over one common denominator and become Fractions only on output;
+# as soon as a table value or a site weight is a float, everything is
+# carried as floats over the denominator 1 instead.
+
+_EMPTY = SiteSet(())
+
+
+def _exact(prod: ProductMeasure, sites, *tables) -> bool:
+    """Exact unless a value of ``tables`` or a weight at ``sites`` is a
+    float."""
+    weights = [prod.factor(s).weights for s in sites]
+    return not any(isinstance(v, float)
+                   for values in (*tables, *weights) for v in values)
+
+
+def _numerators(values, exact: bool) -> tuple[list, int]:
+    """Values as numerators over their least common denominator."""
+    if not exact:
+        return [float(v) for v in values], 1
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _from_numerators(nums, den: int, exact: bool) -> tuple[Scalar, ...]:
+    if not exact:
+        return tuple(nums)
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def _contract(nums: list, n: int, stride: int, weights) -> tuple[list, list]:
+    """Integrate out the digit of the given stride: the weighted sum of its
+    n slices (each ordered by the remaining digits), and those slices."""
+    if stride == 1:
+        slices = [nums[a::n] for a in range(n)]
+    else:
+        block = stride * n
+        slices = [list(chain.from_iterable(
+                      nums[b:b + stride]
+                      for b in range(a * stride, len(nums), block)))
+                  for a in range(n)]
+    out = [weights[0] * x for x in slices[0]]
+    for w, part in zip(weights[1:], slices[1:]):
+        out = [o + w * x for o, x in zip(out, part)]
+    return out, slices
+
+
+def _interleave(slices: list, stride: int) -> list:
+    """Inverse of the slicing in ``_contract``: put the digit back."""
+    if stride == 1:
+        return list(chain.from_iterable(zip(*slices)))
+    return list(chain.from_iterable(
+        part[h:h + stride]
+        for h in range(0, len(slices[0]), stride) for part in slices))
+
+
+def _integrate(factors, sites: SiteSet, n: int, keep: SiteSet,
+               prod: ProductMeasure) -> tuple[Scalar, ...]:
+    """Integrate the pointwise product of the value tables ``factors`` (over
+    S^sites) against ``prod`` over every site outside ``keep``.  Sites are
+    taken from the most significant down, so the strides of the remaining
+    ones never change."""
+    if prod.n_states != n:
+        raise SiteSetMismatch("measure and function state counts differ")
+    off = [(k, s) for k, s in enumerate(sites) if s not in keep]
+    exact = _exact(prod, (s for _, s in off), *factors)
+    nums, den = _numerators(factors[0], exact)
+    for values in factors[1:]:
+        more, d = _numerators(values, exact)
+        nums = [a * b for a, b in zip(nums, more)]
+        den *= d
+    for k, site in reversed(off):
+        weights, q = _numerators(prod.factor(site).weights, exact)
+        nums = _contract(nums, n, n ** k, weights)[0]
+        den *= q
+    return _from_numerators(nums, den, exact)
 
 
 # ---------------------------------------------------------------------------

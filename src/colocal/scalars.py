@@ -42,10 +42,6 @@ def format_scalar(x: Scalar) -> Union[str, float]:
     return float(x)
 
 
-def as_float(x: Scalar) -> float:
-    return float(x)
-
-
 def scalar_eq(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
     if tol is None:
         return a == b

@@ -16,7 +16,6 @@ by solving on small sub-windows instead.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +29,12 @@ from .errors import (
 )
 from .forms import Form, differential, solve_potential
 from .functions import ConservedQuantity, conserved_quantities
-from .measure import ProductMeasure, StateMeasure, conditional_expectation
+from .measure import (
+    ProductMeasure,
+    StateMeasure,
+    _integrate,
+    conditional_expectation,
+)
 from .scalars import Scalar
 from .statespace import (
     ConfigSpace,
@@ -412,25 +416,11 @@ def _translate_table(table: FnTable, src: Locale, dst: Locale, shift: Coord,
         return FnTable(SiteSet(tuple(targets)), table.n_states, table.values)
     if nu is None:
         return None
-    out_positions = [k for k in range(len(targets)) if k not in kept]
     kept_sites = SiteSet(tuple(targets[k] for k in kept))
-    small = ConfigSpace(kept_sites, table.n_states)
-    values = []
-    for idx in range(small.size):
-        assignment = small.decode(idx)
-        total = Fraction(0)
-        for outer in itertools.product(range(table.n_states),
-                                       repeat=len(out_positions)):
-            full = [0] * len(targets)
-            for pos, digit in zip(kept, assignment):
-                full[pos] = digit
-            weight = Fraction(1)
-            for pos, digit in zip(out_positions, outer):
-                full[pos] = digit
-                weight *= nu.weights[digit]
-            total += weight * table.values[table.space.encode(tuple(full))]
-        values.append(total)
-    return FnTable(kept_sites, table.n_states, tuple(values))
+    keep_src = SiteSet(tuple(table.sites.sites[k] for k in kept))
+    values = _integrate((table.values,), table.sites, table.n_states,
+                        keep_src, ProductMeasure(nu))
+    return FnTable(kept_sites, table.n_states, values)
 
 
 def invariant_spec_from_anchors(template: Locale, interaction: Interaction,

@@ -1,8 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 import colocal as cl
+
+# property tests repeat exactly from run to run and stay within seconds
+settings.register_profile("colocal", derandomize=True, deadline=None,
+                          max_examples=40)
+settings.load_profile("colocal")
 
 
 def rand_scalar(rng):

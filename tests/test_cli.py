@@ -112,6 +112,20 @@ def test_closed_success_and_witness(tmp_path):
     assert len(report["error"]["witness"]["edges"]) == 3
 
 
+def test_closed_rejects_non_reversible_phi(tmp_path):
+    # phi sends (0, 1) to (1, 1), which phi fixes: nothing leads back
+    payload = {"interaction": {"states": [0, 1], "base": 0,
+                               "phi": [[[0, 1], [1, 1]]]},
+               "form": {"siteset": [0, 1],
+                        "edges": [{"edge": [0, 1],
+                                   "values": ["0", "0", "1", "0"]}]}}
+    code, report = run(tmp_path, "closed", payload)
+    assert code == 1 and report["ok"] is False
+    assert report["error"]["name"] == "NotReversible"
+    assert report["error"]["details"] == {"pairs": [[0, 1]],
+                                          "returns_to": [[1, 1]]}
+
+
 def test_dims(tmp_path):
     payload = {"interaction": EXCLUSION, "nu": HALF,
                "locale": {"sites": [0, 1], "edges": [[0, 1], [1, 0]]}}

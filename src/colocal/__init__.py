@@ -46,6 +46,7 @@ from .statespace import (
     edges_within,
     enumerate_configs,
     exclusion_interaction,
+    group_act,
     identity_interaction,
     identity_map,
     lattice_translations,
@@ -110,7 +111,6 @@ from .forms import (
     solve_potential,
     validate_form,
 )
-from .actions import group_act
 from .varadhan import (
     Cocycle,
     FundamentalDomain,

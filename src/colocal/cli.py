@@ -3,15 +3,13 @@
 One subcommand per pipeline stage; every run reads a single JSON input file
 and writes a deterministic JSON report (stdout by default).  Exit codes:
 0 success, 1 domain error (structured error JSON still written), 2 usage
-error.  ``COLOCAL_THREADS`` is accepted and validated for forward
-compatibility; execution is sequential and deterministic.
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -51,7 +49,6 @@ class RunConfig:
     subset_cap: int
     mode: str
     tolerance: Optional[float]
-    threads: int
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,16 +84,8 @@ def _config_from_args(args) -> RunConfig:
     tolerance = args.tolerance
     if args.mode == "float" and tolerance is None:
         tolerance = FLOAT_TOLERANCE
-    threads_env = os.environ.get("COLOCAL_THREADS", "1")
-    try:
-        threads = int(threads_env)
-        if threads <= 0:
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"COLOCAL_THREADS must be a positive integer, "
-                         f"got {threads_env!r}")
     return RunConfig(args.subcommand, args.input, args.output, args.state_cap,
-                     args.subset_cap, args.mode, tolerance, threads)
+                     args.subset_cap, args.mode, tolerance)
 
 
 class UsageError(Exception):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from . import linalg
 from .errors import (
     InvalidPath,
     MalformedForm,
@@ -33,7 +32,13 @@ from .measure import (
     is_ordinary,
     materialize,
 )
-from .scalars import Scalar, scalar_eq, scalar_is_zero
+from .scalars import (
+    Scalar,
+    from_numerators,
+    numerators,
+    scalar_eq,
+    scalar_is_zero,
+)
 from .statespace import (
     Config,
     ConfigSpace,
@@ -42,9 +47,11 @@ from .statespace import (
     Interaction,
     Locale,
     SiteSet,
-    UnionFind,
+    apply_transition,
+    edge_moves,
     edges_within,
     guard_space,
+    restriction_indices,
     transition_graph,
 )
 from .tables import FnTable, fn_constant, fn_zeros
@@ -77,34 +84,35 @@ class Form:
     def space(self) -> ConfigSpace:
         return ConfigSpace(self.sites, self.n_states)
 
-    def _move(self, assignment: Sequence[int], edge: Edge):
-        po = self.sites.position(edge[0])
-        pt = self.sites.position(edge[1])
-        a, b = assignment[po], assignment[pt]
-        a2, b2 = self.interaction.phi_pair(a, b)
-        if (a2, b2) == (a, b):
-            return None
-        moved = list(assignment)
-        moved[po], moved[pt] = a2, b2
-        return tuple(moved)
+    @cached_property
+    def moves(self) -> dict:
+        """Index map of the transition across each directed edge, in the
+        order pair, reversed pair."""
+        return {e: edge_moves(self.space, self.interaction, e)
+                for pair in self.edges for e in (pair, (pair[1], pair[0]))}
 
     def edge_value(self, edge: Edge, assignment: Sequence[int]) -> Scalar:
         """omega_edge at an ambient assignment, any orientation."""
         key = canonical_edge(edge)
         if key not in self.tables:
             raise KeyError(f"edge {edge} not part of this form")
-        moved = self._move(assignment, edge)
-        if moved is None:
+        eta = Config(self.sites, tuple(assignment))
+        moved = apply_transition(eta, edge, self.interaction)
+        if moved == eta:
             return Fraction(0)
         if edge == key:
-            return self.tables[key].evaluate_in(self.sites, assignment)
-        return -self.tables[key].evaluate_in(self.sites, moved)
+            return self.tables[key].evaluate_in(self.sites, eta.assignment)
+        return -self.tables[key].evaluate_in(self.sites, moved.assignment)
 
     def dense_table(self, edge: Edge) -> FnTable:
         """omega_edge as a dense table on the ambient sites."""
-        values = tuple(self.edge_value(edge, self.space.decode(i))
-                       for i in range(self.space.size))
-        return FnTable(self.sites, self.n_states, values)
+        key = canonical_edge(edge)
+        if key not in self.tables:
+            raise KeyError(f"edge {edge} not part of this form")
+        stored = self.tables[key].embed(self.sites).values
+        return FnTable(self.sites, self.n_states,
+                       tuple(_oriented(stored, self.moves[edge], edge == key,
+                                       _ZERO)))
 
     def is_zero(self, tol: float | None = None) -> bool:
         return all(t.is_zero(tol) for t in self.tables.values())
@@ -141,36 +149,35 @@ class Form:
             if image[0] < image[1]:
                 tables[image] = moved
             else:
-                key = (image[1], image[0])
-                support = moved.sites.union(SiteSet(key))
-                carrier = Form(support, self.interaction, (key,),
-                               {key: _reverse_orientation_table(
-                                   moved, image, support, self.interaction)})
-                tables[key] = carrier.tables[key]
+                tables[(image[1], image[0])] = _reverse_orientation_table(
+                    moved, image, self.interaction)
         edges = tuple(sorted(tables))
         return Form(new_sites, self.interaction, edges, tables)
 
 
+_ZERO = Fraction(0)
+
+
+def _oriented(table, moves, same: bool, zero) -> list:
+    """Dense values of the directed edge e from the dense table of one
+    orientation of its pair: that table itself if it is e's own (``same``),
+    else the alternating value -table(eta^e); ``zero`` where e fixes eta
+    (``moves`` is the index map of e)."""
+    if same:
+        return [v if d >= 0 else zero for v, d in zip(table, moves)]
+    return [-table[d] if d >= 0 else zero for d in moves]
+
+
 def _reverse_orientation_table(table: FnTable, oriented: Edge,
-                               support: SiteSet,
                                interaction: Interaction) -> FnTable:
-    """Table for the canonical orientation given the reversed one:
-    omega_can(eta) = -omega_rev(eta^can), zero on fixed configurations."""
-    can = (oriented[1], oriented[0])
+    """Table of the opposite orientation given omega_oriented, on the
+    table's sites plus the edge's endpoints."""
+    support = table.sites.union(SiteSet(tuple(sorted(oriented))))
     space = ConfigSpace(support, interaction.n_states)
-    po, pt = support.position(can[0]), support.position(can[1])
-    values = []
-    for idx in range(space.size):
-        assignment = space.decode(idx)
-        a, b = assignment[po], assignment[pt]
-        a2, b2 = interaction.phi_pair(a, b)
-        if (a2, b2) == (a, b):
-            values.append(Fraction(0))
-            continue
-        moved = list(assignment)
-        moved[po], moved[pt] = a2, b2
-        values.append(-table.evaluate_in(support, tuple(moved)))
-    return FnTable(support, interaction.n_states, tuple(values))
+    moves = edge_moves(space, interaction, (oriented[1], oriented[0]))
+    return FnTable(support, interaction.n_states,
+                   tuple(_oriented(table.embed(support).values, moves, False,
+                                   _ZERO)))
 
 
 def make_form(sites: SiteSet, interaction: Interaction, edges,
@@ -199,14 +206,16 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
         else:
             reversed_given[key] = table
     for key, rev in reversed_given.items():
-        support = rev.sites.union(SiteSet(key))
-        derived = _reverse_orientation_table(rev, (key[1], key[0]), support,
+        if validate:
+            _check_zero_on_fixed(rev, (key[1], key[0]), interaction, tol)
+        derived = _reverse_orientation_table(rev, (key[1], key[0]),
                                              interaction)
         if key not in stored:
             stored[key] = derived
         elif validate:
-            a = stored[key].embed(support.union(stored[key].sites))
-            b = derived.embed(support.union(stored[key].sites))
+            support = derived.sites.union(stored[key].sites)
+            a = stored[key].embed(support)
+            b = derived.embed(support)
             if not a.equals(b, tol):
                 raise MalformedForm(
                     f"tables for the two orientations of {key} are not "
@@ -223,31 +232,65 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
 
 def validate_form(form: Form, tol: float | None = None,
                   state_cap: int = DEFAULT_STATE_CAP):
-    """Enumerate the window and check: zero on fixed configurations, and
-    agreement across directed edges with a common target."""
+    """Enumerate the window and check: every stored table is zero where its
+    transition fixes the configuration, and directed edges with a common
+    target agree there."""
     space = form.space
     guard_space(space.size, state_cap)
-    directed = [e for pair in form.edges for e in (pair, (pair[1], pair[0]))]
+    for e in form.edges:
+        _check_zero_on_fixed(form.tables[e], e, form.interaction, tol)
+    directed, den, _ = _directed(form)
+    tol_num = None if tol is None else tol * den
     for idx in range(space.size):
-        assignment = space.decode(idx)
-        by_target: dict[tuple, tuple[Edge, Scalar]] = {}
-        for e in directed:
-            moved = form._move(assignment, e)
-            value = form.edge_value(e, assignment)
-            if moved is None:
-                if not scalar_is_zero(value, tol):
-                    raise MalformedForm(
-                        f"omega_{e} nonzero on a fixed configuration",
-                        edge=e, assignment=assignment)
+        by_target: dict[int, tuple[Edge, Scalar]] = {}
+        for e, moves, values in directed:
+            dst = moves[idx]
+            if dst < 0:
                 continue
-            if moved in by_target:
-                other_edge, other_value = by_target[moved]
-                if not scalar_eq(value, other_value, tol):
+            if dst in by_target:
+                other_edge, other_value = by_target[dst]
+                if not scalar_eq(values[idx], other_value, tol_num):
                     raise MalformedForm(
                         f"omega_{e} and omega_{other_edge} disagree on a "
-                        "shared transition", assignment=assignment)
+                        "shared transition", assignment=space.decode(idx))
             else:
-                by_target[moved] = (e, value)
+                by_target[dst] = (e, values[idx])
+
+
+def _check_zero_on_fixed(table: FnTable, edge: Edge,
+                         interaction: Interaction, tol: float | None):
+    """Raise MalformedForm where omega_edge is nonzero on a configuration
+    (of the table's sites plus the endpoints) that the transition fixes."""
+    support = table.sites.union(SiteSet(tuple(sorted(edge))))
+    space = ConfigSpace(support, interaction.n_states)
+    moves = edge_moves(space, interaction, edge)
+    for idx, (d, v) in enumerate(zip(moves, table.embed(support).values)):
+        if d < 0 and not scalar_is_zero(v, tol):
+            raise MalformedForm(f"omega_{edge} nonzero on a fixed configuration",
+                                edge=edge, sites=support.sites,
+                                assignment=space.decode(idx))
+
+
+def _directed(form: Form) -> tuple[list, int, bool]:
+    """(edge, index map, dense values) per directed edge, in the order pair,
+    reversed pair, with the values as numerators over one denominator
+    (see ``scalars.numerators``); also that denominator and whether the
+    values are exact.  A tolerance on values is the tolerance times the
+    denominator on numerators."""
+    stored = [form.tables[pair] for pair in form.edges]
+    flat = [v for table in stored for v in table.values]
+    exact = not any(isinstance(v, float) for v in flat)
+    nums, den = numerators(flat, exact)
+    directed = []
+    start = 0
+    for pair, table in zip(form.edges, stored):
+        part = nums[start:start + len(table.values)]
+        start += len(table.values)
+        dense = [part[j] for j in restriction_indices(form.space, table.sites)]
+        for e in (pair, (pair[1], pair[0])):
+            moves = form.moves[e]
+            directed.append((e, moves, _oriented(dense, moves, e == pair, 0)))
+    return directed, den, exact
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +302,39 @@ def differential(f: FnTable, interaction: Interaction, locale: Locale,
     """The gradient form: (df)_e(eta) = f(eta^e) - f(eta)."""
     guard_space(f.space.size, state_cap)
     pairs = canonical_pairs(edges_within(locale, f.sites))
-    space = f.space
+    return Form(f.sites, interaction, pairs,
+                _differentials(f, interaction, pairs))
+
+
+def edge_differential(f: FnTable, interaction: Interaction,
+                      edge: Edge) -> FnTable:
+    """(df)_edge as a table on the sites of f: f(eta^e) - f(eta), zero where
+    the transition fixes eta."""
+    return _differentials(f, interaction, (edge,))[edge]
+
+
+def _differentials(f: FnTable, interaction: Interaction,
+                   edges) -> dict[Edge, FnTable]:
+    """(df)_e for each edge, subtracting the numerators of f; in exact mode
+    equal differences share one Fraction."""
+    exact = not any(isinstance(v, float) for v in f.values)
+    nums, den = numerators(f.values, exact)
+    fractions = {0: _ZERO}
+
+    def scalar(x):
+        if not exact:
+            return x
+        if x not in fractions:
+            fractions[x] = Fraction(x, den)
+        return fractions[x]
+
     tables = {}
-    for e in pairs:
-        po, pt = f.sites.position(e[0]), f.sites.position(e[1])
-        values = []
-        for idx in range(space.size):
-            assignment = space.decode(idx)
-            a, b = assignment[po], assignment[pt]
-            a2, b2 = interaction.phi_pair(a, b)
-            if (a2, b2) == (a, b):
-                values.append(Fraction(0))
-                continue
-            moved = list(assignment)
-            moved[po], moved[pt] = a2, b2
-            values.append(f.value_at(tuple(moved)) - f.values[idx])
-        tables[e] = FnTable(f.sites, f.n_states, tuple(values))
-    return Form(f.sites, interaction, pairs, tables)
+    for e in edges:
+        moves = edge_moves(f.space, interaction, e)
+        tables[e] = FnTable(f.sites, f.n_states,
+                            tuple(scalar(nums[d] - x) if d >= 0 else _ZERO
+                                  for d, x in zip(moves, nums)))
+    return tables
 
 
 @dataclass(frozen=True)
@@ -300,15 +359,11 @@ def path_configs(path: Path, interaction: Interaction):
         if e[0] not in current.sites or e[1] not in current.sites:
             raise InvalidPath(f"step {k} edge {e} leaves the site set",
                               step=k, edge=e)
-        po, pt = current.sites.position(e[0]), current.sites.position(e[1])
-        a, b = current.assignment[po], current.assignment[pt]
-        a2, b2 = interaction.phi_pair(a, b)
-        if (a2, b2) == (a, b):
+        moved = apply_transition(current, e, interaction)
+        if moved == current:
             raise InvalidPath(f"step {k} fixes the configuration", step=k, edge=e)
-        moved = list(current.assignment)
-        moved[po], moved[pt] = a2, b2
-        current = Config(current.sites, tuple(moved))
-        configs.append(current)
+        configs.append(moved)
+        current = moved
     return configs
 
 
@@ -346,56 +401,54 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     """
     space = form.space
     guard_space(space.size, state_cap)
-
-    adjacency: list[list[tuple[int, Edge]]] = [[] for _ in range(space.size)]
-    directed = [e for pair in form.edges for e in (pair, (pair[1], pair[0]))]
-    for idx in range(space.size):
-        assignment = space.decode(idx)
-        for e in directed:
-            moved = form._move(assignment, e)
-            if moved is not None:
-                adjacency[idx].append((space.encode(moved), e))
-
-    uf = UnionFind(space.size)
-    for idx in range(space.size):
-        for dst, _ in adjacency[idx]:
-            uf.union(idx, dst)
-    roots: dict[int, int] = {}
-    for idx in range(space.size):
-        r = uf.find(idx)
-        if r not in roots or space.decode(idx) < space.decode(roots[r]):
-            roots[r] = idx
+    directed, den, exact = _directed(form)
 
     potential: list[Optional[Scalar]] = [None] * space.size
     parent: dict[int, tuple[int, Edge]] = {}
-    for root in sorted(roots.values()):
-        potential[root] = Fraction(0)
+    # the first configuration of a component in lexicographic order is its root
+    for root in _lexicographic(space):
+        if potential[root] is not None:
+            continue
+        potential[root] = 0
         frontier = [root]
         while frontier:
             nxt = []
             for src in frontier:
-                src_assignment = space.decode(src)
-                for dst, e in adjacency[src]:
-                    if potential[dst] is None:
-                        potential[dst] = (potential[src]
-                                          + form.edge_value(e, src_assignment))
+                for e, moves, values in directed:
+                    dst = moves[src]
+                    if dst >= 0 and potential[dst] is None:
+                        potential[dst] = potential[src] + values[src]
                         parent[dst] = (src, e)
                         nxt.append(dst)
             frontier = nxt
 
-    # consistency over every remaining transition record
+    # consistency over every remaining transition
+    tol_num = None if tol is None else tol * den
     for idx in range(space.size):
-        assignment = space.decode(idx)
-        for dst, e in adjacency[idx]:
-            value = form.edge_value(e, assignment)
-            if not scalar_eq(potential[dst] - potential[idx], value, tol):
-                raise _not_closed(form, space, parent, idx, e, dst,
-                                  potential)
+        for e, moves, values in directed:
+            dst = moves[idx]
+            if dst >= 0 and not scalar_eq(potential[dst] - potential[idx],
+                                          values[idx], tol_num):
+                integral = from_numerators(
+                    [potential[idx] - potential[dst] + values[idx]], den,
+                    exact)[0]
+                raise _not_closed(form, space, parent, idx, e, dst, integral)
 
-    table = FnTable(form.sites, form.n_states, tuple(potential))
+    table = FnTable(form.sites, form.n_states,
+                    from_numerators(potential, den, exact))
     if mu is not None:
         table = table.shift(-expectation(table, mu))
     return table
+
+
+def _lexicographic(space: ConfigSpace) -> list[int]:
+    """Configuration indices sorted by their assignment tuples (the digit of
+    the smallest site compared first)."""
+    order = [0]
+    for k in reversed(range(len(space.sites))):
+        stride = space.n_states ** k
+        order = [a * stride + j for a in range(space.n_states) for j in order]
+    return order
 
 
 def _tree_steps(space: ConfigSpace, parent, idx: int):
@@ -410,7 +463,7 @@ def _tree_steps(space: ConfigSpace, parent, idx: int):
 
 
 def _not_closed(form: Form, space: ConfigSpace, parent, src: int, edge: Edge,
-                dst: int, potential) -> NotClosed:
+                dst: int, integral: Scalar) -> NotClosed:
     to_src = _tree_steps(space, parent, src)
     to_dst = _tree_steps(space, parent, dst)
     shared = 0
@@ -424,8 +477,6 @@ def _not_closed(form: Form, space: ConfigSpace, parent, src: int, edge: Edge,
     start_index = steps[0][0] if steps else src
     witness = Path(Config(form.sites, space.decode(start_index)),
                    tuple(e for _, e, _ in steps))
-    integral = (potential[src] - potential[dst]
-                + form.edge_value(edge, space.decode(src)))
     return NotClosed("form has a cycle with nonzero integral",
                      witness=witness, integral=integral,
                      cycle_length=len(steps))
@@ -465,63 +516,39 @@ def kernel_basis(sites: SiteSet, interaction: Interaction, locale: Locale,
     return KernelBasis(sites, m, labels, tuple(indicators), tuple(mean_zero))
 
 
+#: prime modulus of the rank computation in closed_form_space_dimension
+_RANK_PRIME = (1 << 61) - 1
+
+
 def closed_form_space_dimension(sites: SiteSet, interaction: Interaction,
                                 locale: Locale,
                                 state_cap: int = DEFAULT_STATE_CAP) -> int:
-    """Brute-force dimension of the space of closed forms: one degree of
-    freedom per unordered transition pair, minus the rank of the
-    fundamental-cycle constraints of a spanning forest."""
+    """Dimension of the space of closed forms, computed as the rank of the
+    differential: one row e_dst - e_src per transition pair, reduced by
+    sparse elimination modulo the prime 2^61 - 1.  The matrix is an
+    incidence matrix, hence totally unimodular, so its rank modulo p is its
+    rational rank.  Every closed form on a finite graph is exact, so the
+    rank is the dimension; it does not use the component count."""
     graph = transition_graph(sites, interaction, locale, state_cap)
-    pairs = sorted({(min(s, d), max(s, d)) for s, _, d in graph.records})
-    dof = {p: k for k, p in enumerate(pairs)}
-    adjacency: dict[int, list[int]] = {}
-    for a, b in pairs:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    parent: dict[int, int] = {}
-    visited: set[int] = set()
-    tree_pairs = set()
-    for start in sorted(adjacency):
-        if start in visited:
-            continue
-        visited.add(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in sorted(adjacency[u]):
-                    if v not in visited:
-                        visited.add(v)
-                        parent[v] = u
-                        tree_pairs.add((min(u, v), max(u, v)))
-                        nxt.append(v)
-            frontier = nxt
-
-    def steps_to_root(x):
-        out = []
-        while x in parent:
-            out.append((parent[x], x))
-            x = parent[x]
-        out.reverse()
-        return out
-
-    rows = []
-    for a, b in pairs:
-        if (a, b) in tree_pairs:
-            continue
-        pa, pb = steps_to_root(a), steps_to_root(b)
-        shared = 0
-        while shared < len(pa) and shared < len(pb) and pa[shared] == pb[shared]:
-            shared += 1
-        row = [Fraction(0)] * len(pairs)
-        for u, v in pa[shared:]:
-            row[dof[(min(u, v), max(u, v))]] += 1 if u < v else -1
-        row[dof[(a, b)]] += 1 if a < b else -1
-        for u, v in reversed(pb[shared:]):
-            row[dof[(min(u, v), max(u, v))]] += -1 if u < v else 1
-        rows.append(row)
-    return len(pairs) - (linalg.rank(rows) if rows else 0)
+    p = _RANK_PRIME
+    pivots: dict[int, dict[int, int]] = {}   # leading column -> monic row
+    for src, dst in sorted({(min(s, d), max(s, d)) for s, d in graph.pairs}):
+        row = {src: p - 1, dst: 1}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                w = (row.get(c, 0) - factor * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

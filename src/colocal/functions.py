@@ -25,11 +25,10 @@ from .measure import (
     StateMeasure,
     _contract,
     _exact,
-    _from_numerators,
     _interleave,
-    _numerators,
     conditional_expectation,
 )
+from .scalars import from_numerators, numerators
 from .statespace import (
     ConfigSpace,
     DEFAULT_STATE_CAP,
@@ -174,12 +173,12 @@ def expand_martingale(f: FnTable, nu: Measure,
     n = f.n_states
     sites = f.sites.sites
     exact = _exact(prod, sites, f.values)
-    nums, den = _numerators(f.values, exact)
+    nums, den = numerators(f.values, exact)
     # piece per set of kept sites, over the kept and the not yet split sites;
     # splitting from the most significant site down keeps strides fixed
     pieces = {(): nums}
     for k in reversed(range(len(sites))):
-        weights, q = _numerators(prod.factor(sites[k]).weights, exact)
+        weights, q = numerators(prod.factor(sites[k]).weights, exact)
         stride = n ** k
         split = {}
         for kept, piece in pieces.items():
@@ -194,7 +193,7 @@ def expand_martingale(f: FnTable, nu: Measure,
 
     components = {
         sub: FnTable(SiteSet(sub), n,
-                     _from_numerators(pieces[sub], den, exact))
+                     from_numerators(pieces[sub], den, exact))
         for size in range(len(sites) + 1)
         for sub in itertools.combinations(sites, size)}
     return Expansion(f.sites, n, prod, components)

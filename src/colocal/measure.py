@@ -10,14 +10,13 @@ projection divides by marginal weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotSubset, SiteSetMismatch
-from .scalars import Scalar, scalar_eq
+from .scalars import Scalar, from_numerators, numerators, scalar_eq
 from .statespace import (
     ConfigSpace,
     DEFAULT_STATE_CAP,
@@ -25,8 +24,11 @@ from .statespace import (
     Interaction,
     Locale,
     SiteSet,
+    digit_slices,
+    edge_moves,
     edges_within,
     guard_space,
+    restriction_indices,
 )
 from .tables import FnTable
 
@@ -95,11 +97,11 @@ class ProductMeasure:
         exact = _exact(self, sites)
         table, den = [1], 1
         for s in sites:
-            weights, q = _numerators(self.factor(s).weights, exact)
+            weights, q = numerators(self.factor(s).weights, exact)
             table = [w * x for w in weights for x in table]
             den *= q
         return WindowMeasure(sites, self.n_states,
-                             _from_numerators(table, den, exact))
+                             from_numerators(table, den, exact))
 
 
 def product_measure(nu: StateMeasure,
@@ -170,12 +172,8 @@ def pushforward(mu: WindowMeasure, sub: SiteSet) -> WindowMeasure:
         raise NotSubset("pushforward target is not a subset")
     if sub == mu.sites:
         return mu
-    sub_space = ConfigSpace(sub, mu.n_states)
-    positions = [mu.sites.position(s) for s in sub]
-    out = [Fraction(0)] * sub_space.size
-    for idx in range(mu.space.size):
-        assignment = mu.space.decode(idx)
-        j = sub_space.encode(tuple(assignment[p] for p in positions))
+    out = [Fraction(0)] * (mu.n_states ** len(sub))
+    for idx, j in enumerate(restriction_indices(mu.space, sub)):
         out[j] = out[j] + mu.weights[idx]
     return WindowMeasure(sub, mu.n_states, tuple(out))
 
@@ -220,16 +218,12 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
         return FnTable(sub, f.n_states,
                        _integrate((f.values,), f.sites, f.n_states, sub, prod))
 
-    sub_space = ConfigSpace(sub, f.n_states)
-    positions = [f.sites.position(s) for s in sub]
     win = mu if mu.sites == f.sites else pushforward(mu, f.sites)
     if win.n_states != f.n_states:
         raise SiteSetMismatch("measure and function state counts differ")
     marginal = pushforward(win, sub)
-    out = [Fraction(0)] * sub_space.size
-    for idx in range(f.space.size):
-        assignment = f.space.decode(idx)
-        j = sub_space.encode(tuple(assignment[p] for p in positions))
+    out = [Fraction(0)] * len(marginal.weights)
+    for idx, j in enumerate(restriction_indices(f.space, sub)):
         out[j] = out[j] + f.values[idx] * win.weights[idx]
     return FnTable(sub, f.n_states,
                    tuple(v / w for v, w in zip(out, marginal.weights)))
@@ -256,31 +250,10 @@ def _exact(prod: ProductMeasure, sites, *tables) -> bool:
                    for values in (*tables, *weights) for v in values)
 
 
-def _numerators(values, exact: bool) -> tuple[list, int]:
-    """Values as numerators over their least common denominator."""
-    if not exact:
-        return [float(v) for v in values], 1
-    den = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _from_numerators(nums, den: int, exact: bool) -> tuple[Scalar, ...]:
-    if not exact:
-        return tuple(nums)
-    return tuple(Fraction(x, den) for x in nums)
-
-
 def _contract(nums: list, n: int, stride: int, weights) -> tuple[list, list]:
     """Integrate out the digit of the given stride: the weighted sum of its
     n slices (each ordered by the remaining digits), and those slices."""
-    if stride == 1:
-        slices = [nums[a::n] for a in range(n)]
-    else:
-        block = stride * n
-        slices = [list(chain.from_iterable(
-                      nums[b:b + stride]
-                      for b in range(a * stride, len(nums), block)))
-                  for a in range(n)]
+    slices = digit_slices(nums, n, stride)
     out = [weights[0] * x for x in slices[0]]
     for w, part in zip(weights[1:], slices[1:]):
         out = [o + w * x for o, x in zip(out, part)]
@@ -306,16 +279,16 @@ def _integrate(factors, sites: SiteSet, n: int, keep: SiteSet,
         raise SiteSetMismatch("measure and function state counts differ")
     off = [(k, s) for k, s in enumerate(sites) if s not in keep]
     exact = _exact(prod, (s for _, s in off), *factors)
-    nums, den = _numerators(factors[0], exact)
+    nums, den = numerators(factors[0], exact)
     for values in factors[1:]:
-        more, d = _numerators(values, exact)
+        more, d = numerators(values, exact)
         nums = [a * b for a, b in zip(nums, more)]
         den *= d
     for k, site in reversed(off):
-        weights, q = _numerators(prod.factor(site).weights, exact)
+        weights, q = numerators(prod.factor(site).weights, exact)
         nums = _contract(nums, n, n ** k, weights)[0]
         den *= q
-    return _from_numerators(nums, den, exact)
+    return from_numerators(nums, den, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -356,29 +329,21 @@ def is_ordinary(sub: SiteSet, sup: SiteSet, mu: Measure,
 
     sup_mu = mu if mu.sites == sup else pushforward(mu, sup)
     sub_mu = pushforward(sup_mu, sub)
-    sub_space = ConfigSpace(sub, sup_mu.n_states)
     sup_space = sup_mu.space
-    positions = [sup.position(s) for s in sub]
+    sub_space = ConfigSpace(sub, sup_mu.n_states)
     lam_edges = edges_within(locale, sub)
-    n = sup_mu.n_states
+    moves = [(e, edge_moves(sup_space, interaction, e),
+              edge_moves(sub_space, interaction, e)) for e in lam_edges]
 
     violations = []
-    for idx in range(sup_space.size):
-        assignment = sup_space.decode(idx)
-        sub_assignment = tuple(assignment[p] for p in positions)
-        for e in lam_edges:
-            po, pt = sup.position(e[0]), sup.position(e[1])
-            a, b = assignment[po], assignment[pt]
-            a2, b2 = interaction.phi_pair(a, b)
-            if (a2, b2) == (a, b):
+    for idx, j in enumerate(restriction_indices(sup_space, sub)):
+        for e, sup_moves, sub_moves in moves:
+            dst = sup_moves[idx]
+            if dst < 0:
                 continue
-            moved = list(assignment)
-            moved[po], moved[pt] = a2, b2
-            sub_moved = list(sub_assignment)
-            sub_moved[sub.position(e[0])] = a2
-            sub_moved[sub.position(e[1])] = b2
-            lhs = sub_mu.weight_of(tuple(sub_moved)) * sup_mu.weights[idx]
-            rhs = sub_mu.weight_of(sub_assignment) * sup_mu.weight_of(tuple(moved))
+            lhs = sub_mu.weights[sub_moves[j]] * sup_mu.weights[idx]
+            rhs = sub_mu.weights[j] * sup_mu.weights[dst]
             if not scalar_eq(lhs, rhs, tol):
-                violations.append(OrdinaryViolation(assignment, e, lhs, rhs))
+                violations.append(OrdinaryViolation(sup_space.decode(idx), e,
+                                                    lhs, rhs))
     return OrdinaryReport(sub, sup, tuple(violations))

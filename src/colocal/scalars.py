@@ -9,6 +9,7 @@ in exact mode.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -50,3 +51,20 @@ def scalar_eq(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
 
 def scalar_is_zero(x: Scalar, tol: float | None = None) -> bool:
     return scalar_eq(x, 0, tol)
+
+
+def numerators(values, exact: bool) -> tuple[list, int]:
+    """Values as Python-int numerators over their least common denominator,
+    so that sums, differences and comparisons run on ints; with
+    ``exact=False`` floats over the denominator 1."""
+    if not exact:
+        return [float(v) for v in values], 1
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def from_numerators(nums, den: int, exact: bool) -> tuple[Scalar, ...]:
+    """Inverse of :func:`numerators`."""
+    if not exact:
+        return tuple(nums)
+    return tuple(Fraction(x, den) for x in nums)

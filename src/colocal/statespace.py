@@ -14,6 +14,7 @@ site is the least significant digit.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -24,6 +25,7 @@ from .errors import (
     EmptySet,
     NotConnected,
     NotSimple,
+    NotSubset,
     NotSymmetric,
     SizeTooSmall,
     SpaceTooLarge,
@@ -367,6 +369,14 @@ class Config:
     def state_at(self, site: int) -> int:
         return self.assignment[self.sites.position(site)]
 
+    def relabel(self, sigma: "SiteMap") -> "Config":
+        """Push forward along a site map: the state at s moves to sigma(s)."""
+        new_sites = sigma.map_siteset(self.sites)
+        assignment = [0] * len(self.assignment)
+        for s, state in zip(self.sites, self.assignment):
+            assignment[new_sites.position(sigma.apply_or_raise(s))] = state
+        return Config(new_sites, tuple(assignment))
+
 
 @dataclass(frozen=True)
 class ConfigSpace:
@@ -422,6 +432,51 @@ def apply_transition(eta: Config, edge: Edge, interaction: Interaction) -> Confi
     assignment = list(eta.assignment)
     assignment[po], assignment[pt] = new_o, new_t
     return Config(eta.sites, tuple(assignment))
+
+
+def edge_moves(space: ConfigSpace, interaction: Interaction,
+               edge: Edge) -> array:
+    """The transition across ``edge`` as an index map: entry i is the index
+    of eta^e for the configuration eta of index i, or -1 where phi fixes the
+    pair.  phi moves the digits of the two endpoints only, so eta^e - eta is
+    a stride delta that depends on the endpoint states alone."""
+    o, t = edge
+    if o not in space.sites or t not in space.sites:
+        raise EdgeOutsideSiteSet(f"edge {edge} leaves the site set", edge=edge)
+    n = space.n_states
+    so, st = n ** space.sites.position(o), n ** space.sites.position(t)
+    # a changed pair never has delta 0: the two strides differ
+    delta = [[0] * n for _ in range(n)]
+    for (a, b), (a2, b2) in interaction.changed_pairs():
+        delta[a][b] = (a2 - a) * so + (b2 - b) * st
+    return array("q", [i + d if (d := delta[i // so % n][i // st % n]) else -1
+                       for i in range(space.size)])
+
+
+def restriction_indices(space: ConfigSpace, sub: SiteSet) -> list[int]:
+    """Entry i is the index, in S^sub, of the restriction of the
+    configuration of index i in ``space`` (``sub`` a subset of its sites)."""
+    if not sub.is_subset_of(space.sites):
+        raise NotSubset("restriction target is not a subset of the sites")
+    n = space.n_states
+    index = [0]
+    for s in space.sites:
+        # this site becomes the most significant digit of the index so far
+        weight = n ** sub.position(s) if s in sub else 0
+        index = [a * weight + j for a in range(n) for j in index]
+    return index
+
+
+def digit_slices(values: Sequence, n: int, stride: int) -> list[list]:
+    """Split a table in index order by the digit of the given stride: slice
+    a holds the entries whose digit is a, ordered by the remaining digits."""
+    if stride == 1:
+        return [values[a::n] for a in range(n)]
+    block = stride * n
+    return [list(itertools.chain.from_iterable(
+                values[b:b + stride]
+                for b in range(a * stride, len(values), block)))
+            for a in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +548,11 @@ def transition_graph(sites: SiteSet, interaction: Interaction, locale: Locale,
                      state_cap: int = DEFAULT_STATE_CAP) -> TransitionGraph:
     space = enumerate_configs(sites, interaction, state_cap)
     lam_edges = edges_within(locale, sites)
-    n = interaction.n_states
-    # strides for in-place digit surgery on indices
-    stride = {site: n ** k for k, site in enumerate(sites.sites)}
-    records = []
-    for idx in range(space.size):
-        assignment = space.decode(idx)
-        for e in lam_edges:
-            po, pt = sites.position(e[0]), sites.position(e[1])
-            a, b = assignment[po], assignment[pt]
-            a2, b2 = interaction.phi_pair(a, b)
-            if (a2, b2) == (a, b):
-                continue
-            dst = idx + (a2 - a) * stride[e[0]] + (b2 - b) * stride[e[1]]
-            records.append((idx, e, dst))
-    return TransitionGraph(space, lam_edges, tuple(records))
+    maps = [edge_moves(space, interaction, e) for e in lam_edges]
+    records = tuple((idx, e, moves[idx])
+                    for idx in range(space.size)
+                    for e, moves in zip(lam_edges, maps) if moves[idx] >= 0)
+    return TransitionGraph(space, lam_edges, records)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +587,15 @@ class SiteMap:
 
     def map_siteset(self, sites: SiteSet) -> SiteSet:
         return SiteSet(tuple(sorted(self.apply_or_raise(s) for s in sites)))
+
+
+def group_act(sigma: SiteMap, target):
+    """Apply a group element to a Config, FnTable, or Form: each moves by
+    its own ``relabel``."""
+    relabel = getattr(target, "relabel", None)
+    if relabel is None:
+        raise TypeError(f"cannot act on {type(target).__name__}")
+    return relabel(sigma)
 
 
 def translation_map(locale: Locale, vector: Sequence[int]) -> SiteMap:

@@ -12,9 +12,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import NotSubset, SiteSetMismatch
-from .scalars import Scalar, scalar_eq
-from .statespace import ConfigSpace, SiteSet
+from .errors import SiteSetMismatch
+from .scalars import Scalar, numerators, scalar_eq
+from .statespace import ConfigSpace, SiteSet, digit_slices, restriction_indices
 
 
 @dataclass(frozen=True)
@@ -83,47 +83,39 @@ class FnTable:
         """Natural inclusion C(S^Lambda) -> C(S^Lambda') for Lambda in Lambda'."""
         if self.sites == ambient:
             return self
-        if not self.sites.is_subset_of(ambient):
-            raise NotSubset("embedding target is not a superset")
-        big = ConfigSpace(ambient, self.n_states)
-        positions = [ambient.position(s) for s in self.sites]
-        values = []
-        for idx in range(big.size):
-            assignment = big.decode(idx)
-            sub = tuple(assignment[p] for p in positions)
-            values.append(self.values[self.space.encode(sub)])
-        return FnTable(ambient, self.n_states, tuple(values))
+        index = restriction_indices(ConfigSpace(ambient, self.n_states),
+                                    self.sites)
+        return FnTable(ambient, self.n_states,
+                       tuple(self.values[j] for j in index))
 
     def depends_on(self, site: int) -> bool:
         """Does the value actually change with the digit at ``site``?"""
         if site not in self.sites:
             return False
-        k = self.sites.position(site)
-        stride = self.n_states ** k
-        block = stride * self.n_states
-        for base in range(0, len(self.values), block):
-            for off in range(stride):
-                ref = self.values[base + off]
-                for digit in range(1, self.n_states):
-                    if self.values[base + digit * stride + off] != ref:
-                        return True
-        return False
+        first, *rest = digit_slices(self._keys, self.n_states,
+                                    self.n_states ** self.sites.position(site))
+        return any(part != first for part in rest)
+
+    @cached_property
+    def _keys(self) -> list:
+        """The values, or integer numerators with the same equalities when
+        all values are exact (ints compare without Fraction arithmetic)."""
+        if any(isinstance(v, float) for v in self.values):
+            return list(self.values)
+        return numerators(self.values, True)[0]
 
     def minimized(self) -> "FnTable":
         """Restrict to the sites the table genuinely depends on."""
         needed = tuple(s for s in self.sites if self.depends_on(s))
         if needed == self.sites.sites:
             return self
-        small = SiteSet(needed)
-        space = ConfigSpace(small, self.n_states)
-        fill = {s: 0 for s in self.sites if s not in small}
-        values = []
-        for idx in range(space.size):
-            assignment = space.decode(idx)
-            full = tuple(assignment[space.sites.position(s)] if s in small
-                         else fill[s] for s in self.sites)
-            values.append(self.value_at(full))
-        return FnTable(small, self.n_states, tuple(values))
+        # the value does not change with a dropped digit: keep digit 0
+        values = list(self.values)
+        for k in reversed(range(len(self.sites))):
+            if self.sites.sites[k] not in needed:
+                values = digit_slices(values, self.n_states,
+                                      self.n_states ** k)[0]
+        return FnTable(SiteSet(needed), self.n_states, tuple(values))
 
     def relabel(self, sigma) -> "FnTable":
         """Push forward along a site map: the new table on sigma(Lambda) takes

@@ -27,7 +27,7 @@ from .errors import (
     ResidueNotConserved,
     WindowTooSmall,
 )
-from .forms import Form, differential, solve_potential
+from .forms import Form, differential, edge_differential, solve_potential
 from .functions import ConservedQuantity, conserved_quantities
 from .measure import (
     ProductMeasure,
@@ -37,7 +37,6 @@ from .measure import (
 )
 from .scalars import Scalar
 from .statespace import (
-    ConfigSpace,
     DEFAULT_STATE_CAP,
     Edge,
     Interaction,
@@ -47,7 +46,7 @@ from .statespace import (
     lattice_window,
     siteset,
 )
-from .tables import FnTable
+from .tables import FnTable, fn_zeros
 
 Coord = tuple[int, ...]
 
@@ -204,15 +203,12 @@ def theta_from_cocycle(rho: Cocycle, window: Locale,
     _require_lattice_window(window)
     sites = siteset(window.sites)
     n = rho.n_states
-    size = n ** len(sites)
-    guard_space(size, state_cap)
-    per_site = [rho.site_state_table(window.coord_of(s)) for s in sites]
-    space = ConfigSpace(sites, n)
-    values = []
-    for idx in range(size):
-        assignment = space.decode(idx)
-        values.append(sum((per_site[k][a] for k, a in enumerate(assignment)),
-                          Fraction(0)))
+    guard_space(n ** len(sites), state_cap)
+    values = [Fraction(0)]
+    for s in sites:
+        # s becomes the most significant digit of the index so far
+        h = rho.site_state_table(window.coord_of(s))
+        values = [x + h[a] for a in range(n) for x in values]
     return FnTable(sites, n, tuple(values))
 
 
@@ -224,27 +220,21 @@ def omega_from_cocycle(rho: Cocycle, window: Locale,
     if interaction.n_states != rho.n_states:
         raise ValueError("cocycle and interaction state counts differ")
     sites = siteset(window.sites)
-    n = rho.n_states
-    tables = {}
     pairs = tuple(sorted((o, t) for (o, t) in window.edges if o < t))
+    tables = {}
     for (o, t) in pairs:
         h_o = rho.site_state_table(window.coord_of(o))
         h_t = rho.site_state_table(window.coord_of(t))
-        support = SiteSet((o, t))
-        values = []
-        for b in range(n):         # state at t (more significant digit)
-            for a in range(n):     # state at o (less significant digit)
-                a2, b2 = interaction.phi_pair(a, b)
-                values.append(h_o[a2] - h_o[a] + h_t[b2] - h_t[b])
-        # mixed-radix order: digit at o is least significant
-        ordered = [Fraction(0)] * (n * n)
-        k = 0
-        for b in range(n):
-            for a in range(n):
-                ordered[a + n * b] = values[k]
-                k += 1
-        tables[(o, t)] = FnTable(support, n, tuple(ordered))
+        tables[(o, t)] = edge_differential(
+            _endpoint_table((o, t), h_o, h_t), interaction, (o, t))
     return Form(sites, interaction, pairs, tables)
+
+
+def _endpoint_table(edge: Edge, h_o, h_t) -> FnTable:
+    """eta -> h_o[eta_o] + h_t[eta_t] on the two endpoints (o < t, so the
+    state at o is the less significant digit)."""
+    return FnTable(SiteSet(edge), len(h_o),
+                   tuple(x + y for y in h_t for x in h_o))
 
 
 @dataclass(frozen=True)
@@ -450,20 +440,14 @@ def invariant_form_from_cocycle(rho: Cocycle, interaction: Interaction,
     """Stencil of the canonical closed form of a cocycle; each anchor table
     depends only on the two endpoint states."""
     template = lattice_window(dim, 1)
-    n = rho.n_states
+    origin = template.site_at((0,) * dim)
+    zero = tuple([Fraction(0)] * rho.n_states)
     anchors = []
     for axis in range(dim):
-        g = rho.generator_state_table(axis)
-        origin = template.site_at((0,) * dim)
-        tip = template.site_at(_unit(axis, dim))
-        support = SiteSet(tuple(sorted((origin, tip))))
-        values = [Fraction(0)] * (n * n)
-        for b in range(n):
-            for a in range(n):
-                a2, b2 = interaction.phi_pair(a, b)
-                # the site weights are 0 at the origin and g at the tip
-                values[a + n * b] = g[b2] - g[b]
-        anchors.append(FnTable(support, n, tuple(values)))
+        # the site weights are 0 at the origin and g at the tip
+        edge = (origin, template.site_at(_unit(axis, dim)))
+        h = _endpoint_table(edge, zero, rho.generator_state_table(axis))
+        anchors.append(edge_differential(h, interaction, edge))
     return invariant_spec_from_anchors(template, interaction, anchors)
 
 
@@ -493,31 +477,15 @@ def invariant_form_from_potential_stencil(core: FnTable, template: Locale,
                     "template window too small for the potential stencil")
             support_sites.append(s)
         support = SiteSet(tuple(sorted(support_sites)))
-        space = ConfigSpace(support, n)
-        origin = template.site_at((0,) * dim)
-        tip = template.site_at(unit)
-        po, pt = support.position(origin), support.position(tip)
-        values = []
-        for idx in range(space.size):
-            assignment = space.decode(idx)
-            a, b = assignment[po], assignment[pt]
-            a2, b2 = interaction.phi_pair(a, b)
-            if (a2, b2) == (a, b):
-                values.append(Fraction(0))
-                continue
-            moved = list(assignment)
-            moved[po], moved[pt] = a2, b2
-            total = Fraction(0)
-            for v in shifts:
-                translated = _translate_table(core, template, template, v,
-                                              None, None)
-                if translated is None:
-                    raise ValueError(
-                        "template window too small for the potential stencil")
-                total += (translated.evaluate_in(support, tuple(moved))
-                          - translated.evaluate_in(support, assignment))
-            values.append(total)
-        anchors.append(FnTable(support, n, tuple(values)).minimized())
+        # every translate fits: its sites are among the support's
+        potential = fn_zeros(support, n)
+        for v in shifts:
+            translated = _translate_table(core, template, template, v,
+                                          None, None)
+            potential = potential + translated.embed(support)
+        edge = (template.site_at((0,) * dim), template.site_at(unit))
+        anchors.append(edge_differential(potential, interaction,
+                                         edge).minimized())
     return invariant_spec_from_anchors(template, interaction, anchors)
 
 

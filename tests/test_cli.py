@@ -197,13 +197,3 @@ def test_float_mode(tmp_path):
     report = json.loads(out.read_text())
     assert report["result"]["dimension"] == 1
 
-
-def test_threads_env_validated(tmp_path, monkeypatch):
-    src = tmp_path / "t.json"
-    src.write_text(json.dumps({"interaction": EXCLUSION, "nu": HALF}))
-    monkeypatch.setenv("COLOCAL_THREADS", "not-a-number")
-    assert main(["conserved", "--input", str(src)]) == 2
-    monkeypatch.setenv("COLOCAL_THREADS", "4")
-    out = tmp_path / "t.out.json"
-    assert main(["conserved", "--input", str(src),
-                 "--output", str(out)]) == 0

@@ -52,13 +52,13 @@ def test_differential_alternating(exclusion, path3):
     form = cl.differential(f, exclusion, path3)
     space = form.space
     for idx in range(space.size):
-        assignment = space.decode(idx)
+        eta = space.config(idx)
         for e in form.edges:
-            moved = form._move(assignment, e)
-            if moved is None:
+            moved = cl.apply_transition(eta, e, exclusion)
+            if moved == eta:
                 continue
-            assert form.edge_value((e[1], e[0]), moved) == \
-                -form.edge_value(e, assignment)
+            assert form.edge_value((e[1], e[0]), moved.assignment) == \
+                -form.edge_value(e, eta.assignment)
 
 
 def test_make_form_rejects_nonzero_on_fixed(exclusion):
@@ -66,6 +66,16 @@ def test_make_form_rejects_nonzero_on_fixed(exclusion):
     bad = cl.fn_constant(sites, 2, F(1))
     with pytest.raises(cl.MalformedForm):
         cl.make_form(sites, exclusion, [(0, 1)], {(0, 1): bad})
+
+
+def test_make_form_rejects_value_on_fixed_configuration(exclusion):
+    # (0, 0) is fixed by the swap; the rest of the table is a valid form
+    sites = cl.siteset([0, 1])
+    table = cl.FnTable(sites, 2, (F(5), F(0), F(0), F(0)))
+    with pytest.raises(cl.MalformedForm, match="fixed configuration"):
+        cl.make_form(sites, exclusion, [(0, 1)], {(0, 1): table})
+    with pytest.raises(cl.MalformedForm, match="fixed configuration"):
+        cl.make_form(sites, exclusion, [(0, 1)], {(1, 0): table})
 
 
 def test_make_form_rejects_inconsistent_orientations(exclusion):

@@ -1,0 +1,116 @@
+"""Property tests of the transition kernel ``statespace.edge_moves``.
+
+The index maps are checked against ``apply_transition``, the
+per-configuration definition, and the passes built on them (differential,
+form validation, potential solving, the closed-form dimension) against
+round trips and component counts.
+"""
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import example, given, strategies as st
+
+import colocal as cl
+from colocal.statespace import edge_moves
+
+BOX = cl.lattice_window(2, radius=1)
+
+
+@st.composite
+def phis(draw, n, reversible=False):
+    """A pair map on n states as a dict of changed pairs; any rule, or one
+    closed under reversal (phi(i,j) = (a,b) forces phi(b,a) = (j,i))."""
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if not reversible:
+        return draw(st.dictionaries(pairs, pairs, max_size=n * n))
+    phi = {}
+    for (i, j), (a, b) in draw(st.lists(st.tuples(pairs, pairs),
+                                        max_size=n * n)):
+        if (i, j) != (a, b) and (i, j) not in phi and (b, a) not in phi:
+            phi[(i, j)] = (a, b)
+            phi[(b, a)] = (j, i)
+    return phi
+
+
+@st.composite
+def windows(draw, n):
+    """(locale, site set): a d=1 path, or part of a 3x3 box in d=2, small
+    enough that n^|sites| stays below about 800."""
+    if draw(st.booleans()):
+        locale = cl.lattice_window(1, radius=draw(st.integers(1, 3 if n == 2
+                                                              else 2)))
+        return locale, cl.siteset(locale.sites)
+    k = draw(st.integers(2, 9 if n == 2 else 6))
+    sites = draw(st.lists(st.sampled_from(BOX.sites), min_size=k,
+                          max_size=k, unique=True))
+    return BOX, cl.siteset(sites)
+
+
+@st.composite
+def kernel_cases(draw, reversible=False):
+    n = draw(st.sampled_from([2, 3]))
+    interaction = cl.make_interaction(tuple(range(n)), 0,
+                                      draw(phis(n, reversible)))
+    locale, sites = draw(windows(n))
+    return interaction, locale, sites
+
+
+@given(kernel_cases())
+@example((cl.identity_interaction(3), cl.lattice_window(1, radius=2),
+          cl.siteset(range(-2, 3))))
+@example((cl.make_interaction((0, 1), 0, {(0, 1): (1, 1)}), BOX,
+          cl.siteset(BOX.sites)))
+def test_edge_moves_agree_with_apply_transition(case):
+    interaction, locale, sites = case
+    space = cl.ConfigSpace(sites, interaction.n_states)
+    for e in cl.edges_within(locale, sites):
+        moves = edge_moves(space, interaction, e)
+        assert len(moves) == space.size
+        for idx in range(space.size):
+            eta = space.config(idx)
+            moved = cl.apply_transition(eta, e, interaction)
+            expected = -1 if moved == eta else space.encode(moved.assignment)
+            assert moves[idx] == expected
+
+
+@given(kernel_cases(reversible=True), st.integers(0, 2 ** 32))
+@example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites[:6])), 5)
+def test_solve_potential_inverts_differential(case, seed):
+    """solve_potential(df) is f plus a constant per component, for forms
+    stored with partial supports and given in either orientation."""
+    interaction, locale, sites = case
+    n = interaction.n_states
+    rng = random.Random(seed)
+    # f depends on a random part of the window, so edge tables minimize to
+    # partial supports
+    part = cl.siteset(s for s in sites if rng.random() < 0.7)
+    f = cl.FnTable(part, n, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                                  for _ in range(n ** len(part))))
+    f = f.embed(sites)
+    df = cl.differential(f, interaction, locale)
+    tables = {}
+    for (o, t) in df.edges:
+        if rng.random() < 0.5:
+            tables[(o, t)] = df.tables[(o, t)].minimized()
+        else:
+            tables[(t, o)] = df.dense_table((t, o)).minimized()
+    form = cl.make_form(sites, interaction, df.edges, tables)
+    mu = cl.ProductMeasure(cl.uniform_states(n))
+    g = cl.solve_potential(form, mu)
+    assert cl.differential(g, interaction, locale).tables == df.tables
+    graph = cl.transition_graph(sites, interaction, locale)
+    offsets = {}
+    for idx, label in enumerate(graph.component_labels):
+        offsets.setdefault(label, set()).add(g.values[idx] - f.values[idx])
+    assert all(len(v) == 1 for v in offsets.values())
+
+
+@given(kernel_cases())
+def test_closed_form_dimension_is_vertices_minus_components(case):
+    """The rank of the differential (modulo a prime) against the count from
+    the connected components, on any rule, reversible or not."""
+    interaction, locale, sites = case
+    graph = cl.transition_graph(sites, interaction, locale)
+    assert cl.closed_form_space_dimension(sites, interaction, locale) == \
+        graph.space.size - graph.n_components

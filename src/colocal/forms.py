@@ -35,7 +35,6 @@ from .measure import (
 from .scalars import (
     Scalar,
     from_numerators,
-    numerators,
     scalar_eq,
     scalar_is_zero,
 )
@@ -54,7 +53,7 @@ from .statespace import (
     restriction_indices,
     transition_graph,
 )
-from .tables import FnTable, fn_constant, fn_zeros
+from .tables import FnTable, aligned, fn_constant, fn_zeros
 
 
 def canonical_edge(edge: Edge) -> Edge:
@@ -109,10 +108,11 @@ class Form:
         key = canonical_edge(edge)
         if key not in self.tables:
             raise KeyError(f"edge {edge} not part of this form")
-        stored = self.tables[key].embed(self.sites).values
-        return FnTable(self.sites, self.n_states,
-                       tuple(_oriented(stored, self.moves[edge], edge == key,
-                                       _ZERO)))
+        nums, den, exact = self.tables[key].embed(self.sites).numerators
+        return FnTable.from_numerators(
+            self.sites, self.n_states,
+            _oriented(nums, self.moves[edge], edge == key, _zero(exact)),
+            den, exact)
 
     def is_zero(self, tol: float | None = None) -> bool:
         return all(t.is_zero(tol) for t in self.tables.values())
@@ -155,7 +155,10 @@ class Form:
         return Form(new_sites, self.interaction, edges, tables)
 
 
-_ZERO = Fraction(0)
+def _zero(exact: bool):
+    """The numerator of zero: fixed configurations get an exact 0, or 0.0
+    in float mode."""
+    return 0 if exact else 0.0
 
 
 def _oriented(table, moves, same: bool, zero) -> list:
@@ -175,9 +178,10 @@ def _reverse_orientation_table(table: FnTable, oriented: Edge,
     support = table.sites.union(SiteSet(tuple(sorted(oriented))))
     space = ConfigSpace(support, interaction.n_states)
     moves = edge_moves(space, interaction, (oriented[1], oriented[0]))
-    return FnTable(support, interaction.n_states,
-                   tuple(_oriented(table.embed(support).values, moves, False,
-                                   _ZERO)))
+    nums, den, exact = table.embed(support).numerators
+    return FnTable.from_numerators(
+        support, interaction.n_states,
+        _oriented(nums, moves, False, _zero(exact)), den, exact)
 
 
 def make_form(sites: SiteSet, interaction: Interaction, edges,
@@ -264,8 +268,10 @@ def _check_zero_on_fixed(table: FnTable, edge: Edge,
     support = table.sites.union(SiteSet(tuple(sorted(edge))))
     space = ConfigSpace(support, interaction.n_states)
     moves = edge_moves(space, interaction, edge)
-    for idx, (d, v) in enumerate(zip(moves, table.embed(support).values)):
-        if d < 0 and not scalar_is_zero(v, tol):
+    nums, den, _ = table.embed(support).numerators
+    tol_num = None if tol is None else tol * den
+    for idx, (d, x) in enumerate(zip(moves, nums)):
+        if d < 0 and not scalar_is_zero(x, tol_num):
             raise MalformedForm(f"omega_{edge} nonzero on a fixed configuration",
                                 edge=edge, sites=support.sites,
                                 assignment=space.decode(idx))
@@ -274,22 +280,21 @@ def _check_zero_on_fixed(table: FnTable, edge: Edge,
 def _directed(form: Form) -> tuple[list, int, bool]:
     """(edge, index map, dense values) per directed edge, in the order pair,
     reversed pair, with the values as numerators over one denominator
-    (see ``scalars.numerators``); also that denominator and whether the
-    values are exact.  A tolerance on values is the tolerance times the
+    (see ``tables.aligned``); also that denominator and whether the values
+    are exact.  A tolerance on values is the tolerance times the
     denominator on numerators."""
     stored = [form.tables[pair] for pair in form.edges]
-    flat = [v for table in stored for v in table.values]
-    exact = not any(isinstance(v, float) for v in flat)
-    nums, den = numerators(flat, exact)
+    parts, den, exact = aligned(stored)
+    zero = _zero(exact)
     directed = []
-    start = 0
-    for pair, table in zip(form.edges, stored):
-        part = nums[start:start + len(table.values)]
-        start += len(table.values)
-        dense = [part[j] for j in restriction_indices(form.space, table.sites)]
+    for pair, table, part in zip(form.edges, stored, parts):
+        dense = (part if table.sites == form.sites else
+                 [part[j] for j in restriction_indices(form.space,
+                                                       table.sites)])
         for e in (pair, (pair[1], pair[0])):
             moves = form.moves[e]
-            directed.append((e, moves, _oriented(dense, moves, e == pair, 0)))
+            directed.append((e, moves, _oriented(dense, moves, e == pair,
+                                                 zero)))
     return directed, den, exact
 
 
@@ -302,39 +307,29 @@ def differential(f: FnTable, interaction: Interaction, locale: Locale,
     """The gradient form: (df)_e(eta) = f(eta^e) - f(eta)."""
     guard_space(f.space.size, state_cap)
     pairs = canonical_pairs(edges_within(locale, f.sites))
+    moves = {e: edge_moves(f.space, interaction, e) for e in pairs}
     return Form(f.sites, interaction, pairs,
-                _differentials(f, interaction, pairs))
+                dict(_differentials(f, pairs, moves)))
 
 
 def edge_differential(f: FnTable, interaction: Interaction,
                       edge: Edge) -> FnTable:
     """(df)_edge as a table on the sites of f: f(eta^e) - f(eta), zero where
     the transition fixes eta."""
-    return _differentials(f, interaction, (edge,))[edge]
+    moves = {edge: edge_moves(f.space, interaction, edge)}
+    return next(_differentials(f, (edge,), moves))[1]
 
 
-def _differentials(f: FnTable, interaction: Interaction,
-                   edges) -> dict[Edge, FnTable]:
-    """(df)_e for each edge, subtracting the numerators of f; in exact mode
-    equal differences share one Fraction."""
-    exact = not any(isinstance(v, float) for v in f.values)
-    nums, den = numerators(f.values, exact)
-    fractions = {0: _ZERO}
-
-    def scalar(x):
-        if not exact:
-            return x
-        if x not in fractions:
-            fractions[x] = Fraction(x, den)
-        return fractions[x]
-
-    tables = {}
+def _differentials(f: FnTable, edges, moves):
+    """Yield (e, (df)_e) edge by edge, subtracting the numerators of f;
+    ``moves[e]`` is the index map of e on the sites of f."""
+    nums, den, exact = f.numerators
+    zero = _zero(exact)
     for e in edges:
-        moves = edge_moves(f.space, interaction, e)
-        tables[e] = FnTable(f.sites, f.n_states,
-                            tuple(scalar(nums[d] - x) if d >= 0 else _ZERO
-                                  for d, x in zip(moves, nums)))
-    return tables
+        yield e, FnTable.from_numerators(
+            f.sites, f.n_states,
+            [nums[d] - x if d >= 0 else zero for d, x in zip(moves[e], nums)],
+            den, exact)
 
 
 @dataclass(frozen=True)
@@ -422,8 +417,12 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
                         nxt.append(dst)
             frontier = nxt
 
-    # consistency over every remaining transition
+    # consistency over every remaining transition, edge by edge; on a
+    # failure the first one in index order gives the witness
     tol_num = None if tol is None else tol * den
+    if all(_consistent(potential, moves, values, tol_num)
+           for _, moves, values in directed):
+        directed = ()
     for idx in range(space.size):
         for e, moves, values in directed:
             dst = moves[idx]
@@ -434,11 +433,21 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
                     exact)[0]
                 raise _not_closed(form, space, parent, idx, e, dst, integral)
 
-    table = FnTable(form.sites, form.n_states,
-                    from_numerators(potential, den, exact))
+    table = FnTable.from_numerators(form.sites, form.n_states, potential,
+                                    den, exact)
     if mu is not None:
         table = table.shift(-expectation(table, mu))
     return table
+
+
+def _consistent(potential, moves, values, tol) -> bool:
+    """potential(eta^e) - potential(eta) == omega_e(eta) wherever e moves
+    eta (numerators; ``tol`` on numerators)."""
+    if tol is None:
+        return all(potential[d] - p == v
+                   for d, p, v in zip(moves, potential, values) if d >= 0)
+    return all(scalar_eq(potential[d] - p, v, tol)
+               for d, p, v in zip(moves, potential, values) if d >= 0)
 
 
 def _lexicographic(space: ConfigSpace) -> list[int]:

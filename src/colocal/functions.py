@@ -28,7 +28,7 @@ from .measure import (
     _interleave,
     conditional_expectation,
 )
-from .scalars import from_numerators, numerators
+from .scalars import numerators
 from .statespace import (
     ConfigSpace,
     DEFAULT_STATE_CAP,
@@ -36,7 +36,6 @@ from .statespace import (
     Interaction,
     Locale,
     SiteSet,
-    site_diameter,
     siteset,
     transition_graph,
 )
@@ -172,8 +171,8 @@ def expand_martingale(f: FnTable, nu: Measure,
 
     n = f.n_states
     sites = f.sites.sites
-    exact = _exact(prod, sites, f.values)
-    nums, den = numerators(f.values, exact)
+    exact = _exact(prod, sites, f)
+    nums, den = f.numerators_in(exact)
     # piece per set of kept sites, over the kept and the not yet split sites;
     # splitting from the most significant site down keeps strides fixed
     pieces = {(): nums}
@@ -192,8 +191,7 @@ def expand_martingale(f: FnTable, nu: Measure,
         den *= q
 
     components = {
-        sub: FnTable(SiteSet(sub), n,
-                     from_numerators(pieces[sub], den, exact))
+        sub: FnTable.from_numerators(SiteSet(sub), n, pieces[sub], den, exact)
         for size in range(len(sites) + 1)
         for sub in itertools.combinations(sites, size)}
     return Expansion(f.sites, n, prod, components)
@@ -202,12 +200,17 @@ def expand_martingale(f: FnTable, nu: Measure,
 def uniform_radius(expansion: Expansion, locale: Locale,
                    tol: float | None = None) -> int:
     """Smallest R such that every component on a subset of diameter > R
-    vanishes; the bound witnessed by the nonzero components."""
+    vanishes; the bound witnessed by the nonzero components.  The graph
+    distances from a site are computed once per call."""
+    distances: dict[int, dict[int, int]] = {}
     radius = 0
     for sub, table in expansion.components.items():
         if not sub or table.is_zero(tol):
             continue
-        diam = site_diameter(siteset(sub), locale)
+        for s in sub:
+            if s not in distances:
+                distances[s] = locale.distances_from(s)
+        diam = max(distances[a][b] for a in sub for b in sub)
         if diam > radius:
             radius = diam
     return radius
@@ -313,17 +316,29 @@ def check_iq(interaction: Interaction, nu: StateMeasure,
     for locale in locales:
         sites = siteset(locale.sites)
         graph = transition_graph(sites, interaction, locale, state_cap)
-        labels = graph.component_labels
-        groups: dict[tuple[Fraction, ...], dict[int, int]] = {}
-        for idx in range(graph.space.size):
-            assignment = graph.space.decode(idx)
-            totals = tuple(xi.total(assignment) for xi in basis)
-            groups.setdefault(totals, {}).setdefault(labels[idx], idx)
+        space = graph.space
+        # each conserved total as a Kronecker sum over the index, on the
+        # numerators of xi (same order as the Fraction totals)
+        columns, scales = [], []
+        for xi in basis:
+            exact = not any(isinstance(v, float) for v in xi.xi)
+            per_state, den = numerators(xi.xi, exact)
+            column = [0]
+            for _ in sites:
+                column = [x + a for a in per_state for x in column]
+            columns.append(column)
+            scales.append((den, exact))
+        keys = zip(*columns) if columns else [()] * space.size
+        groups: dict[tuple, dict[int, int]] = {}
+        for idx, (key, label) in enumerate(zip(keys, graph.component_labels)):
+            groups.setdefault(key, {}).setdefault(label, idx)
         witnesses = []
-        for totals, per_component in sorted(groups.items()):
+        for key, per_component in sorted(groups.items()):
             if len(per_component) > 1:
                 first, second = sorted(per_component.values())[:2]
-                witnesses.append((totals, graph.space.decode(first),
-                                  graph.space.decode(second)))
+                totals = tuple(Fraction(x, den) if exact else x
+                               for x, (den, exact) in zip(key, scales))
+                witnesses.append((totals, space.decode(first),
+                                  space.decode(second)))
         results.append(IqLocaleResult(locale, not witnesses, tuple(witnesses)))
     return IqReport(tuple(basis), tuple(results))

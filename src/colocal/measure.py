@@ -181,7 +181,7 @@ def pushforward(mu: WindowMeasure, sub: SiteSet) -> WindowMeasure:
 def expectation(f: FnTable, mu: Measure) -> Scalar:
     prod = _as_product(mu)
     if prod is not None:
-        return _integrate((f.values,), f.sites, f.n_states, _EMPTY, prod)[0]
+        return _scalar(_integrate((f,), _EMPTY, prod))
     win = materialize(mu, f.sites)
     if win.sites != f.sites or win.n_states != f.n_states:
         raise SiteSetMismatch("function and measure site sets differ")
@@ -194,8 +194,7 @@ def inner(f: FnTable, g: FnTable, mu: Measure) -> Scalar:
         raise SiteSetMismatch("inner product operands on different site sets")
     prod = _as_product(mu)
     if prod is not None:
-        return _integrate((f.values, g.values), f.sites, f.n_states, _EMPTY,
-                          prod)[0]
+        return _scalar(_integrate((f, g), _EMPTY, prod))
     win = materialize(mu, f.sites)
     return sum(a * b * w for a, b, w in zip(f.values, g.values, win.weights))
 
@@ -215,8 +214,8 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
         return f
     prod = _as_product(mu)
     if prod is not None:
-        return FnTable(sub, f.n_states,
-                       _integrate((f.values,), f.sites, f.n_states, sub, prod))
+        return FnTable.from_numerators(sub, f.n_states,
+                                       *_integrate((f,), sub, prod))
 
     win = mu if mu.sites == f.sites else pushforward(mu, f.sites)
     if win.n_states != f.n_states:
@@ -242,12 +241,12 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
 _EMPTY = SiteSet(())
 
 
-def _exact(prod: ProductMeasure, sites, *tables) -> bool:
-    """Exact unless a value of ``tables`` or a weight at ``sites`` is a
+def _exact(prod: ProductMeasure, sites, *tables: FnTable) -> bool:
+    """Exact unless one of ``tables`` or a weight at ``sites`` is a
     float."""
-    weights = [prod.factor(s).weights for s in sites]
-    return not any(isinstance(v, float)
-                   for values in (*tables, *weights) for v in values)
+    return (all(t.numerators.exact for t in tables)
+            and not any(isinstance(w, float)
+                        for s in sites for w in prod.factor(s).weights))
 
 
 def _contract(nums: list, n: int, stride: int, weights) -> tuple[list, list]:
@@ -269,26 +268,64 @@ def _interleave(slices: list, stride: int) -> list:
         for h in range(0, len(slices[0]), stride) for part in slices))
 
 
-def _integrate(factors, sites: SiteSet, n: int, keep: SiteSet,
-               prod: ProductMeasure) -> tuple[Scalar, ...]:
-    """Integrate the pointwise product of the value tables ``factors`` (over
-    S^sites) against ``prod`` over every site outside ``keep``.  Sites are
-    taken from the most significant down, so the strides of the remaining
-    ones never change."""
+def _integrate(tables: Sequence[FnTable], keep: SiteSet,
+               prod: ProductMeasure) -> tuple[list, int, bool]:
+    """Integrate the pointwise product of ``tables`` (over one site set)
+    against ``prod`` over every site outside ``keep``: (numerators over
+    S^keep, denominator, exact).  Sites are taken from the most significant
+    down, so the strides of the remaining ones never change."""
+    sites, n = tables[0].sites, tables[0].n_states
     if prod.n_states != n:
         raise SiteSetMismatch("measure and function state counts differ")
     off = [(k, s) for k, s in enumerate(sites) if s not in keep]
-    exact = _exact(prod, (s for _, s in off), *factors)
-    nums, den = numerators(factors[0], exact)
-    for values in factors[1:]:
-        more, d = numerators(values, exact)
+    exact = _exact(prod, (s for _, s in off), *tables)
+    nums, den = tables[0].numerators_in(exact)
+    for table in tables[1:]:
+        more, d = table.numerators_in(exact)
         nums = [a * b for a, b in zip(nums, more)]
         den *= d
     for k, site in reversed(off):
         weights, q = numerators(prod.factor(site).weights, exact)
         nums = _contract(nums, n, n ** k, weights)[0]
         den *= q
-    return from_numerators(nums, den, exact)
+    return nums, den, exact
+
+
+def _scalar(integrated) -> Scalar:
+    """The single value of an integral over every site."""
+    nums, den, exact = integrated
+    return from_numerators(nums, den, exact)[0]
+
+
+def _site_components(f: FnTable, prod: ProductMeasure) -> dict:
+    """The mean-removed single-site component of f at every site, as a
+    per-state tuple: site -> (E[f | eta_x = a] - E[f] for each state a).
+    These are the first-order Hoeffding / Efron-Stein terms; all of them
+    come from one pass, weighting f by the integer product weights once and
+    then summing its digit slices site by site."""
+    n = f.n_states
+    if prod.n_states != n:
+        raise SiteSetMismatch("measure and function state counts differ")
+    exact = _exact(prod, f.sites, f)
+    nums, den = f.numerators_in(exact)
+    site_weights = [numerators(prod.factor(s).weights, exact)
+                    for s in f.sites]
+    weight = [1]
+    for w, q in site_weights:
+        # this site becomes the most significant digit; den collects q
+        weight = [a * x for a in w for x in weight]
+        den *= q
+    weighted = [x * w for x, w in zip(nums, weight)]
+    total = sum(weighted)
+    out = {}
+    for k, (s, (w, q)) in enumerate(zip(f.sites, site_weights)):
+        sums = [sum(part) for part in digit_slices(weighted, n, n ** k)]
+        # E[f | eta_s = a] = sums[a] q / (den w[a]) and E[f] = total / den
+        out[s] = tuple(
+            Fraction(sums[a] * q - total * w[a], den * w[a]) if exact
+            else (sums[a] * q - total * w[a]) / (den * w[a])
+            for a in range(n))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ An optional float mode exists for large demos; wherever the library checks an
 identity it funnels the comparison through :func:`scalar_eq` so a tolerance
 can be applied uniformly.  Serialized scalars are canonical ``"p/q"`` strings
 in exact mode.
+
+On the hot paths exact values are not carried as ``Fraction`` objects: a
+table (:class:`colocal.tables.FnTable`) or a measure's weights travel as
+Python-int numerators over one common denominator (:func:`numerators`), so
+that sums, differences and comparisons run on ints.  ``Fraction`` values are
+made only at the API and JSON boundary (:func:`from_numerators`).  Float
+mode runs the same code on floats over the denominator 1.
 """
 
 from __future__ import annotations
@@ -64,7 +71,9 @@ def numerators(values, exact: bool) -> tuple[list, int]:
 
 
 def from_numerators(nums, den: int, exact: bool) -> tuple[Scalar, ...]:
-    """Inverse of :func:`numerators`."""
+    """Inverse of :func:`numerators`; equal numerators share one
+    ``Fraction``, and float mode yields floats only (no exact zero)."""
     if not exact:
-        return tuple(nums)
-    return tuple(Fraction(x, den) for x in nums)
+        return tuple(map(float, nums))
+    fractions = {x: Fraction(x, den) for x in set(nums)}
+    return tuple(map(fractions.__getitem__, nums))

@@ -3,29 +3,102 @@
 An :class:`FnTable` stores one scalar per configuration of ``S^Lambda``,
 index-ordered by the mixed-radix encoding of :mod:`colocal.statespace`.
 Tables are immutable; arithmetic returns new tables.
+
+Between calls an exact table carries its values as Python-int numerators
+over one positive denominator (see :mod:`colocal.scalars`); a float table
+carries floats over the denominator 1.  A table built from scalars converts
+them at most once, when a kernel first asks for ``numerators``; a table
+built by a kernel from numerators makes its ``Fraction`` values only when
+``values`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import SiteSetMismatch
-from .scalars import Scalar, numerators, scalar_eq
+from .scalars import Scalar, from_numerators, numerators, scalar_eq
 from .statespace import ConfigSpace, SiteSet, digit_slices, restriction_indices
 
 
-@dataclass(frozen=True)
-class FnTable:
-    sites: SiteSet
-    n_states: int
-    values: tuple[Scalar, ...]
+class Numerators(NamedTuple):
+    """A table's values as ``nums[i] / den``: ints over a positive int when
+    ``exact``, else floats over 1.  The list is shared; never mutate it."""
 
-    def __post_init__(self):
-        if len(self.values) != self.n_states ** len(self.sites):
+    nums: list
+    den: int
+    exact: bool
+
+
+class FnTable:
+    """``FnTable(sites, n_states, values)``: one scalar per configuration."""
+
+    def __init__(self, sites: SiteSet, n_states: int, values):
+        values = tuple(values)
+        if len(values) != n_states ** len(sites):
             raise ValueError("value count != n_states ** n_sites")
+        self.sites = sites
+        self.n_states = n_states
+        self._values = values
+        self._numerators = None
+
+    @classmethod
+    def from_numerators(cls, sites: SiteSet, n_states: int, nums, den: int,
+                        exact: bool = True) -> "FnTable":
+        """The table with values ``nums[i] / den`` (floats over 1 unless
+        ``exact``); the list is kept, not copied."""
+        if len(nums) != n_states ** len(sites):
+            raise ValueError("value count != n_states ** n_sites")
+        table = cls.__new__(cls)
+        table.sites = sites
+        table.n_states = n_states
+        table._values = None
+        table._numerators = Numerators(nums, den, exact)
+        return table
+
+    @property
+    def values(self) -> tuple[Scalar, ...]:
+        if self._values is None:
+            self._values = from_numerators(*self._numerators)
+        return self._values
+
+    @property
+    def numerators(self) -> Numerators:
+        if self._numerators is None:
+            exact = not any(isinstance(v, float) for v in self._values)
+            self._numerators = Numerators(*numerators(self._values, exact),
+                                          exact)
+        return self._numerators
+
+    def numerators_in(self, exact: bool) -> tuple[list, int]:
+        """(nums, den) of the values, as floats over 1 unless ``exact``
+        (which requires an exact table)."""
+        nums, den, own = self.numerators
+        if own and not exact:
+            return [x / den for x in nums], 1
+        return nums, den
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FnTable):
+            return NotImplemented
+        if self.sites != other.sites or self.n_states != other.n_states:
+            return False
+        a, p, a_exact = self.numerators
+        b, q, b_exact = other.numerators
+        if a_exact and b_exact:
+            return a == b if p == q else all(
+                x * q == y * p for x, y in zip(a, b))
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.sites, self.n_states, self.values))
+
+    def __repr__(self) -> str:
+        return (f"FnTable(sites={self.sites!r}, n_states={self.n_states!r}, "
+                f"values={self.values!r})")
 
     @cached_property
     def space(self) -> ConfigSpace:
@@ -45,37 +118,61 @@ class FnTable:
         if self.sites != other.sites or self.n_states != other.n_states:
             raise SiteSetMismatch("tables live on different site sets")
 
+    def _derived(self, nums, den: int, exact: bool) -> "FnTable":
+        return FnTable.from_numerators(self.sites, self.n_states, nums, den,
+                                       exact)
+
     def __add__(self, other: "FnTable") -> "FnTable":
         self._check_same(other)
-        return FnTable(self.sites, self.n_states,
-                       tuple(a + b for a, b in zip(self.values, other.values)))
+        (a, b), den, exact = aligned((self, other))
+        return self._derived([x + y for x, y in zip(a, b)], den, exact)
 
     def __sub__(self, other: "FnTable") -> "FnTable":
         self._check_same(other)
-        return FnTable(self.sites, self.n_states,
-                       tuple(a - b for a, b in zip(self.values, other.values)))
+        (a, b), den, exact = aligned((self, other))
+        return self._derived([x - y for x, y in zip(a, b)], den, exact)
 
     def __neg__(self) -> "FnTable":
-        return FnTable(self.sites, self.n_states, tuple(-v for v in self.values))
+        nums, den, exact = self.numerators
+        return self._derived([-x for x in nums], den, exact)
 
     def __mul__(self, other: "FnTable") -> "FnTable":
         self._check_same(other)
-        return FnTable(self.sites, self.n_states,
-                       tuple(a * b for a, b in zip(self.values, other.values)))
+        (a, b), den, exact = aligned((self, other))
+        return self._derived([x * y for x, y in zip(a, b)], den * den, exact)
 
     def scale(self, c: Scalar) -> "FnTable":
-        return FnTable(self.sites, self.n_states, tuple(c * v for v in self.values))
+        nums, den, exact = self.numerators
+        if exact and not isinstance(c, float):
+            c = Fraction(c)
+            return self._derived([c.numerator * x for x in nums],
+                                 den * c.denominator, True)
+        return self._derived([c * x for x in self.numerators_in(False)[0]],
+                             1, False)
 
     def shift(self, c: Scalar) -> "FnTable":
-        return FnTable(self.sites, self.n_states, tuple(v + c for v in self.values))
+        nums, den, exact = self.numerators
+        if exact and not isinstance(c, float):
+            c = Fraction(c)
+            common = math.lcm(den, c.denominator)
+            k, add = common // den, c.numerator * (common // c.denominator)
+            return self._derived([k * x + add for x in nums], common, True)
+        return self._derived([x + c for x in self.numerators_in(False)[0]],
+                             1, False)
 
     def is_zero(self, tol: float | None = None) -> bool:
-        return all(scalar_eq(v, 0, tol) for v in self.values)
+        if tol is None:
+            return not any(self.numerators.nums)
+        return all(abs(x) <= tol for x in self.numerators_in(False)[0])
 
     def equals(self, other: "FnTable", tol: float | None = None) -> bool:
         if self.sites != other.sites or self.n_states != other.n_states:
             return False
-        return all(scalar_eq(a, b, tol) for a, b in zip(self.values, other.values))
+        if tol is None:
+            return self == other
+        return all(scalar_eq(a, b, tol)
+                   for a, b in zip(self.numerators_in(False)[0],
+                                   other.numerators_in(False)[0]))
 
     # -- embeddings ---------------------------------------------------------
 
@@ -85,24 +182,26 @@ class FnTable:
             return self
         index = restriction_indices(ConfigSpace(ambient, self.n_states),
                                     self.sites)
-        return FnTable(ambient, self.n_states,
-                       tuple(self.values[j] for j in index))
+        nums, den, exact = self.numerators
+        return FnTable.from_numerators(ambient, self.n_states,
+                                       [nums[j] for j in index], den, exact)
 
     def depends_on(self, site: int) -> bool:
         """Does the value actually change with the digit at ``site``?"""
         if site not in self.sites:
             return False
-        first, *rest = digit_slices(self._keys, self.n_states,
-                                    self.n_states ** self.sites.position(site))
-        return any(part != first for part in rest)
-
-    @cached_property
-    def _keys(self) -> list:
-        """The values, or integer numerators with the same equalities when
-        all values are exact (ints compare without Fraction arithmetic)."""
-        if any(isinstance(v, float) for v in self.values):
-            return list(self.values)
-        return numerators(self.values, True)[0]
+        nums, n = self.numerators.nums, self.n_states
+        stride = n ** self.sites.position(site)
+        block = stride * n
+        if stride * block <= len(nums):
+            # few offsets below the stride: one extended slice per offset
+            # and digit (positions b + a*stride + m*block)
+            return any(nums[b::block] != nums[b + a * stride::block]
+                       for b in range(stride) for a in range(1, n))
+        # few blocks: compare the digit's runs block by block
+        return any(nums[b:b + stride] != nums[b + a * stride:
+                                              b + (a + 1) * stride]
+                   for b in range(0, len(nums), block) for a in range(1, n))
 
     def minimized(self) -> "FnTable":
         """Restrict to the sites the table genuinely depends on."""
@@ -110,12 +209,12 @@ class FnTable:
         if needed == self.sites.sites:
             return self
         # the value does not change with a dropped digit: keep digit 0
-        values = list(self.values)
+        nums, den, exact = self.numerators
         for k in reversed(range(len(self.sites))):
             if self.sites.sites[k] not in needed:
-                values = digit_slices(values, self.n_states,
-                                      self.n_states ** k)[0]
-        return FnTable(SiteSet(needed), self.n_states, tuple(values))
+                nums = digit_slices(nums, self.n_states, self.n_states ** k)[0]
+        return FnTable.from_numerators(SiteSet(needed), self.n_states, nums,
+                                       den, exact)
 
     def relabel(self, sigma) -> "FnTable":
         """Push forward along a site map: the new table on sigma(Lambda) takes
@@ -132,14 +231,31 @@ class FnTable:
         return FnTable(new_sites, self.n_states, tuple(values))
 
 
+def aligned(tables: Sequence[FnTable]) -> tuple[list, int, bool]:
+    """The numerators of the tables over one common denominator, their lcm:
+    (list of numerator lists, denominator, exact); floats over 1 as soon
+    as one table is a float table."""
+    exact = all(t.numerators.exact for t in tables)
+    if not exact:
+        return [t.numerators_in(False)[0] for t in tables], 1, False
+    den = math.lcm(*(t.numerators.den for t in tables))
+    out = []
+    for t in tables:
+        nums, d, _ = t.numerators
+        k = den // d
+        out.append(nums if k == 1 else [k * x for x in nums])
+    return out, den, True
+
+
 # -- constructors -----------------------------------------------------------
 
 def fn_constant(sites: SiteSet, n_states: int, value: Scalar) -> FnTable:
-    return FnTable(sites, n_states, tuple([value] * (n_states ** len(sites))))
+    return FnTable(sites, n_states, (value,) * (n_states ** len(sites)))
 
 
 def fn_zeros(sites: SiteSet, n_states: int) -> FnTable:
-    return fn_constant(sites, n_states, Fraction(0))
+    return FnTable.from_numerators(sites, n_states,
+                                   [0] * (n_states ** len(sites)), 1)
 
 
 def fn_from_callable(sites: SiteSet, n_states: int,

@@ -27,15 +27,15 @@ from .errors import (
     ResidueNotConserved,
     WindowTooSmall,
 )
-from .forms import Form, differential, edge_differential, solve_potential
+from .forms import Form, _differentials, edge_differential, solve_potential
 from .functions import ConservedQuantity, conserved_quantities
 from .measure import (
     ProductMeasure,
     StateMeasure,
     _integrate,
-    conditional_expectation,
+    _site_components,
 )
-from .scalars import Scalar
+from .scalars import Scalar, numerators, scalar_eq
 from .statespace import (
     DEFAULT_STATE_CAP,
     Edge,
@@ -204,12 +204,16 @@ def theta_from_cocycle(rho: Cocycle, window: Locale,
     sites = siteset(window.sites)
     n = rho.n_states
     guard_space(n ** len(sites), state_cap)
-    values = [Fraction(0)]
-    for s in sites:
-        # s becomes the most significant digit of the index so far
-        h = rho.site_state_table(window.coord_of(s))
-        values = [x + h[a] for a in range(n) for x in values]
-    return FnTable(sites, n, tuple(values))
+    per_site = [v for s in sites
+                for v in rho.site_state_table(window.coord_of(s))]
+    exact = not any(isinstance(v, float) for v in per_site)
+    per_site, den = numerators(per_site, exact)
+    values = [0]
+    for k in range(len(sites)):
+        # site k becomes the most significant digit of the index so far
+        h = per_site[k * n:(k + 1) * n]
+        values = [x + a for a in h for x in values]
+    return FnTable.from_numerators(sites, n, values, den, exact)
 
 
 def omega_from_cocycle(rho: Cocycle, window: Locale,
@@ -403,14 +407,15 @@ def _translate_table(table: FnTable, src: Locale, dst: Locale, shift: Coord,
     kept = [k for k, s in enumerate(targets)
             if s is not None and (keep is None or s in keep)]
     if len(kept) == len(targets):
-        return FnTable(SiteSet(tuple(targets)), table.n_states, table.values)
+        return FnTable.from_numerators(SiteSet(tuple(targets)),
+                                       table.n_states, *table.numerators)
     if nu is None:
         return None
     kept_sites = SiteSet(tuple(targets[k] for k in kept))
     keep_src = SiteSet(tuple(table.sites.sites[k] for k in kept))
-    values = _integrate((table.values,), table.sites, table.n_states,
-                        keep_src, ProductMeasure(nu))
-    return FnTable(kept_sites, table.n_states, values)
+    return FnTable.from_numerators(
+        kept_sites, table.n_states,
+        *_integrate((table,), keep_src, ProductMeasure(nu)))
 
 
 def invariant_spec_from_anchors(template: Locale, interaction: Interaction,
@@ -505,27 +510,39 @@ class VaradhanDecomposition:
     checks: dict
 
 
-def _singleton_state_table(theta: FnTable, site: int,
-                           nu: StateMeasure) -> tuple:
-    """Single-site expansion component of theta at ``site`` (mean removed)."""
-    projected = conditional_expectation(theta, SiteSet((site,)),
-                                        ProductMeasure(nu))
-    mean = nu.mean(projected.values)
-    return tuple(v - mean for v in projected.values)
-
-
-def _shift_residue(pair_tables, basis, n_states, context: str):
+def _shift_residue(pair_tables, basis, context: str, tol: float | None):
     """Common value of the per-site differences, solved over the basis."""
     reference = pair_tables[0]
     for other in pair_tables[1:]:
-        if other != reference:
+        if not all(scalar_eq(a, b, tol) for a, b in zip(other, reference)):
             raise ResidueNotConserved(
                 f"shift residue varies across {context}; window too small "
                 "or interaction not irreducibly quantified")
-    coeffs = linalg.solve_in_span([xi.xi for xi in basis], reference)
+    coeffs = _span_coefficients([xi.xi for xi in basis], reference, tol)
     if coeffs is None:
         raise ResidueNotConserved(
             f"shift residue on {context} is outside the conserved span")
+    return coeffs
+
+
+def _span_coefficients(vectors, target, tol: float | None):
+    """Coefficients c with sum(c_i * vectors[i]) == target, or None.  With
+    a tolerance (float mode, where rounding leaves the target just off the
+    span) c is the least-squares fit over the basis ``vectors``, accepted
+    if it meets the target within ``tol``."""
+    if tol is None:
+        return linalg.solve_in_span(vectors, target)
+    coeffs = ()
+    if vectors:
+        cols = [[Fraction(v) for v in vec] for vec in vectors]
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in cols]
+                for u in cols]
+        rhs = [sum(a * Fraction(b) for a, b in zip(u, target)) for u in cols]
+        coeffs = tuple(float(c) for c in linalg.solve(gram, rhs))
+    fitted = [sum(c * vec[i] for c, vec in zip(coeffs, vectors))
+              for i in range(len(target))]
+    if not all(scalar_eq(a, b, tol) for a, b in zip(fitted, target)):
+        return None
     return coeffs
 
 
@@ -576,8 +593,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     if mode == "window":
         omega = spec.materialize(window, nu)
         theta = solve_potential(omega, mu, tol=tol, state_cap=state_cap)
-        singles = {s: _singleton_state_table(theta, s, nu)
-                   for s in window.sites}
+        singles = _site_components(theta, mu)
         inside = set(interior_sites(window, margin))
         rows = []
         for axis in range(dim):
@@ -593,18 +609,20 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                 raise WindowTooSmall(
                     f"interior has no site pairs along axis {axis}",
                     axis=axis, margin=margin)
-            rows.append(_shift_residue(diffs, basis, n,
-                                       f"axis {axis} interior"))
+            rows.append(_shift_residue(diffs, basis,
+                                       f"axis {axis} interior", tol))
         rho = Cocycle(n, tuple(basis), tuple(rows))
 
-        theta_rho = theta_from_cocycle(rho, window, state_cap)
-        residual_potential = theta - theta_rho
-        dense_residual = differential(residual_potential, interaction, window,
-                                      state_cap)
-        residual_tables = {e: t.minimized()
-                           for e, t in dense_residual.tables.items()}
-        residual_form = Form(dense_residual.sites, interaction,
-                             dense_residual.edges, residual_tables)
+        residual_potential = theta - theta_from_cocycle(rho, window,
+                                                        state_cap)
+        # omega lives on the same window and edges: reuse its index maps,
+        # and minimize each dense residual edge as soon as it is made
+        residual_tables = {
+            e: table.minimized()
+            for e, table in _differentials(residual_potential, omega.edges,
+                                           omega.moves)}
+        residual_form = Form(omega.sites, interaction, omega.edges,
+                             residual_tables)
 
         checks["residual_interior_zero"] = all(
             residual_tables[e].is_zero(tol)
@@ -632,13 +650,13 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
             omega_sub = spec.materialize(window, nu, keep=sub)
             theta_sub = solve_potential(omega_sub, mu, tol=tol,
                                         state_cap=state_cap)
-            singles = {s: _singleton_state_table(theta_sub, s, nu)
-                       for s in sub}
+            singles = _site_components(theta_sub, mu)
             mid, tip = sub_sites[1], sub_sites[2]
             low = sub_sites[0]
             diffs = [tuple(a - b for a, b in zip(singles[mid], singles[low])),
                      tuple(a - b for a, b in zip(singles[tip], singles[mid]))]
-            rows.append(_shift_residue(diffs, basis, n, f"axis {axis} probe"))
+            rows.append(_shift_residue(diffs, basis, f"axis {axis} probe",
+                                       tol))
         rho = Cocycle(n, tuple(basis), tuple(rows))
 
     residual_spec = spec - invariant_form_from_cocycle(rho, interaction, dim)

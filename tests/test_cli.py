@@ -1,6 +1,8 @@
 import json
+import re
 
 from colocal.cli import main
+from colocal.scalars import FLOAT_TOLERANCE
 
 EXCLUSION = {"states": [0, 1], "base": 0,
              "phi": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
@@ -197,3 +199,62 @@ def test_float_mode(tmp_path):
     report = json.loads(out.read_text())
     assert report["result"]["dimension"] == 1
 
+
+
+# a seeded cocycle plus the stencil of a random-core potential, d=1, r=4
+STENCIL_R4 = {
+    "interaction": EXCLUSION, "nu": ["2/5", "3/5"], "dim": 1,
+    "window": {"lattice": {"dim": 1, "radius": 4}},
+    "cocycle": [["-2/3"]],
+    "stencil": {"template": {"lattice": {"dim": 1, "radius": 2}},
+                "form": {"siteset": [-2, -1, 0, 1, 2], "edges": [
+                    {"edge": [0, 1], "support": [-1, 0, 1, 2],
+                     "values": ["0", "0", "0", "-11/6", "0", "11/6", "0",
+                                "0", "0", "0", "11/6", "0", "-11/6", "0",
+                                "0", "0"]}]}}}
+
+
+def exact_strings(value):
+    """Every "p/q" string anywhere in a JSON value."""
+    if isinstance(value, dict):
+        return [s for v in value.values() for s in exact_strings(v)]
+    if isinstance(value, list):
+        return [s for v in value for s in exact_strings(v)]
+    if isinstance(value, str) and re.fullmatch(r"-?\d+/\d+", value):
+        return [value]
+    return []
+
+
+def test_varadhan_float_mode_recovers_cocycle(tmp_path):
+    code, report = run(tmp_path, "varadhan", STENCIL_R4, "--mode", "float")
+    assert code == 0 and report["ok"]
+    result = report["result"]
+    assert result["mode"] == "window"
+    (coefficient,), = result["cocycle"]["generators"]
+    assert abs(coefficient - (-2 / 3)) <= FLOAT_TOLERANCE
+    exact_code, exact = run(tmp_path, "varadhan", STENCIL_R4)
+    assert exact_code == 0
+    assert exact["result"]["cocycle"]["generators"] == [["-2/3"]]
+    assert result["checks"] == exact["result"]["checks"]
+
+
+def test_float_mode_emits_floats_only(tmp_path):
+    # a potential without a measure keeps its roots at zero
+    form = {"siteset": [0, 1],
+            "edges": [{"edge": [0, 1], "values": ["0", "-1", "1", "0"]}]}
+    code, report = run(tmp_path, "closed",
+                       {"interaction": EXCLUSION, "form": form}, "--mode",
+                       "float")
+    assert code == 0 and 0.0 in report["result"]["potential"]["values"]
+    assert exact_strings(report) == []
+
+
+def test_varadhan_float_mode_emits_floats_only(tmp_path):
+    cocycle_only = {"interaction": EXCLUSION, "nu": HALF, "dim": 1,
+                    "window": {"lattice": {"dim": 1, "radius": 3}},
+                    "cocycle": [["1"]]}
+    for payload in (cocycle_only, STENCIL_R4):
+        code, report = run(tmp_path, "varadhan", payload, "--mode", "float")
+        assert code == 0
+        assert report["result"]["residual_interior_edges"]
+        assert exact_strings(report) == []

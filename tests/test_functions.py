@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import colocal as cl
 from conftest import rand_table
@@ -245,3 +246,67 @@ def test_iq_implies_kernel_constant_on_level_sets(exclusion, half, path3):
         totals = tuple(xi.total(graph.space.decode(idx)) for xi in basis)
         totals_of.setdefault(totals, set()).add(labels[idx])
     assert all(len(v) == 1 for v in totals_of.values())
+
+
+# -- uniform radius and the refuter against per-configuration oracles -----------
+
+@given(st.data())
+def test_uniform_radius_matches_site_diameter(data):
+    window = data.draw(st.sampled_from([cl.lattice_window(1, 4),
+                                        cl.lattice_window(1, sizes=[8]),
+                                        cl.lattice_window(2, 2)]))
+    subsets = data.draw(st.lists(
+        st.lists(st.sampled_from(window.sites), unique=True, min_size=1,
+                 max_size=4).map(lambda s: tuple(sorted(s))), max_size=8))
+    sites = cl.siteset(window.sites)
+    components = {(): cl.fn_constant(cl.siteset([]), 2, F(1))}
+    for sub in subsets:
+        value = data.draw(st.sampled_from([F(0), F(1, 3)]))
+        part = cl.siteset(sub)
+        components[sub] = cl.fn_constant(part, 2, value)
+    expansion = cl.Expansion(sites, 2, cl.ProductMeasure(cl.bernoulli()),
+                             components)
+    expected = max((cl.site_diameter(cl.siteset(sub), window)
+                    for sub, table in components.items()
+                    if sub and not table.is_zero()), default=0)
+    assert cl.uniform_radius(expansion, window) == expected
+
+
+def loop_iq_witnesses(interaction, nu, locale):
+    """Oracle: group decoded configurations by their Fraction totals."""
+    basis = cl.conserved_quantities(interaction, nu)
+    graph = cl.transition_graph(cl.siteset(locale.sites), interaction, locale)
+    labels = graph.component_labels
+    groups = {}
+    for idx in range(graph.space.size):
+        totals = tuple(xi.total(graph.space.decode(idx)) for xi in basis)
+        groups.setdefault(totals, {}).setdefault(labels[idx], idx)
+    witnesses = []
+    for totals, per_component in sorted(groups.items()):
+        if len(per_component) > 1:
+            first, second = sorted(per_component.values())[:2]
+            witnesses.append((totals, graph.space.decode(first),
+                              graph.space.decode(second)))
+    return tuple(witnesses)
+
+
+@given(st.sampled_from([2, 3]), st.data())
+def test_iq_witnesses_match_per_configuration_totals(n, data):
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    phi = {}
+    for pair in data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                   max_size=3)):
+        # reversible rules: a swap of two pairs
+        image = data.draw(st.sampled_from(pairs))
+        if pair not in phi and image not in phi:
+            phi[pair], phi[image] = image, pair
+    interaction = cl.make_interaction(tuple(range(n)), 0, phi)
+    raw = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    nu = cl.state_measure([F(r, sum(raw)) for r in raw])
+    locales = [cl.lattice_window(1, 1 if n == 3 else 2),
+               cl.lattice_window(2, 1) if n == 2 else cl.lattice_window(1, 0)]
+    report = cl.check_iq(interaction, nu, locales)
+    for locale, result in zip(locales, report.results):
+        oracle = loop_iq_witnesses(interaction, nu, locale)
+        assert result.witnesses == oracle
+        assert all(isinstance(t, F) for w in oracle for t in w[0])

@@ -4,7 +4,8 @@ The oracles are the straightforward definitions: a per-configuration loop
 that multiplies the product weight of every configuration, and the subset
 expansion as the recursion "project onto A, subtract the components of all
 proper subsets of A" (5^N operations).  Neither shares code with the
-stride-contraction kernel in ``colocal.measure``.
+stride-contraction kernel in ``colocal.measure``.  The one-pass single-site
+components are checked against one projection per site.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from fractions import Fraction as F
 from hypothesis import example, given, strategies as st
 
 import colocal as cl
+from colocal.measure import _site_components
 from colocal.scalars import FLOAT_TOLERANCE
 
 
@@ -180,3 +182,46 @@ def test_float_mode_within_tolerance(case, mask):
     assert list(floats) == list(exact)
     for sub, table in exact.items():
         assert close(floats[sub].values, table.values)
+
+
+@st.composite
+def site_component_cases(draw):
+    """(table, product measure) on part of a d=1 path or of a d=2 box."""
+    n = draw(st.sampled_from([2, 3]))
+    base = draw(state_measures(n))
+    window = draw(st.sampled_from([cl.lattice_window(1, 4),
+                                   cl.lattice_window(2, 1)]))
+    sites = cl.siteset(draw(st.lists(st.sampled_from(window.sites),
+                                     unique=True, max_size=7 if n == 2
+                                     else 5)))
+    per_site = draw(st.dictionaries(st.sampled_from(window.sites),
+                                    state_measures(n)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    values = tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                   for _ in range(n ** len(sites)))
+    return cl.FnTable(sites, n, values), cl.product_measure(base, per_site)
+
+
+def per_site_components(f, prod):
+    """Oracle: one projection onto each site, minus its mean."""
+    out = {}
+    for s in f.sites:
+        projected = cl.conditional_expectation(f, cl.siteset([s]), prod)
+        mean = prod.factor(s).mean(projected.values)
+        out[s] = tuple(v - mean for v in projected.values)
+    return out
+
+
+@given(site_component_cases())
+@example(big_case())
+def test_site_components_match_per_site_projections(case):
+    f, prod = case
+    components = _site_components(f, prod)
+    oracle = per_site_components(f, prod)
+    assert list(components) == list(oracle)
+    assert components == oracle
+    ff, fprod = as_float(f, prod)
+    floats = _site_components(ff, fprod)
+    for s, per_state in oracle.items():
+        assert all(isinstance(v, float) for v in floats[s])
+        assert close(floats[s], per_state)

@@ -1,6 +1,8 @@
-"""Property tests of FnTable's index-order helpers against loops over
-decoded configurations: embedding and support minimization."""
+"""Property tests of FnTable: the index-order helpers (embedding and support
+minimization) against loops over decoded configurations, and tables built
+from integer numerators against the same tables built from Fractions."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -52,3 +54,68 @@ def test_embed_and_minimized_against_loops(case):
     small = big.minimized()
     assert small.sites.sites == needed
     assert small.embed(sites).values == big.values
+
+
+# -- tables carried as numerators -----------------------------------------------
+
+@st.composite
+def numerator_cases(draw):
+    """Two exact tables on one site set (part of a d=1 path or a d=2 box,
+    2 or 3 states) that depend on parts of it only, the site set, a
+    superset to embed into and a shift."""
+    n = draw(st.sampled_from([2, 3]))
+    window = draw(st.sampled_from([cl.lattice_window(1, 3),
+                                   cl.lattice_window(2, 1)]))
+    ambient = draw(st.lists(st.sampled_from(window.sites), unique=True,
+                            max_size=6 if n == 2 else 4))
+    sites = cl.siteset(s for s in ambient if draw(st.booleans()))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pool = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)]
+
+    def table():
+        part = cl.siteset(s for s in sites if rng.random() < 0.6)
+        return cl.FnTable(part, n, tuple(rng.choice(pool) for _ in
+                                         range(n ** len(part)))).embed(sites)
+    shift = F(rng.randint(-4, 4), rng.randint(1, 5))
+    return table(), table(), cl.siteset(ambient), shift
+
+
+def rebuilt(table, extra):
+    """The same table built from numerators over a denominator that is
+    ``extra`` times the least one."""
+    den = math.lcm(*(v.denominator for v in table.values)) * extra
+    return cl.FnTable.from_numerators(
+        table.sites, table.n_states,
+        [int(v * den) for v in table.values], den)
+
+
+@given(numerator_cases(), st.integers(1, 3), st.integers(1, 3))
+def test_numerator_tables_agree_with_fraction_tables(case, p, q):
+    f, g, ambient, c = case
+    nf, ng = rebuilt(f, p), rebuilt(g, q)
+    assert nf.values == f.values
+    assert all(isinstance(v, F) for v in nf.values)
+    assert nf == f and f == nf and hash(nf) == hash(f)
+    assert (nf == ng) == (f.values == g.values)
+    assert (nf == rebuilt(g, p)) == (f.values == g.values)
+    assert nf.embed(ambient).values == f.embed(ambient).values
+    small, oracle = nf.minimized(), f.minimized()
+    assert small.sites == oracle.sites and small.values == oracle.values
+    for fn, gn in ((nf, ng), (nf, g), (f, ng)):
+        assert (fn + gn).values == tuple(a + b for a, b in
+                                         zip(f.values, g.values))
+        assert (fn - gn).values == tuple(a - b for a, b in
+                                         zip(f.values, g.values))
+    assert nf.shift(c).values == tuple(v + c for v in f.values)
+    assert nf.shift(c) == f.shift(c)
+
+
+def test_float_numerator_tables_have_float_values():
+    sites = cl.siteset([0, 1])
+    t = cl.FnTable.from_numerators(sites, 2, [0, 0.5, -1.25, 0], 1,
+                                   exact=False)
+    assert t.values == (0.0, 0.5, -1.25, 0.0)
+    assert all(isinstance(v, float) for v in t.values)
+    exact = cl.FnTable(sites, 2, (F(0), F(1, 2), F(-5, 4), F(0)))
+    assert t == exact and hash(t) == hash(exact)
+    assert (t + exact).values == (0.0, 1.0, -2.5, 0.0)

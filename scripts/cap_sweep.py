@@ -1,0 +1,178 @@
+"""Cap-scale sweep of window-mode ``varadhan``: raw wall time and peak RSS.
+
+Each case is one d=1 exclusion window decomposed in window mode through
+``colocal.cli.main``, in a fresh interpreter so that its peak RSS is its
+own.  Cases: two states, nu = (3/5, 2/5), cocycle 3/7, radius 6 to 9 (up to
+2^19 configurations); three states, nu = (1/2, 1/3, 1/6), cocycle
+(3/7, -2/5), radius 4 and 5 (up to 3^11 configurations).  Per run the
+child reports the wall time of the CLI call, the time inside
+``solve_potential`` and inside the ``edge_moves`` builds it makes, its peak
+RSS, and the sha256 of the output bytes.  Each case runs ``REPEATS``
+times per tree; the report keeps every run and the medians.
+
+With ``--baseline REV`` the same cases also run on the ``src/`` tree of
+that git revision (exported with ``git archive`` to a temporary
+directory), the two trees alternating which runs first; the output hashes
+of the two trees must agree.  Standard library only.
+
+    python scripts/cap_sweep.py --baseline HEAD~1 --out BENCH.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TWO = {"states": [0, 1], "nu": ["3/5", "2/5"], "cocycle": [["3/7"]]}
+THREE = {"states": [0, 1, 2], "nu": ["1/2", "1/3", "1/6"],
+         "cocycle": [["3/7", "-2/5"]]}
+CASES = ([("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
+         + [("n3-r%d" % r, THREE, r) for r in (4, 5)])
+REPEATS = 3
+
+
+def payload(spec: dict, radius: int) -> dict:
+    states = spec["states"]
+    phi = [[[a, b], [b, a]] for a in states for b in states if a != b]
+    return {"interaction": {"states": states, "base": 0, "phi": phi},
+            "nu": spec["nu"], "dim": 1, "cocycle": spec["cocycle"],
+            "window": {"lattice": {"dim": 1, "radius": radius}}}
+
+
+def child(input_path: str, output_path: str) -> None:
+    """Run one case in this interpreter and print its measurements."""
+    import resource
+
+    from colocal import cli, forms, varadhan
+
+    spent = {"solve_potential": 0.0, "edge_moves": 0.0}
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return wrapper
+
+    varadhan.solve_potential = timed("solve_potential",
+                                     varadhan.solve_potential)
+    forms.edge_moves = timed("edge_moves", forms.edge_moves)
+    start = time.perf_counter()
+    code = cli.main(["varadhan", "--input", input_path,
+                     "--output", output_path])
+    wall = time.perf_counter() - start
+    digest = hashlib.sha256(Path(output_path).read_bytes()).hexdigest()
+    print(json.dumps({
+        "exit": code, "wall_s": wall,
+        "solve_potential_s": spent["solve_potential"],
+        "edge_moves_s": spent["edge_moves"],
+        "peak_rss_mib": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "sha256": digest}))
+
+
+def export_tree(rev: str, into: Path) -> Path:
+    """The ``src/`` tree of a git revision, unpacked under ``into``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    tar_path = into / "src.tar"
+    tar_path.write_bytes(archive)
+    with tarfile.open(tar_path) as tar:
+        tar.extractall(into, filter="data")
+    return into / "src"
+
+
+def run_case(src: Path, input_path: Path, work: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", str(input_path),
+         str(work / "out.json")],
+        check=True, capture_output=True, text=True, env=env).stdout
+    return json.loads(out)
+
+
+def summary(runs: list[dict]) -> dict:
+    keys = ("wall_s", "solve_potential_s", "edge_moves_s", "peak_rss_mib")
+    return {k: round(statistics.median(r[k] for r in runs), 4) for k in keys}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", help="git revision to compare with")
+    parser.add_argument("--out", type=Path, help="write the results here")
+    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(*args.child)
+        return 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        trees = {"change": ROOT / "src"}
+        if args.baseline:
+            (work / "baseline").mkdir()
+            trees = {"baseline": export_tree(args.baseline,
+                                             work / "baseline"),
+                     **trees}
+        results = []
+        for name, spec, radius in CASES:
+            input_path = work / f"{name}.json"
+            input_path.write_text(json.dumps(payload(spec, radius)))
+            runs = {tree: [] for tree in trees}
+            for k in range(REPEATS):
+                order = list(trees) if k % 2 == 0 else list(trees)[::-1]
+                for tree in order:
+                    run = run_case(trees[tree], input_path, work)
+                    if run["exit"] != 0:
+                        raise SystemExit(f"{name} on {tree}: exit "
+                                         f"{run['exit']}")
+                    runs[tree].append(run)
+                    print(f"{name} {tree}: {run['wall_s']:.3f} s, "
+                          f"{run['peak_rss_mib']:.1f} MiB", file=sys.stderr)
+            hashes = {r["sha256"] for rs in runs.values() for r in rs}
+            if len(hashes) != 1:
+                raise SystemExit(f"{name}: output bytes differ between runs")
+            results.append({
+                "case": name, "states": len(spec["states"]),
+                "radius": radius,
+                "configurations": len(spec["states"]) ** (2 * radius + 1),
+                "sha256": hashes.pop(),
+                "median": {tree: summary(rs) for tree, rs in runs.items()},
+                "runs": {tree: [{k: v for k, v in r.items()
+                                 if k not in ("exit", "sha256")}
+                                for r in rs] for tree, rs in runs.items()},
+            })
+
+    report = {
+        "what": "window-mode varadhan at cap scale: raw wall time and peak "
+                "RSS per fresh interpreter, medians over repeats",
+        "baseline": args.baseline,
+        "repeats": REPEATS,
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "cases": results,
+    }
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,9 +12,11 @@ that constraint structural.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from operator import eq, neg, sub
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -50,8 +52,9 @@ from .statespace import (
     edge_moves,
     edges_within,
     guard_space,
-    restriction_indices,
+    spread,
     transition_graph,
+    transition_runs,
 )
 from .tables import FnTable, aligned, fn_constant, fn_zeros
 
@@ -86,9 +89,15 @@ class Form:
     @cached_property
     def moves(self) -> dict:
         """Index map of the transition across each directed edge, in the
-        order pair, reversed pair."""
-        return {e: edge_moves(self.space, self.interaction, e)
-                for pair in self.edges for e in (pair, (pair[1], pair[0]))}
+        order pair, reversed pair; under a symmetric phi both orientations
+        of a pair share one map."""
+        moves = {}
+        for pair in self.edges:
+            rev = (pair[1], pair[0])
+            moves[pair] = edge_moves(self.space, self.interaction, pair)
+            moves[rev] = (moves[pair] if self.interaction.is_symmetric
+                          else edge_moves(self.space, self.interaction, rev))
+        return moves
 
     def edge_value(self, edge: Edge, assignment: Sequence[int]) -> Scalar:
         """omega_edge at an ambient assignment, any orientation."""
@@ -243,7 +252,8 @@ def validate_form(form: Form, tol: float | None = None,
     guard_space(space.size, state_cap)
     for e in form.edges:
         _check_zero_on_fixed(form.tables[e], e, form.interaction, tol)
-    directed, den, _ = _directed(form)
+    dense, den, exact = _dense_tables(form)
+    directed = _directed(form, dense, exact)
     tol_num = None if tol is None else tol * den
     for idx in range(space.size):
         by_target: dict[int, tuple[Edge, Scalar]] = {}
@@ -277,25 +287,30 @@ def _check_zero_on_fixed(table: FnTable, edge: Edge,
                                 assignment=space.decode(idx))
 
 
-def _directed(form: Form) -> tuple[list, int, bool]:
-    """(edge, index map, dense values) per directed edge, in the order pair,
-    reversed pair, with the values as numerators over one denominator
-    (see ``tables.aligned``); also that denominator and whether the values
-    are exact.  A tolerance on values is the tolerance times the
-    denominator on numerators."""
+def _dense_tables(form: Form) -> tuple[list, int, bool]:
+    """The stored table of every pair, dense on the form's sites, as
+    numerators over one denominator (see ``tables.aligned``); also that
+    denominator and whether the values are exact.  A tolerance on values is
+    the tolerance times the denominator on numerators."""
     stored = [form.tables[pair] for pair in form.edges]
     parts, den, exact = aligned(stored)
+    dense = [part if table.sites == form.sites else
+             spread(part, table.sites, form.space)
+             for table, part in zip(stored, parts)]
+    return dense, den, exact
+
+
+def _directed(form: Form, dense: list, exact: bool) -> list:
+    """(edge, index map, dense values) per directed edge, in the order pair,
+    reversed pair, from the dense pair tables of ``_dense_tables``."""
     zero = _zero(exact)
     directed = []
-    for pair, table, part in zip(form.edges, stored, parts):
-        dense = (part if table.sites == form.sites else
-                 [part[j] for j in restriction_indices(form.space,
-                                                       table.sites)])
+    for pair, values in zip(form.edges, dense):
         for e in (pair, (pair[1], pair[0])):
             moves = form.moves[e]
-            directed.append((e, moves, _oriented(dense, moves, e == pair,
+            directed.append((e, moves, _oriented(values, moves, e == pair,
                                                  zero)))
-    return directed, den, exact
+    return directed
 
 
 # ---------------------------------------------------------------------------
@@ -307,29 +322,31 @@ def differential(f: FnTable, interaction: Interaction, locale: Locale,
     """The gradient form: (df)_e(eta) = f(eta^e) - f(eta)."""
     guard_space(f.space.size, state_cap)
     pairs = canonical_pairs(edges_within(locale, f.sites))
-    moves = {e: edge_moves(f.space, interaction, e) for e in pairs}
     return Form(f.sites, interaction, pairs,
-                dict(_differentials(f, pairs, moves)))
+                dict(_differentials(f, interaction, pairs)))
 
 
 def edge_differential(f: FnTable, interaction: Interaction,
                       edge: Edge) -> FnTable:
     """(df)_edge as a table on the sites of f: f(eta^e) - f(eta), zero where
     the transition fixes eta."""
-    moves = {edge: edge_moves(f.space, interaction, edge)}
-    return next(_differentials(f, (edge,), moves))[1]
+    return next(_differentials(f, interaction, (edge,)))[1]
 
 
-def _differentials(f: FnTable, edges, moves):
-    """Yield (e, (df)_e) edge by edge, subtracting the numerators of f;
-    ``moves[e]`` is the index map of e on the sites of f."""
+def _differentials(f: FnTable, interaction: Interaction, edges):
+    """Yield (e, (df)_e) edge by edge, subtracting the numerators of f run
+    by run (see ``statespace.transition_runs``)."""
     nums, den, exact = f.numerators
     zero = _zero(exact)
     for e in edges:
-        yield e, FnTable.from_numerators(
-            f.sites, f.n_states,
-            [nums[d] - x if d >= 0 else zero for d, x in zip(moves[e], nums)],
-            den, exact)
+        diffs = [zero] * len(nums)
+        for start, stop, step, delta in transition_runs(
+                f.space, e, interaction.changed_pairs()):
+            diffs[start:stop:step] = map(sub, nums[start + delta:
+                                                   stop + delta:step],
+                                         nums[start:stop:step])
+        yield e, FnTable.from_numerators(f.sites, f.n_states, diffs, den,
+                                         exact)
 
 
 @dataclass(frozen=True)
@@ -388,16 +405,96 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     """Integrate the form to a potential f with df = omega, or raise
     NotClosed with a witness cycle of nonzero integral.
 
-    A spanning forest is rooted at the lexicographically smallest
-    configuration of each connected component (potential 0 there), values
-    are propagated along tree transitions, and every remaining transition is
-    checked for consistency.  If ``mu`` is given the result is shifted to
-    zero mean.
+    The potential is 0 at the lexicographically smallest configuration of
+    each connected component.  For a reversible phi a scan in lexicographic
+    order gives each configuration the value implied by its first
+    lexicographically smaller neighbour (0 if it has none), and one pass
+    over the transitions of every pair's stored orientation certifies it:
+    the reversed orientation's transitions are their inverses.  df = omega
+    fixes f up to a constant per component, and a component's smallest
+    configuration has no smaller neighbour, so a certified scan is the
+    answer.  Only when the pass fails (the form is not closed, or a
+    component has a local minimum that is not its smallest configuration),
+    and always for a non-reversible phi, does a breadth-first search
+    propagate values from each component's smallest configuration along a
+    spanning forest and check every directed transition; on a failure its
+    tree gives the witness.  The scan saves work only where every
+    component's one local minimum is its smallest configuration, as on
+    d=1 paths.  On a d=2 box other local minima are the rule (two
+    particles at sites 5 and 8 of the 3x3 box have no smaller neighbour,
+    but the component starts at 7 and 8), so d=2 windows usually pay the
+    scan and a failing pass on top of the search.  If ``mu`` is given the
+    result is shifted to zero mean.
     """
     space = form.space
     guard_space(space.size, state_cap)
-    directed, den, exact = _directed(form)
+    dense, den, exact = _dense_tables(form)
+    tol_num = None if tol is None else tol * den
+    # a non-reversible phi moves only one way along some transitions: the
+    # search from a component's smallest configuration may then not reach
+    # all of it and raise where the scan would certify a potential
+    potential = (_scan(form, dense, exact) if form.interaction.is_reversible
+                 else None)
+    if potential is None or not all(
+            _consistent(potential, space, form.interaction, pair, values,
+                        tol_num)
+            for pair, values in zip(form.edges, dense)):
+        potential = _search(form, _directed(form, dense, exact), den, exact,
+                            tol_num)
+    table = FnTable.from_numerators(form.sites, form.n_states, potential,
+                                    den, exact)
+    if mu is not None:
+        table = table.shift(-expectation(table, mu))
+    return table
 
+
+def _scan(form: Form, dense: list, exact: bool) -> list:
+    """Potential numerators visited in lexicographic order: each takes the
+    value implied by its first lexicographically smaller neighbour across
+    the directed edges, or 0 where there is none.  Under a symmetric phi
+    the reversed orientation moves like the stored one and is skipped."""
+    space, interaction = form.space, form.interaction
+    zero = _zero(exact)
+    # per configuration, the index offset of the chosen smaller neighbour
+    # (0: none) and omega along the move; the edges are written in reverse
+    # so that the first one wins
+    offset = array("q", [0]) * space.size
+    omega = [zero] * space.size
+    directed = []
+    for pair, values in zip(form.edges, dense):
+        directed.append((pair, values, True))
+        if not interaction.is_symmetric:
+            directed.append(((pair[1], pair[0]), values, False))
+    for edge, values, stored in reversed(directed):
+        down = [(ab, moved) for ab, moved in interaction.changed_pairs()
+                if _in_site_order(edge, moved) < _in_site_order(edge, ab)]
+        for start, stop, step, delta in transition_runs(space, edge, down):
+            offset[start:stop:step] = array("q", [delta]) * ((stop - start)
+                                                              // step)
+            # the reversed orientation's value is -omega_pair(eta^e)
+            omega[start:stop:step] = (
+                values[start:stop:step] if stored else
+                map(neg, values[start + delta:stop + delta:step]))
+    potential = [zero] * space.size
+    for idx in _lexicographic(space):
+        if d := offset[idx]:
+            potential[idx] = potential[idx + d] - omega[idx]
+    return potential
+
+
+def _in_site_order(edge: Edge, states: tuple[int, int]) -> tuple[int, int]:
+    """The endpoint states of ``edge``, the smaller site's first: the
+    order in which configurations compare lexicographically."""
+    return states if edge[0] < edge[1] else (states[1], states[0])
+
+
+def _search(form: Form, directed: list, den: int, exact: bool,
+            tol_num) -> list:
+    """Potential numerators from a breadth-first search over every directed
+    edge, rooted at the lexicographically smallest configuration of each
+    component; raises NotClosed at the first inconsistent transition in
+    index order."""
+    space = form.space
     potential: list[Optional[Scalar]] = [None] * space.size
     parent: dict[int, tuple[int, Edge]] = {}
     # the first configuration of a component in lexicographic order is its root
@@ -419,9 +516,9 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
 
     # consistency over every remaining transition, edge by edge; on a
     # failure the first one in index order gives the witness
-    tol_num = None if tol is None else tol * den
-    if all(_consistent(potential, moves, values, tol_num)
-           for _, moves, values in directed):
+    if all(_consistent(potential, space, form.interaction, e, values,
+                       tol_num)
+           for e, _, values in directed):
         directed = ()
     for idx in range(space.size):
         for e, moves, values in directed:
@@ -432,22 +529,22 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
                     [potential[idx] - potential[dst] + values[idx]], den,
                     exact)[0]
                 raise _not_closed(form, space, parent, idx, e, dst, integral)
-
-    table = FnTable.from_numerators(form.sites, form.n_states, potential,
-                                    den, exact)
-    if mu is not None:
-        table = table.shift(-expectation(table, mu))
-    return table
+    return potential
 
 
-def _consistent(potential, moves, values, tol) -> bool:
+def _consistent(potential, space: ConfigSpace, interaction: Interaction,
+                edge: Edge, values, tol) -> bool:
     """potential(eta^e) - potential(eta) == omega_e(eta) wherever e moves
-    eta (numerators; ``tol`` on numerators)."""
-    if tol is None:
-        return all(potential[d] - p == v
-                   for d, p, v in zip(moves, potential, values) if d >= 0)
-    return all(scalar_eq(potential[d] - p, v, tol)
-               for d, p, v in zip(moves, potential, values) if d >= 0)
+    eta (numerators; ``values`` dense for e; ``tol`` on numerators),
+    compared run by run on slices."""
+    same = eq if tol is None else partial(scalar_eq, tol=tol)
+    for start, stop, step, delta in transition_runs(
+            space, edge, interaction.changed_pairs()):
+        diffs = map(sub, potential[start + delta:stop + delta:step],
+                    potential[start:stop:step])
+        if not all(map(same, diffs, values[start:stop:step])):
+            return False
+    return True
 
 
 def _lexicographic(space: ConfigSpace) -> list[int]:

@@ -257,6 +257,20 @@ class Interaction:
                 if self.phi[i][j] != (i, j):
                     yield (i, j), self.phi[i][j]
 
+    @cached_property
+    def is_reversible(self) -> bool:
+        """Does the transition across (t, o) undo the one across (o, t)?
+        (see :func:`validate_interaction`)"""
+        return validate_interaction(self).ok
+
+    @cached_property
+    def is_symmetric(self) -> bool:
+        """phi(a, b) = (c, d) exactly when phi(b, a) = (d, c), as in
+        exclusion: then the transitions across (o, t) and (t, o) are the
+        same map."""
+        return all(self.phi[b][a] == (d, c)
+                   for (a, b), (c, d) in self.changed_pairs())
+
 
 def make_interaction(states: Sequence, base,
                      phi_map: Optional[Mapping] = None) -> Interaction:
@@ -438,19 +452,46 @@ def edge_moves(space: ConfigSpace, interaction: Interaction,
                edge: Edge) -> array:
     """The transition across ``edge`` as an index map: entry i is the index
     of eta^e for the configuration eta of index i, or -1 where phi fixes the
-    pair.  phi moves the digits of the two endpoints only, so eta^e - eta is
-    a stride delta that depends on the endpoint states alone."""
+    pair."""
+    moves = array("q", [-1]) * space.size
+    for start, stop, step, delta in transition_runs(
+            space, edge, interaction.changed_pairs()):
+        moves[start:stop:step] = array("q", range(start + delta,
+                                                  stop + delta, step))
+    return moves
+
+
+def transition_runs(space: ConfigSpace, edge: Edge,
+                    changed) -> list[tuple[int, int, int, int]]:
+    """The configurations whose endpoint states ``(a, b)`` (at ``edge[0]``
+    and ``edge[1]``) are one of the ``changed`` pairs ``((a, b), (a2, b2))``
+    of phi, as runs ``(start, stop, step, delta)``: every index i in
+    ``range(start, stop, step)`` moves to i + delta across ``edge``.
+
+    phi moves the digits of the two endpoints only, so eta^e - eta is a
+    stride delta fixed by the endpoint states.  With those states fixed,
+    the other digits form three blocks (below both endpoints, between them,
+    above both), and the indices along one block are an arithmetic
+    progression; each run follows the longest block."""
     o, t = edge
     if o not in space.sites or t not in space.sites:
         raise EdgeOutsideSiteSet(f"edge {edge} leaves the site set", edge=edge)
-    n = space.n_states
+    n, size = space.n_states, space.size
     so, st = n ** space.sites.position(o), n ** space.sites.position(t)
-    # a changed pair never has delta 0: the two strides differ
-    delta = [[0] * n for _ in range(n)]
-    for (a, b), (a2, b2) in interaction.changed_pairs():
-        delta[a][b] = (a2 - a) * so + (b2 - b) * st
-    return array("q", [i + d if (d := delta[i // so % n][i // st % n]) else -1
-                       for i in range(space.size)])
+    low, high = min(so, st), max(so, st)
+    # (stride, count) per block of free digits, the longest last
+    (s1, c1), (s2, c2), (step, count) = sorted(
+        [(1, low), (low * n, high // (low * n)),
+         (high * n, size // (high * n))], key=lambda block: block[1])
+    runs = []
+    for (a, b), (a2, b2) in changed:
+        base = a * so + b * st
+        delta = (a2 - a) * so + (b2 - b) * st
+        for j in range(c1):
+            for k in range(c2):
+                start = base + j * s1 + k * s2
+                runs.append((start, start + step * count, step, delta))
+    return runs
 
 
 def restriction_indices(space: ConfigSpace, sub: SiteSet) -> list[int]:
@@ -465,6 +506,34 @@ def restriction_indices(space: ConfigSpace, sub: SiteSet) -> list[int]:
         weight = n ** sub.position(s) if s in sub else 0
         index = [a * weight + j for a in range(n) for j in index]
     return index
+
+
+def spread(values: Sequence, sub: SiteSet, space: ConfigSpace) -> list:
+    """A table on ``sub`` (a subset of the space's sites) as a dense list on
+    the space: entry i is the value at the restriction of configuration i.
+    Built by block repetition, one digit of the other sites at a time."""
+    if not sub.is_subset_of(space.sites):
+        raise NotSubset("restriction target is not a subset of the sites")
+    n = space.n_states
+    dense = list(values)
+    below = 1   # stride of the digit of the next site
+    for s in space.sites:
+        if s not in sub:
+            # s's digit enters at this stride: each block of ``below``
+            # entries repeats n times; copy by offset within the block when
+            # there are fewer offsets than blocks
+            if below * below < len(dense):
+                grown = [None] * (len(dense) * n)
+                for x in range(below):
+                    for a in range(n):
+                        grown[x + a * below::below * n] = dense[x::below]
+            else:
+                grown = []
+                for b in range(0, len(dense), below):
+                    grown += dense[b:b + below] * n
+            dense = grown
+        below *= n
+    return dense
 
 
 def digit_slices(values: Sequence, n: int, stride: int) -> list[list]:

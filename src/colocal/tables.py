@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import SiteSetMismatch
 from .scalars import Scalar, from_numerators, numerators, scalar_eq
-from .statespace import ConfigSpace, SiteSet, digit_slices, restriction_indices
+from .statespace import ConfigSpace, SiteSet, digit_slices, spread
 
 
 class Numerators(NamedTuple):
@@ -180,11 +180,11 @@ class FnTable:
         """Natural inclusion C(S^Lambda) -> C(S^Lambda') for Lambda in Lambda'."""
         if self.sites == ambient:
             return self
-        index = restriction_indices(ConfigSpace(ambient, self.n_states),
-                                    self.sites)
         nums, den, exact = self.numerators
-        return FnTable.from_numerators(ambient, self.n_states,
-                                       [nums[j] for j in index], den, exact)
+        return FnTable.from_numerators(
+            ambient, self.n_states,
+            spread(nums, self.sites, ConfigSpace(ambient, self.n_states)),
+            den, exact)
 
     def depends_on(self, site: int) -> bool:
         """Does the value actually change with the digit at ``site``?"""

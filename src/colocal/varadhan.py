@@ -615,12 +615,11 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
 
         residual_potential = theta - theta_from_cocycle(rho, window,
                                                         state_cap)
-        # omega lives on the same window and edges: reuse its index maps,
-        # and minimize each dense residual edge as soon as it is made
+        # minimize each dense residual edge as soon as it is made
         residual_tables = {
             e: table.minimized()
-            for e, table in _differentials(residual_potential, omega.edges,
-                                           omega.moves)}
+            for e, table in _differentials(residual_potential, interaction,
+                                           omega.edges)}
         residual_form = Form(omega.sites, interaction, omega.edges,
                              residual_tables)
 

@@ -3,18 +3,21 @@
 The index maps are checked against ``apply_transition``, the
 per-configuration definition, and the passes built on them (differential,
 form validation, potential solving, the closed-form dimension) against
-round trips and component counts.
+round trips, component counts and a breadth-first search written on the
+per-configuration definition.
 """
 
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import colocal as cl
 from colocal.statespace import edge_moves
 
 BOX = cl.lattice_window(2, radius=1)
+PATH3 = cl.lattice_window(1, radius=1)
 
 
 @st.composite
@@ -34,14 +37,15 @@ def phis(draw, n, reversible=False):
 
 
 @st.composite
-def windows(draw, n):
-    """(locale, site set): a d=1 path, or part of a 3x3 box in d=2, small
-    enough that n^|sites| stays below about 800."""
+def windows(draw, n, box_sites=(9, 6)):
+    """(locale, site set): a d=1 path, or part of a 3x3 box in d=2 with at
+    most ``box_sites`` sites (for 2 and 3 states), small enough that
+    n^|sites| stays below about 800."""
     if draw(st.booleans()):
         locale = cl.lattice_window(1, radius=draw(st.integers(1, 3 if n == 2
                                                               else 2)))
         return locale, cl.siteset(locale.sites)
-    k = draw(st.integers(2, 9 if n == 2 else 6))
+    k = draw(st.integers(2, box_sites[0] if n == 2 else box_sites[1]))
     sites = draw(st.lists(st.sampled_from(BOX.sites), min_size=k,
                           max_size=k, unique=True))
     return BOX, cl.siteset(sites)
@@ -114,3 +118,119 @@ def test_closed_form_dimension_is_vertices_minus_components(case):
     graph = cl.transition_graph(sites, interaction, locale)
     assert cl.closed_form_space_dimension(sites, interaction, locale) == \
         graph.space.size - graph.n_components
+
+
+def hopping(n):
+    """phi moves the state at o, if not 0, to an empty t: reversible (the
+    reversed edge moves it back) but not symmetric."""
+    return cl.make_interaction(tuple(range(n)), 0,
+                               {(a, 0): (0, a) for a in range(1, n)})
+
+
+@st.composite
+def potential_cases(draw):
+    """Exclusion (symmetric), one-way hopping (reversible, not symmetric),
+    or a random rule, reversible or not; on windows of at most about 250
+    configurations."""
+    n = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["exclusion", "hopping", "reversible",
+                                 "any"]))
+    if kind == "exclusion":
+        interaction = cl.exclusion_interaction(n)
+    elif kind == "hopping":
+        interaction = hopping(n)
+    else:
+        interaction = cl.make_interaction(
+            tuple(range(n)), 0, draw(phis(n, kind == "reversible")))
+    locale, sites = draw(windows(n, box_sites=(7, 5)))
+    return interaction, locale, sites
+
+
+def search_oracle(form):
+    """Potential values by breadth-first search on the per-configuration
+    definition (``apply_transition``, ``Form.edge_value``), each directed
+    edge in the order pair then reversed pair, every configuration not yet
+    reached in lexicographic order a root with value 0; None if some
+    transition is inconsistent."""
+    space = form.space
+    directed = [e for pair in form.edges for e in (pair, pair[::-1])]
+    steps = {}
+    for idx in range(space.size):
+        eta = space.config(idx)
+        steps[idx] = []
+        for e in directed:
+            moved = cl.apply_transition(eta, e, form.interaction)
+            if moved != eta:
+                steps[idx].append((space.encode(moved.assignment),
+                                   form.edge_value(e, eta.assignment)))
+    potential = {}
+    for root in sorted(range(space.size), key=space.decode):
+        if root in potential:
+            continue
+        potential[root] = F(0)
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for j, w in steps[i]:
+                    if j not in potential:
+                        potential[j] = potential[i] + w
+                        nxt.append(j)
+            frontier = nxt
+    if any(potential[j] - potential[i] != w
+           for i in steps for j, w in steps[i]):
+        return None
+    return [potential[i] for i in range(space.size)]
+
+
+@given(potential_cases(), st.integers(0, 2 ** 32), st.booleans())
+# (1,0,0) has no lexicographically smaller neighbour, but its component's
+# first configuration is (0,0,1)
+@example((cl.make_interaction((0, 1), 0, {(1, 1): (0, 1), (1, 0): (1, 1)}),
+          PATH3, cl.siteset(PATH3.sites)), 11, False)
+# not reversible: the stored orientation is exact and the scan certifies
+# it, but the search from (0,0) never reaches (1,1), and the reversed
+# orientation is not exact
+@example((cl.make_interaction((0, 1), 0, {(1, 1): (0, 0)}), BOX,
+          cl.siteset(BOX.sites[:2])), 12, False)
+@example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites[:5])), 13,
+         True)
+@example((hopping(2), BOX, cl.siteset(BOX.sites[:7])), 14, False)
+def test_solve_potential_matches_search_oracle(case, seed, broken):
+    """solve_potential without a measure equals the search oracle: 0 at the
+    lexicographically first configuration of every component, the same
+    values elsewhere, and NotClosed exactly where the search finds an
+    inconsistent transition, with a witness cycle of that integral."""
+    interaction, locale, sites = case
+    n = interaction.n_states
+    rng = random.Random(seed)
+    f = cl.FnTable(sites, n, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                                   for _ in range(n ** len(sites))))
+    df = cl.differential(f, interaction, locale)
+    tables = dict(df.tables)
+    if broken and df.edges:
+        # one more unit on one transition breaks closedness
+        e = rng.choice(df.edges)
+        values = list(df.tables[e].values)
+        moved = [i for i, d in enumerate(edge_moves(df.space, interaction, e))
+                 if d >= 0]
+        if moved:
+            values[rng.choice(moved)] += 1
+        tables[e] = cl.FnTable(sites, n, values)
+    form = cl.make_form(sites, interaction, df.edges, tables, validate=False)
+    expected = search_oracle(form)
+    if expected is None:
+        with pytest.raises(cl.NotClosed) as info:
+            cl.solve_potential(form)
+        if cl.validate_interaction(interaction).ok:
+            witness = info.value.witness
+            assert cl.is_closed_path(witness, interaction)
+            assert cl.path_integral(form, witness) == info.value.integral != 0
+        return
+    g = cl.solve_potential(form)
+    assert list(g.values) == expected
+    labels = cl.transition_graph(sites, interaction, locale).component_labels
+    first = {}
+    for idx in sorted(range(g.space.size), key=g.space.decode):
+        first.setdefault(labels[idx], idx)
+    assert all(g.values[idx] == 0 for idx in first.values())

@@ -3,8 +3,10 @@
 Configuration graphs over finite site windows, conditional-expectation
 projections, orthogonal subset expansions, discrete degree-one forms with
 potential solving, and the decomposition of shift-invariant closed forms
-into exact and conserved-quantity parts.  All arithmetic is exact rational
-unless float mode is requested explicitly.
+into exact and conserved-quantity parts.  All arithmetic is exact
+rational; a float passed in is read as the simplest rational that rounds
+to it, and float output (the CLI's ``--mode float``) is ``float()`` of the
+exact result.
 """
 
 from .errors import (

@@ -3,7 +3,8 @@
 One subcommand per pipeline stage; every run reads a single JSON input file
 and writes a deterministic JSON report (stdout by default).  Exit codes:
 0 success, 1 domain error (structured error JSON still written), 2 usage
-error.
+error.  ``--mode float`` changes only how numbers are read and written (see
+:mod:`colocal.jsonio`); every computation is exact.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .functions import (
 from .jsonio import SCHEMA_VERSION, jsonify
 from .l2 import martingale_chain_report
 from .measure import ProductMeasure, conditional_expectation
-from .scalars import FLOAT_TOLERANCE
 from .statespace import DEFAULT_STATE_CAP, DEFAULT_SUBSET_CAP, siteset
 from .varadhan import (
     decompose_invariant_form,
@@ -48,7 +48,6 @@ class RunConfig:
     state_cap: int
     subset_cap: int
     mode: str
-    tolerance: Optional[float]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,20 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
         p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
         p.add_argument("--mode", choices=["exact", "float"], default="exact")
-        p.add_argument("--tolerance", type=float, default=None)
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
     if args.state_cap <= 0 or args.subset_cap <= 0:
         raise UsageError("caps must be positive")
-    if args.tolerance is not None and args.mode != "float":
-        raise UsageError("--tolerance is only valid with --mode float")
-    tolerance = args.tolerance
-    if args.mode == "float" and tolerance is None:
-        tolerance = FLOAT_TOLERANCE
     return RunConfig(args.subcommand, args.input, args.output, args.state_cap,
-                     args.subset_cap, args.mode, tolerance)
+                     args.subset_cap, args.mode)
 
 
 class UsageError(Exception):
@@ -109,7 +102,8 @@ def _run_conserved(payload: dict, cfg: RunConfig) -> dict:
     interaction, nu = _load_common(payload, cfg)
     basis = conserved_quantities(interaction, nu)
     return {"dimension": len(basis),
-            "basis": [[jsonio.format_scalar(v) for v in xi.xi] for xi in basis]}
+            "basis": [[jsonio.format_scalar(v, cfg.mode) for v in xi.xi]
+                      for xi in basis]}
 
 
 def _run_iq(payload: dict, cfg: RunConfig) -> dict:
@@ -121,7 +115,8 @@ def _run_iq(payload: dict, cfg: RunConfig) -> dict:
         results.append({
             "index": k,
             "ok": res.ok,
-            "witnesses": [{"totals": [jsonio.format_scalar(t) for t in totals],
+            "witnesses": [{"totals": [jsonio.format_scalar(t, cfg.mode)
+                                      for t in totals],
                            "first": list(a), "second": list(b)}
                           for totals, a, b in res.witnesses],
         })
@@ -138,10 +133,10 @@ def _run_expand(payload: dict, cfg: RunConfig) -> dict:
     for sub, table in sorted(expansion.components.items()):
         mask = expansion.subset_bitmask(sub)
         components[str(mask)] = {"subset": list(sub),
-                                 "values": [jsonio.format_scalar(v)
+                                 "values": [jsonio.format_scalar(v, cfg.mode)
                                             for v in table.values]}
     return {"components": components,
-            "uniform_radius": uniform_radius(expansion, locale, cfg.tolerance)}
+            "uniform_radius": uniform_radius(expansion, locale)}
 
 
 def _run_project(payload: dict, cfg: RunConfig) -> dict:
@@ -151,14 +146,14 @@ def _run_project(payload: dict, cfg: RunConfig) -> dict:
     if "fn" in payload:
         f = jsonio.fn_table_from_json(payload["fn"], interaction, cfg.mode)
         projected = conditional_expectation(f, target, mu)
-        return {"fn": jsonio.fn_table_to_json(projected)}
+        return {"fn": jsonio.fn_table_to_json(projected, cfg.mode)}
     form = jsonio.form_from_json(payload["form"], interaction, cfg.mode,
-                                 tol=cfg.tolerance, state_cap=cfg.state_cap)
+                                 state_cap=cfg.state_cap)
     locale = (jsonio.locale_from_json(payload["locale"])
               if "locale" in payload else None)
-    projected = project_form(form, target, mu, locale, tol=cfg.tolerance,
+    projected = project_form(form, target, mu, locale,
                              state_cap=cfg.state_cap)
-    return {"form": jsonio.form_to_json(projected)}
+    return {"form": jsonio.form_to_json(projected, cfg.mode)}
 
 
 def _run_closed(payload: dict, cfg: RunConfig) -> dict:
@@ -166,10 +161,9 @@ def _run_closed(payload: dict, cfg: RunConfig) -> dict:
     mu = (jsonio.measure_from_json(payload["measure"], interaction, cfg.mode)
           if "measure" in payload else None)
     form = jsonio.form_from_json(payload["form"], interaction, cfg.mode,
-                                 tol=cfg.tolerance, state_cap=cfg.state_cap)
-    potential = solve_potential(form, mu, tol=cfg.tolerance,
-                                state_cap=cfg.state_cap)
-    return {"potential": jsonio.fn_table_to_json(potential)}
+                                 state_cap=cfg.state_cap)
+    potential = solve_potential(form, mu, state_cap=cfg.state_cap)
+    return {"potential": jsonio.fn_table_to_json(potential, cfg.mode)}
 
 
 def _run_dims(payload: dict, cfg: RunConfig) -> dict:
@@ -210,21 +204,21 @@ def _run_varadhan(payload: dict, cfg: RunConfig) -> dict:
         raise UsageError("varadhan input needs a cocycle or a stencil")
     decomposition = decompose_invariant_form(
         spec, window, nu, margin=payload.get("margin"),
-        tol=cfg.tolerance, state_cap=cfg.state_cap)
+        state_cap=cfg.state_cap)
     result = {
-        "cocycle": jsonio.cocycle_to_json(decomposition.cocycle),
+        "cocycle": jsonio.cocycle_to_json(decomposition.cocycle, cfg.mode),
         "mode": decomposition.mode,
         "margin": decomposition.margin,
-        "checks": jsonify(decomposition.checks),
+        "checks": jsonify(decomposition.checks, cfg.mode),
         "residual_stencil": jsonio.invariant_spec_to_json(
-            decomposition.residual_spec),
+            decomposition.residual_spec, cfg.mode),
     }
     if decomposition.residual_form is not None:
         inside = set(interior_edges(window, decomposition.margin))
         interior = [e for e in decomposition.residual_form.edges if e in inside]
         result["residual_interior_edges"] = [
             {"edge": list(e),
-             "values": [jsonio.format_scalar(v)
+             "values": [jsonio.format_scalar(v, cfg.mode)
                         for v in decomposition.residual_form.tables[e].values],
              "support": list(decomposition.residual_form.tables[e].sites)}
             for e in interior]
@@ -236,8 +230,7 @@ def _run_martingale(payload: dict, cfg: RunConfig) -> dict:
     mu = ProductMeasure(nu)
     f = jsonio.fn_table_from_json(payload["fn"], interaction, cfg.mode)
     chain = [siteset(w) for w in payload["chain"]]
-    report = martingale_chain_report(f, chain, mu, cfg.tolerance)
-    return report.to_json_dict()
+    return martingale_chain_report(f, chain, mu).to_json_dict(cfg.mode)
 
 
 _RUNNERS = {
@@ -265,17 +258,23 @@ def _emit(report: dict, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the usage error
+        return exc.code
     try:
         cfg = _config_from_args(args)
         with open(cfg.input_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=_reject_constant)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # includes JSONDecodeError
         print(f"usage error: cannot read input: {exc}", file=sys.stderr)
         return 2
 
@@ -291,10 +290,10 @@ def main(argv=None) -> int:
     except ColocalError as exc:
         envelope["ok"] = False
         error = {"name": exc.name, "message": exc.message,
-                 "details": jsonify(exc.details)}
+                 "details": jsonify(exc.details, cfg.mode)}
         if isinstance(exc, NotClosed) and exc.witness is not None:
             error["witness"] = jsonio.path_to_json(exc.witness)
-            error["integral"] = jsonio.format_scalar(exc.integral)
+            error["integral"] = jsonio.format_scalar(exc.integral, cfg.mode)
         envelope["error"] = error
         _emit(envelope, cfg)
         return 1

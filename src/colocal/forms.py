@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import eq, neg, sub
 from typing import Mapping, Optional, Sequence
 
@@ -34,12 +34,7 @@ from .measure import (
     is_ordinary,
     materialize,
 )
-from .scalars import (
-    Scalar,
-    from_numerators,
-    scalar_eq,
-    scalar_is_zero,
-)
+from .scalars import Scalar, from_numerators
 from .statespace import (
     Config,
     ConfigSpace,
@@ -117,14 +112,13 @@ class Form:
         key = canonical_edge(edge)
         if key not in self.tables:
             raise KeyError(f"edge {edge} not part of this form")
-        nums, den, exact = self.tables[key].embed(self.sites).numerators
+        nums, den = self.tables[key].embed(self.sites).numerators
         return FnTable.from_numerators(
             self.sites, self.n_states,
-            _oriented(nums, self.moves[edge], edge == key, _zero(exact)),
-            den, exact)
+            _oriented(nums, self.moves[edge], edge == key), den)
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        return all(t.is_zero(tol) for t in self.tables.values())
+    def is_zero(self) -> bool:
+        return all(t.is_zero() for t in self.tables.values())
 
     def _combine(self, other: "Form", sign: int) -> "Form":
         if self.sites != other.sites or self.edges != other.edges:
@@ -164,20 +158,14 @@ class Form:
         return Form(new_sites, self.interaction, edges, tables)
 
 
-def _zero(exact: bool):
-    """The numerator of zero: fixed configurations get an exact 0, or 0.0
-    in float mode."""
-    return 0 if exact else 0.0
-
-
-def _oriented(table, moves, same: bool, zero) -> list:
+def _oriented(table, moves, same: bool) -> list:
     """Dense values of the directed edge e from the dense table of one
     orientation of its pair: that table itself if it is e's own (``same``),
-    else the alternating value -table(eta^e); ``zero`` where e fixes eta
+    else the alternating value -table(eta^e); 0 where e fixes eta
     (``moves`` is the index map of e)."""
     if same:
-        return [v if d >= 0 else zero for v, d in zip(table, moves)]
-    return [-table[d] if d >= 0 else zero for d in moves]
+        return [v if d >= 0 else 0 for v, d in zip(table, moves)]
+    return [-table[d] if d >= 0 else 0 for d in moves]
 
 
 def _reverse_orientation_table(table: FnTable, oriented: Edge,
@@ -187,15 +175,13 @@ def _reverse_orientation_table(table: FnTable, oriented: Edge,
     support = table.sites.union(SiteSet(tuple(sorted(oriented))))
     space = ConfigSpace(support, interaction.n_states)
     moves = edge_moves(space, interaction, (oriented[1], oriented[0]))
-    nums, den, exact = table.embed(support).numerators
-    return FnTable.from_numerators(
-        support, interaction.n_states,
-        _oriented(nums, moves, False, _zero(exact)), den, exact)
+    nums, den = table.embed(support).numerators
+    return FnTable.from_numerators(support, interaction.n_states,
+                                   _oriented(nums, moves, False), den)
 
 
 def make_form(sites: SiteSet, interaction: Interaction, edges,
               tables: Mapping[Edge, FnTable], *, validate: bool = True,
-              tol: float | None = None,
               state_cap: int = DEFAULT_STATE_CAP) -> Form:
     """Build a form from per-edge tables (either orientation; missing edges
     get the zero table) and check the structural constraints."""
@@ -220,7 +206,7 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
             reversed_given[key] = table
     for key, rev in reversed_given.items():
         if validate:
-            _check_zero_on_fixed(rev, (key[1], key[0]), interaction, tol)
+            _check_zero_on_fixed(rev, (key[1], key[0]), interaction)
         derived = _reverse_orientation_table(rev, (key[1], key[0]),
                                              interaction)
         if key not in stored:
@@ -229,7 +215,7 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
             support = derived.sites.union(stored[key].sites)
             a = stored[key].embed(support)
             b = derived.embed(support)
-            if not a.equals(b, tol):
+            if not a.equals(b):
                 raise MalformedForm(
                     f"tables for the two orientations of {key} are not "
                     "alternating-consistent", edge=key)
@@ -239,22 +225,19 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
 
     form = Form(sites, interaction, pairs, stored)
     if validate:
-        validate_form(form, tol=tol, state_cap=state_cap)
+        validate_form(form, state_cap=state_cap)
     return form
 
 
-def validate_form(form: Form, tol: float | None = None,
-                  state_cap: int = DEFAULT_STATE_CAP):
+def validate_form(form: Form, state_cap: int = DEFAULT_STATE_CAP):
     """Enumerate the window and check: every stored table is zero where its
     transition fixes the configuration, and directed edges with a common
     target agree there."""
     space = form.space
     guard_space(space.size, state_cap)
     for e in form.edges:
-        _check_zero_on_fixed(form.tables[e], e, form.interaction, tol)
-    dense, den, exact = _dense_tables(form)
-    directed = _directed(form, dense, exact)
-    tol_num = None if tol is None else tol * den
+        _check_zero_on_fixed(form.tables[e], e, form.interaction)
+    directed = _directed(form, _dense_tables(form)[0])
     for idx in range(space.size):
         by_target: dict[int, tuple[Edge, Scalar]] = {}
         for e, moves, values in directed:
@@ -263,7 +246,7 @@ def validate_form(form: Form, tol: float | None = None,
                 continue
             if dst in by_target:
                 other_edge, other_value = by_target[dst]
-                if not scalar_eq(values[idx], other_value, tol_num):
+                if values[idx] != other_value:
                     raise MalformedForm(
                         f"omega_{e} and omega_{other_edge} disagree on a "
                         "shared transition", assignment=space.decode(idx))
@@ -272,44 +255,40 @@ def validate_form(form: Form, tol: float | None = None,
 
 
 def _check_zero_on_fixed(table: FnTable, edge: Edge,
-                         interaction: Interaction, tol: float | None):
+                         interaction: Interaction):
     """Raise MalformedForm where omega_edge is nonzero on a configuration
     (of the table's sites plus the endpoints) that the transition fixes."""
     support = table.sites.union(SiteSet(tuple(sorted(edge))))
     space = ConfigSpace(support, interaction.n_states)
     moves = edge_moves(space, interaction, edge)
-    nums, den, _ = table.embed(support).numerators
-    tol_num = None if tol is None else tol * den
-    for idx, (d, x) in enumerate(zip(moves, nums)):
-        if d < 0 and not scalar_is_zero(x, tol_num):
+    for idx, (d, x) in enumerate(zip(moves,
+                                     table.embed(support).numerators.nums)):
+        if d < 0 and x:
             raise MalformedForm(f"omega_{edge} nonzero on a fixed configuration",
                                 edge=edge, sites=support.sites,
                                 assignment=space.decode(idx))
 
 
-def _dense_tables(form: Form) -> tuple[list, int, bool]:
+def _dense_tables(form: Form) -> tuple[list, int]:
     """The stored table of every pair, dense on the form's sites, as
-    numerators over one denominator (see ``tables.aligned``); also that
-    denominator and whether the values are exact.  A tolerance on values is
-    the tolerance times the denominator on numerators."""
+    numerators over one denominator (see ``tables.aligned``), and that
+    denominator."""
     stored = [form.tables[pair] for pair in form.edges]
-    parts, den, exact = aligned(stored)
+    parts, den = aligned(stored)
     dense = [part if table.sites == form.sites else
              spread(part, table.sites, form.space)
              for table, part in zip(stored, parts)]
-    return dense, den, exact
+    return dense, den
 
 
-def _directed(form: Form, dense: list, exact: bool) -> list:
+def _directed(form: Form, dense: list) -> list:
     """(edge, index map, dense values) per directed edge, in the order pair,
     reversed pair, from the dense pair tables of ``_dense_tables``."""
-    zero = _zero(exact)
     directed = []
     for pair, values in zip(form.edges, dense):
         for e in (pair, (pair[1], pair[0])):
             moves = form.moves[e]
-            directed.append((e, moves, _oriented(values, moves, e == pair,
-                                                 zero)))
+            directed.append((e, moves, _oriented(values, moves, e == pair)))
     return directed
 
 
@@ -336,17 +315,15 @@ def edge_differential(f: FnTable, interaction: Interaction,
 def _differentials(f: FnTable, interaction: Interaction, edges):
     """Yield (e, (df)_e) edge by edge, subtracting the numerators of f run
     by run (see ``statespace.transition_runs``)."""
-    nums, den, exact = f.numerators
-    zero = _zero(exact)
+    nums, den = f.numerators
     for e in edges:
-        diffs = [zero] * len(nums)
+        diffs = [0] * len(nums)
         for start, stop, step, delta in transition_runs(
                 f.space, e, interaction.changed_pairs()):
             diffs[start:stop:step] = map(sub, nums[start + delta:
                                                    stop + delta:step],
                                          nums[start:stop:step])
-        yield e, FnTable.from_numerators(f.sites, f.n_states, diffs, den,
-                                         exact)
+        yield e, FnTable.from_numerators(f.sites, f.n_states, diffs, den)
 
 
 @dataclass(frozen=True)
@@ -400,7 +377,6 @@ def path_integral(form: Form, path: Path) -> Scalar:
 # ---------------------------------------------------------------------------
 
 def solve_potential(form: Form, mu: Optional[Measure] = None, *,
-                    tol: float | None = None,
                     state_cap: int = DEFAULT_STATE_CAP) -> FnTable:
     """Integrate the form to a potential f with df = omega, or raise
     NotClosed with a witness cycle of nonzero integral.
@@ -428,38 +404,34 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     """
     space = form.space
     guard_space(space.size, state_cap)
-    dense, den, exact = _dense_tables(form)
-    tol_num = None if tol is None else tol * den
+    dense, den = _dense_tables(form)
     # a non-reversible phi moves only one way along some transitions: the
     # search from a component's smallest configuration may then not reach
     # all of it and raise where the scan would certify a potential
-    potential = (_scan(form, dense, exact) if form.interaction.is_reversible
+    potential = (_scan(form, dense) if form.interaction.is_reversible
                  else None)
     if potential is None or not all(
-            _consistent(potential, space, form.interaction, pair, values,
-                        tol_num)
+            _consistent(potential, space, form.interaction, pair, values)
             for pair, values in zip(form.edges, dense)):
-        potential = _search(form, _directed(form, dense, exact), den, exact,
-                            tol_num)
+        potential = _search(form, _directed(form, dense), den)
     table = FnTable.from_numerators(form.sites, form.n_states, potential,
-                                    den, exact)
+                                    den)
     if mu is not None:
         table = table.shift(-expectation(table, mu))
     return table
 
 
-def _scan(form: Form, dense: list, exact: bool) -> list:
+def _scan(form: Form, dense: list) -> list:
     """Potential numerators visited in lexicographic order: each takes the
     value implied by its first lexicographically smaller neighbour across
     the directed edges, or 0 where there is none.  Under a symmetric phi
     the reversed orientation moves like the stored one and is skipped."""
     space, interaction = form.space, form.interaction
-    zero = _zero(exact)
     # per configuration, the index offset of the chosen smaller neighbour
     # (0: none) and omega along the move; the edges are written in reverse
     # so that the first one wins
     offset = array("q", [0]) * space.size
-    omega = [zero] * space.size
+    omega = [0] * space.size
     directed = []
     for pair, values in zip(form.edges, dense):
         directed.append((pair, values, True))
@@ -475,7 +447,7 @@ def _scan(form: Form, dense: list, exact: bool) -> list:
             omega[start:stop:step] = (
                 values[start:stop:step] if stored else
                 map(neg, values[start + delta:stop + delta:step]))
-    potential = [zero] * space.size
+    potential = [0] * space.size
     for idx in _lexicographic(space):
         if d := offset[idx]:
             potential[idx] = potential[idx + d] - omega[idx]
@@ -488,8 +460,7 @@ def _in_site_order(edge: Edge, states: tuple[int, int]) -> tuple[int, int]:
     return states if edge[0] < edge[1] else (states[1], states[0])
 
 
-def _search(form: Form, directed: list, den: int, exact: bool,
-            tol_num) -> list:
+def _search(form: Form, directed: list, den: int) -> list:
     """Potential numerators from a breadth-first search over every directed
     edge, rooted at the lexicographically smallest configuration of each
     component; raises NotClosed at the first inconsistent transition in
@@ -516,33 +487,29 @@ def _search(form: Form, directed: list, den: int, exact: bool,
 
     # consistency over every remaining transition, edge by edge; on a
     # failure the first one in index order gives the witness
-    if all(_consistent(potential, space, form.interaction, e, values,
-                       tol_num)
+    if all(_consistent(potential, space, form.interaction, e, values)
            for e, _, values in directed):
         directed = ()
     for idx in range(space.size):
         for e, moves, values in directed:
             dst = moves[idx]
-            if dst >= 0 and not scalar_eq(potential[dst] - potential[idx],
-                                          values[idx], tol_num):
+            if dst >= 0 and potential[dst] - potential[idx] != values[idx]:
                 integral = from_numerators(
-                    [potential[idx] - potential[dst] + values[idx]], den,
-                    exact)[0]
+                    [potential[idx] - potential[dst] + values[idx]], den)[0]
                 raise _not_closed(form, space, parent, idx, e, dst, integral)
     return potential
 
 
 def _consistent(potential, space: ConfigSpace, interaction: Interaction,
-                edge: Edge, values, tol) -> bool:
+                edge: Edge, values) -> bool:
     """potential(eta^e) - potential(eta) == omega_e(eta) wherever e moves
-    eta (numerators; ``values`` dense for e; ``tol`` on numerators),
-    compared run by run on slices."""
-    same = eq if tol is None else partial(scalar_eq, tol=tol)
+    eta (numerators; ``values`` dense for e), compared run by run on
+    slices."""
     for start, stop, step, delta in transition_runs(
             space, edge, interaction.changed_pairs()):
         diffs = map(sub, potential[start + delta:stop + delta:step],
                     potential[start:stop:step])
-        if not all(map(same, diffs, values[start:stop:step])):
+        if not all(map(eq, diffs, values[start:stop:step])):
             return False
     return True
 
@@ -664,7 +631,6 @@ def closed_form_space_dimension(sites: SiteSet, interaction: Interaction,
 def project_form(form: Form, sub: SiteSet, mu: Measure,
                  locale: Optional[Locale] = None, *,
                  check_ordinary: bool = True, validate: bool = True,
-                 tol: float | None = None,
                  state_cap: int = DEFAULT_STATE_CAP) -> Form:
     """Project every edge table onto the smaller window.  The measure must
     satisfy the edge-compatibility identity for the result to be a form
@@ -675,14 +641,14 @@ def project_form(form: Form, sub: SiteSet, mu: Measure,
         if locale is None:
             raise ValueError("locale required to check the measure")
         report = is_ordinary(sub, form.sites, mu, form.interaction, locale,
-                             tol=tol, state_cap=state_cap)
+                             state_cap=state_cap)
         if not report.ok:
             v = report.violations[0]
             raise NotOrdinary(
                 "measure fails edge compatibility; projection would not "
                 "preserve forms",
                 edge=v.edge, assignment=v.sup_assignment,
-                lhs=str(v.lhs), rhs=str(v.rhs),
+                lhs=v.lhs, rhs=v.rhs,
                 n_violations=len(report.violations))
     sub_pairs = tuple(e for e in form.edges
                       if e[0] in sub and e[1] in sub)
@@ -692,5 +658,5 @@ def project_form(form: Form, sub: SiteSet, mu: Measure,
         tables[e] = conditional_expectation(dense, sub, mu)
     if validate:
         return make_form(sub, form.interaction, sub_pairs, tables,
-                         validate=True, tol=tol, state_cap=state_cap)
+                         validate=True, state_cap=state_cap)
     return Form(sub, form.interaction, sub_pairs, tables)

@@ -24,7 +24,6 @@ from .measure import (
     ProductMeasure,
     StateMeasure,
     _contract,
-    _exact,
     _interleave,
     conditional_expectation,
 )
@@ -89,11 +88,11 @@ class CoLocalChain:
     tables: tuple[FnTable, ...]
     mu: Measure
 
-    def verify_compatibility(self, tol: float | None = None) -> bool:
+    def verify_compatibility(self) -> bool:
         for i in range(len(self.windows) - 1):
             projected = conditional_expectation(self.tables[i + 1],
                                                 self.windows[i], self.mu)
-            if not projected.equals(self.tables[i], tol):
+            if not projected.equals(self.tables[i]):
                 return False
         return True
 
@@ -131,9 +130,9 @@ class Expansion:
             total = total + table.embed(self.sites)
         return total
 
-    def nonzero_subsets(self, tol: float | None = None):
+    def nonzero_subsets(self):
         return [sub for sub, table in sorted(self.components.items())
-                if not table.is_zero(tol)]
+                if not table.is_zero()]
 
     def subset_bitmask(self, sub: tuple[int, ...]) -> int:
         mask = 0
@@ -171,13 +170,12 @@ def expand_martingale(f: FnTable, nu: Measure,
 
     n = f.n_states
     sites = f.sites.sites
-    exact = _exact(prod, sites, f)
-    nums, den = f.numerators_in(exact)
+    nums, den = f.numerators
     # piece per set of kept sites, over the kept and the not yet split sites;
     # splitting from the most significant site down keeps strides fixed
     pieces = {(): nums}
     for k in reversed(range(len(sites))):
-        weights, q = numerators(prod.factor(sites[k]).weights, exact)
+        weights, q = numerators(prod.factor(sites[k]).weights)
         stride = n ** k
         split = {}
         for kept, piece in pieces.items():
@@ -191,21 +189,20 @@ def expand_martingale(f: FnTable, nu: Measure,
         den *= q
 
     components = {
-        sub: FnTable.from_numerators(SiteSet(sub), n, pieces[sub], den, exact)
+        sub: FnTable.from_numerators(SiteSet(sub), n, pieces[sub], den)
         for size in range(len(sites) + 1)
         for sub in itertools.combinations(sites, size)}
     return Expansion(f.sites, n, prod, components)
 
 
-def uniform_radius(expansion: Expansion, locale: Locale,
-                   tol: float | None = None) -> int:
+def uniform_radius(expansion: Expansion, locale: Locale) -> int:
     """Smallest R such that every component on a subset of diameter > R
     vanishes; the bound witnessed by the nonzero components.  The graph
     distances from a site are computed once per call."""
     distances: dict[int, dict[int, int]] = {}
     radius = 0
     for sub, table in expansion.components.items():
-        if not sub or table.is_zero(tol):
+        if not sub or table.is_zero():
             continue
         for s in sub:
             if s not in distances:
@@ -319,15 +316,14 @@ def check_iq(interaction: Interaction, nu: StateMeasure,
         space = graph.space
         # each conserved total as a Kronecker sum over the index, on the
         # numerators of xi (same order as the Fraction totals)
-        columns, scales = [], []
+        columns, dens = [], []
         for xi in basis:
-            exact = not any(isinstance(v, float) for v in xi.xi)
-            per_state, den = numerators(xi.xi, exact)
+            per_state, den = numerators(xi.xi)
             column = [0]
             for _ in sites:
                 column = [x + a for a in per_state for x in column]
             columns.append(column)
-            scales.append((den, exact))
+            dens.append(den)
         keys = zip(*columns) if columns else [()] * space.size
         groups: dict[tuple, dict[int, int]] = {}
         for idx, (key, label) in enumerate(zip(keys, graph.component_labels)):
@@ -336,8 +332,7 @@ def check_iq(interaction: Interaction, nu: StateMeasure,
         for key, per_component in sorted(groups.items()):
             if len(per_component) > 1:
                 first, second = sorted(per_component.values())[:2]
-                totals = tuple(Fraction(x, den) if exact else x
-                               for x, (den, exact) in zip(key, scales))
+                totals = tuple(map(Fraction, key, dens))
                 witnesses.append((totals, space.decode(first),
                                   space.decode(second)))
         results.append(IqLocaleResult(locale, not witnesses, tuple(witnesses)))

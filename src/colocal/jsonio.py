@@ -1,19 +1,21 @@
 """JSON schemas for every object the CLI reads or writes.
 
-Scalars are canonical ``"p/q"`` strings in exact mode and plain numbers in
-float mode.  All dump functions produce deterministic structures (sorted
-keys are applied at serialization time by the CLI).
+Scalars are canonical ``"p/q"`` strings in exact mode.  Float mode is an
+input and output format only: a JSON float is read as the simplest rational
+that rounds to it (:func:`colocal.scalars.exact_scalars`), every computation
+stays exact, and each scalar is written as ``float()`` of its exact value.
+All dump functions produce deterministic structures (sorted keys are applied
+at serialization time by the CLI).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .errors import NotReversible
 from .forms import Form, Path
 from .measure import ProductMeasure, StateMeasure, WindowMeasure
-from .scalars import format_scalar, parse_scalar
+from .scalars import FLOAT_TOLERANCE, format_scalar, parse_scalar
 from .statespace import (
     Config,
     Interaction,
@@ -96,13 +98,23 @@ def interaction_to_json(inter: Interaction) -> dict:
 
 # -- measures -----------------------------------------------------------
 
+def _weights(raw, mode: str) -> tuple:
+    """Measure weights as read.  In float mode weights whose sum is within
+    ``FLOAT_TOLERANCE`` of 1, but not 1, are normalised exactly (divided by
+    their sum); any other sum but 1 is rejected by the measure."""
+    weights = tuple(parse_scalar(w, mode) for w in raw)
+    total = sum(weights)
+    if mode == "float" and total != 1 and abs(total - 1) <= FLOAT_TOLERANCE:
+        return tuple(w / total for w in weights)
+    return weights
+
+
 def state_measure_from_json(obj, states, mode: str = "exact") -> StateMeasure:
     """Accepts either a list of weights (state order) or a mapping keyed by
-    the string form of each state label."""
-    if isinstance(obj, list):
-        return StateMeasure(tuple(parse_scalar(w, mode) for w in obj))
-    weights = [parse_scalar(obj[str(s)], mode) for s in states]
-    return StateMeasure(tuple(weights))
+    the string form of each state label; see ``_weights``."""
+    if not isinstance(obj, list):
+        obj = [obj[str(s)] for s in states]
+    return StateMeasure(_weights(obj, mode))
 
 
 def state_measure_to_json(nu: StateMeasure, states) -> dict:
@@ -112,7 +124,8 @@ def state_measure_to_json(nu: StateMeasure, states) -> dict:
 def measure_from_json(obj: dict, interaction: Interaction,
                       mode: str = "exact"):
     """{"kind": "product", "nu": ...} or
-    {"kind": "window", "siteset": [...], "weights": {index: scalar}}."""
+    {"kind": "window", "siteset": [...], "weights": {index: scalar}};
+    see ``_weights``."""
     kind = obj.get("kind", "product")
     if kind == "product":
         return ProductMeasure(state_measure_from_json(
@@ -121,11 +134,9 @@ def measure_from_json(obj: dict, interaction: Interaction,
     n = interaction.n_states
     size = n ** len(sites)
     weights = obj["weights"]
-    if isinstance(weights, list):
-        values = [parse_scalar(w, mode) for w in weights]
-    else:
-        values = [parse_scalar(weights[str(i)], mode) for i in range(size)]
-    return WindowMeasure(sites, n, tuple(values))
+    if not isinstance(weights, list):
+        weights = [weights[str(i)] for i in range(size)]
+    return WindowMeasure(sites, n, _weights(weights, mode))
 
 
 def window_measure_to_json(mu: WindowMeasure) -> dict:
@@ -143,14 +154,14 @@ def fn_table_from_json(obj: dict, interaction: Interaction,
     return FnTable(sites, interaction.n_states, values)
 
 
-def fn_table_to_json(f: FnTable) -> dict:
+def fn_table_to_json(f: FnTable, mode: str = "exact") -> dict:
     return {"siteset": list(f.sites),
-            "values": [format_scalar(v) for v in f.values]}
+            "values": [format_scalar(v, mode) for v in f.values]}
 
 
 def form_from_json(obj: dict, interaction: Interaction,
                    mode: str = "exact", validate: bool = True,
-                   tol: Optional[float] = None, state_cap: int = 1 << 20) -> Form:
+                   state_cap: int = 1 << 20) -> Form:
     """{"siteset": [...], "edges": [{"edge": [o, t], "support": [...]?,
     "values": [...]}]}; the listed edge orientation is the orientation the
     values describe."""
@@ -166,15 +177,15 @@ def form_from_json(obj: dict, interaction: Interaction,
         tables[edge] = FnTable(support, interaction.n_states, values)
         edges.append(edge)
     return make_form(sites, interaction, edges, tables, validate=validate,
-                     tol=tol, state_cap=state_cap)
+                     state_cap=state_cap)
 
 
-def form_to_json(form: Form) -> dict:
+def form_to_json(form: Form, mode: str = "exact") -> dict:
     entries = []
     for e in form.edges:
         t = form.tables[e]
         entries.append({"edge": list(e), "support": list(t.sites),
-                        "values": [format_scalar(v) for v in t.values]})
+                        "values": [format_scalar(v, mode) for v in t.values]})
     return {"siteset": list(form.sites), "edges": entries}
 
 
@@ -193,10 +204,11 @@ def cocycle_from_json(obj, basis, n_states: int, mode: str = "exact") -> Cocycle
     return cocycle_from_coefficients(basis, rows, n_states)
 
 
-def cocycle_to_json(rho: Cocycle) -> dict:
-    return {"generators": [[format_scalar(c) for c in row]
+def cocycle_to_json(rho: Cocycle, mode: str = "exact") -> dict:
+    return {"generators": [[format_scalar(c, mode) for c in row]
                            for row in rho.images],
-            "basis": [[format_scalar(v) for v in xi.xi] for xi in rho.basis]}
+            "basis": [[format_scalar(v, mode) for v in xi.xi]
+                      for xi in rho.basis]}
 
 
 def invariant_spec_from_json(obj: dict, interaction: Interaction,
@@ -206,21 +218,22 @@ def invariant_spec_from_json(obj: dict, interaction: Interaction,
     return InvariantFormSpec(template, form)
 
 
-def invariant_spec_to_json(spec: InvariantFormSpec) -> dict:
+def invariant_spec_to_json(spec: InvariantFormSpec,
+                           mode: str = "exact") -> dict:
     return {"template": locale_to_json(spec.template),
-            "form": form_to_json(spec.form)}
+            "form": form_to_json(spec.form, mode)}
 
 
 # -- generic ------------------------------------------------------------
 
-def jsonify(value):
+def jsonify(value, mode: str = "exact"):
     """Best-effort conversion of library values into JSON-compatible data."""
     if isinstance(value, Fraction):
-        return format_scalar(value)
+        return format_scalar(value, mode)
     if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
+        return {str(k): jsonify(v, mode) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
+        return [jsonify(v, mode) for v in value]
     if isinstance(value, SiteSet):
         return list(value.sites)
     if isinstance(value, Config):
@@ -228,7 +241,7 @@ def jsonify(value):
     if isinstance(value, Path):
         return path_to_json(value)
     if isinstance(value, frozenset):
-        return sorted(jsonify(v) for v in value)
-    if isinstance(value, (str, int, float, bool)) or value is None:
+        return sorted(jsonify(v, mode) for v in value)
+    if isinstance(value, (str, int, bool)) or value is None:
         return value
     return str(value)

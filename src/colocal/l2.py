@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .functions import build_chain
 from .measure import Measure, WindowMeasure, inner, materialize
-from .scalars import Scalar, format_scalar, scalar_eq
+from .scalars import Scalar, format_scalar
 from .statespace import SiteSet
 from .tables import FnTable
 
@@ -55,13 +55,13 @@ class MartingaleReport:
     monotone: bool
     pythagoras: bool
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, mode: str = "exact") -> dict:
         return {
             "windows": [list(w.sites) for w in self.windows],
-            "norms_sq": [format_scalar(v) for v in self.norms_sq],
+            "norms_sq": [format_scalar(v, mode) for v in self.norms_sq],
             "norms_root": [math.sqrt(float(v)) for v in self.norms_sq],
-            "gaps_sq": [format_scalar(v) for v in self.gaps_sq],
-            "sup_sq": format_scalar(self.sup_sq),
+            "gaps_sq": [format_scalar(v, mode) for v in self.gaps_sq],
+            "sup_sq": format_scalar(self.sup_sq, mode),
             "sup_root": math.sqrt(float(self.sup_sq)),
             "monotone": self.monotone,
             "pythagoras": self.pythagoras,
@@ -69,8 +69,7 @@ class MartingaleReport:
 
 
 def martingale_chain_report(f: FnTable, windows: Sequence[SiteSet],
-                            mu: Measure,
-                            tol: float | None = None) -> MartingaleReport:
+                            mu: Measure) -> MartingaleReport:
     """Project f along a nested chain and report norms, gaps, and the two
     exact identities (monotonicity and Pythagoras)."""
     chain = build_chain(f, windows, mu)
@@ -84,7 +83,7 @@ def martingale_chain_report(f: FnTable, windows: Sequence[SiteSet],
         diff = chain.tables[i + 1] - chain.tables[i].embed(big)
         gap = inner(diff, diff, mu)
         gaps.append(gap)
-        if not scalar_eq(norms[i + 1], norms[i] + gap, tol):
+        if norms[i + 1] != norms[i] + gap:
             pythagoras = False
     monotone = all(norms[i + 1] >= norms[i] for i in range(len(norms) - 1))
     return MartingaleReport(chain.windows, tuple(norms), tuple(gaps),

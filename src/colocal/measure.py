@@ -5,7 +5,9 @@ conditional-expectation projection.
 ``ProductMeasure`` a symbolic product of state measures (materialized per
 window on demand), and ``WindowMeasure`` an explicit strictly positive
 measure on ``S^Lambda``.  Strict positivity is required at construction: the
-projection divides by marginal weights.
+projection divides by marginal weights.  Weights are exact and must sum to
+exactly 1; a float weight is read as the simplest rational that rounds to it
+(:func:`colocal.scalars.exact_scalars`), so ``(0.6, 0.4)`` is ``(3/5, 2/5)``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotSubset, SiteSetMismatch
-from .scalars import Scalar, from_numerators, numerators, scalar_eq
+from .scalars import Scalar, exact_scalars, from_numerators, numerators
 from .statespace import (
     ConfigSpace,
     DEFAULT_STATE_CAP,
@@ -38,10 +40,11 @@ class StateMeasure:
     weights: tuple[Scalar, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", exact_scalars(self.weights))
         if any(not w > 0 for w in self.weights):
             raise ValueError("state weights must be strictly positive")
         total = sum(self.weights)
-        if not scalar_eq(total, 1, None if isinstance(total, Fraction) else 1e-9):
+        if total != 1:
             raise ValueError(f"state weights sum to {total}, expected 1")
 
     @property
@@ -53,12 +56,11 @@ class StateMeasure:
 
 
 def state_measure(weights: Sequence[Scalar]) -> StateMeasure:
-    return StateMeasure(tuple(Fraction(w) if not isinstance(w, float) else w
-                              for w in weights))
+    return StateMeasure(tuple(map(Fraction, exact_scalars(weights))))
 
 
 def bernoulli(p: Scalar = Fraction(1, 2)) -> StateMeasure:
-    p = Fraction(p) if not isinstance(p, float) else p
+    p = Fraction(*exact_scalars((p,)))
     return StateMeasure((1 - p, p))
 
 
@@ -94,14 +96,13 @@ class ProductMeasure:
         """Kronecker product of the site weights: each site in turn becomes
         the most significant digit."""
         guard_space(self.n_states ** len(sites), state_cap)
-        exact = _exact(self, sites)
         table, den = [1], 1
         for s in sites:
-            weights, q = numerators(self.factor(s).weights, exact)
+            weights, q = numerators(self.factor(s).weights)
             table = [w * x for w in weights for x in table]
             den *= q
         return WindowMeasure(sites, self.n_states,
-                             from_numerators(table, den, exact))
+                             from_numerators(table, den))
 
 
 def product_measure(nu: StateMeasure,
@@ -116,13 +117,13 @@ class WindowMeasure:
     weights: tuple[Scalar, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", exact_scalars(self.weights))
         if len(self.weights) != self.n_states ** len(self.sites):
             raise ValueError("weight count != n_states ** n_sites")
         if any(not w > 0 for w in self.weights):
             raise ValueError("window weights must be strictly positive")
         total = sum(self.weights)
-        exact = all(not isinstance(w, float) for w in self.weights)
-        if not scalar_eq(total, 1, None if exact else 1e-9):
+        if total != 1:
             raise ValueError(f"window weights sum to {total}, expected 1")
 
     @property
@@ -139,7 +140,8 @@ Measure = Union[StateMeasure, ProductMeasure, WindowMeasure]
 def window_measure_from_raw(sites: SiteSet, n_states: int,
                             raw: Sequence[Scalar]) -> WindowMeasure:
     """Normalize strictly positive raw weights into a window measure."""
-    total = sum(Fraction(w) if not isinstance(w, float) else w for w in raw)
+    raw = tuple(map(Fraction, exact_scalars(raw)))
+    total = sum(raw)
     return WindowMeasure(sites, n_states, tuple(w / total for w in raw))
 
 
@@ -233,20 +235,10 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
 # ---------------------------------------------------------------------------
 #
 # A table over S^Lambda is a flat sequence in mixed-radix order, so the digit
-# of the site at position k has stride n^k.  Exact values travel as Python
-# ints over one common denominator and become Fractions only on output;
-# as soon as a table value or a site weight is a float, everything is
-# carried as floats over the denominator 1 instead.
+# of the site at position k has stride n^k.  Values travel as Python ints
+# over one common denominator and become Fractions only on output.
 
 _EMPTY = SiteSet(())
-
-
-def _exact(prod: ProductMeasure, sites, *tables: FnTable) -> bool:
-    """Exact unless one of ``tables`` or a weight at ``sites`` is a
-    float."""
-    return (all(t.numerators.exact for t in tables)
-            and not any(isinstance(w, float)
-                        for s in sites for w in prod.factor(s).weights))
 
 
 def _contract(nums: list, n: int, stride: int, weights) -> tuple[list, list]:
@@ -269,32 +261,30 @@ def _interleave(slices: list, stride: int) -> list:
 
 
 def _integrate(tables: Sequence[FnTable], keep: SiteSet,
-               prod: ProductMeasure) -> tuple[list, int, bool]:
+               prod: ProductMeasure) -> tuple[list, int]:
     """Integrate the pointwise product of ``tables`` (over one site set)
     against ``prod`` over every site outside ``keep``: (numerators over
-    S^keep, denominator, exact).  Sites are taken from the most significant
-    down, so the strides of the remaining ones never change."""
+    S^keep, denominator).  Sites are taken from the most significant down,
+    so the strides of the remaining ones never change."""
     sites, n = tables[0].sites, tables[0].n_states
     if prod.n_states != n:
         raise SiteSetMismatch("measure and function state counts differ")
-    off = [(k, s) for k, s in enumerate(sites) if s not in keep]
-    exact = _exact(prod, (s for _, s in off), *tables)
-    nums, den = tables[0].numerators_in(exact)
+    nums, den = tables[0].numerators
     for table in tables[1:]:
-        more, d = table.numerators_in(exact)
+        more, d = table.numerators
         nums = [a * b for a, b in zip(nums, more)]
         den *= d
-    for k, site in reversed(off):
-        weights, q = numerators(prod.factor(site).weights, exact)
+    for k, site in reversed([(k, s) for k, s in enumerate(sites)
+                             if s not in keep]):
+        weights, q = numerators(prod.factor(site).weights)
         nums = _contract(nums, n, n ** k, weights)[0]
         den *= q
-    return nums, den, exact
+    return nums, den
 
 
 def _scalar(integrated) -> Scalar:
     """The single value of an integral over every site."""
-    nums, den, exact = integrated
-    return from_numerators(nums, den, exact)[0]
+    return from_numerators(*integrated)[0]
 
 
 def _site_components(f: FnTable, prod: ProductMeasure) -> dict:
@@ -306,10 +296,8 @@ def _site_components(f: FnTable, prod: ProductMeasure) -> dict:
     n = f.n_states
     if prod.n_states != n:
         raise SiteSetMismatch("measure and function state counts differ")
-    exact = _exact(prod, f.sites, f)
-    nums, den = f.numerators_in(exact)
-    site_weights = [numerators(prod.factor(s).weights, exact)
-                    for s in f.sites]
+    nums, den = f.numerators
+    site_weights = [numerators(prod.factor(s).weights) for s in f.sites]
     weight = [1]
     for w, q in site_weights:
         # this site becomes the most significant digit; den collects q
@@ -321,10 +309,8 @@ def _site_components(f: FnTable, prod: ProductMeasure) -> dict:
     for k, (s, (w, q)) in enumerate(zip(f.sites, site_weights)):
         sums = [sum(part) for part in digit_slices(weighted, n, n ** k)]
         # E[f | eta_s = a] = sums[a] q / (den w[a]) and E[f] = total / den
-        out[s] = tuple(
-            Fraction(sums[a] * q - total * w[a], den * w[a]) if exact
-            else (sums[a] * q - total * w[a]) / (den * w[a])
-            for a in range(n))
+        out[s] = tuple(Fraction(sums[a] * q - total * w[a], den * w[a])
+                       for a in range(n))
     return out
 
 
@@ -353,7 +339,6 @@ class OrdinaryReport:
 
 def is_ordinary(sub: SiteSet, sup: SiteSet, mu: Measure,
                 interaction: Interaction, locale: Locale,
-                tol: float | None = None,
                 state_cap: int = DEFAULT_STATE_CAP) -> OrdinaryReport:
     """Check mu(eta^e) mu(eta') == mu(eta) mu(eta'^e) for every configuration
     eta' on the larger window and every edge inside the smaller one, where
@@ -380,7 +365,7 @@ def is_ordinary(sub: SiteSet, sup: SiteSet, mu: Measure,
                 continue
             lhs = sub_mu.weights[sub_moves[j]] * sup_mu.weights[idx]
             rhs = sub_mu.weights[j] * sup_mu.weights[dst]
-            if not scalar_eq(lhs, rhs, tol):
+            if lhs != rhs:
                 violations.append(OrdinaryViolation(sup_space.decode(idx), e,
                                                     lhs, rhs))
     return OrdinaryReport(sub, sup, tuple(violations))

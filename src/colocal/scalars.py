@@ -1,17 +1,17 @@
 """Scalar handling.
 
-All computations run over exact rationals (`fractions.Fraction`) by default.
-An optional float mode exists for large demos; wherever the library checks an
-identity it funnels the comparison through :func:`scalar_eq` so a tolerance
-can be applied uniformly.  Serialized scalars are canonical ``"p/q"`` strings
-in exact mode.
+Every computation runs over exact rationals.  On the hot paths values are
+not carried as ``Fraction`` objects: a table (:class:`colocal.tables.FnTable`)
+or a measure's weights travel as Python-int numerators over one common
+denominator (:func:`numerators`), so that sums, differences and comparisons
+run on ints.  ``Fraction`` values are made only at the API and JSON boundary
+(:func:`from_numerators`).
 
-On the hot paths exact values are not carried as ``Fraction`` objects: a
-table (:class:`colocal.tables.FnTable`) or a measure's weights travel as
-Python-int numerators over one common denominator (:func:`numerators`), so
-that sums, differences and comparisons run on ints.  ``Fraction`` values are
-made only at the API and JSON boundary (:func:`from_numerators`).  Float
-mode runs the same code on floats over the denominator 1.
+Floats are an input and output format only.  A float given to a public
+constructor, or read from JSON in float mode, is read once by
+:func:`exact_scalars` as the simplest rational that rounds to it; float
+mode writes ``float()`` of each exact result.  Serialized scalars are
+canonical ``"p/q"`` strings in exact mode.
 """
 
 from __future__ import annotations
@@ -20,60 +20,81 @@ import math
 from fractions import Fraction
 from typing import Union
 
-Scalar = Union[Fraction, float]
+Scalar = Fraction
 
-#: tolerance used for equality checks in float mode
+#: how far from 1 the weights of a float-mode measure may sum before they
+#: are rejected rather than normalised (see ``jsonio``)
 FLOAT_TOLERANCE = 1e-9
 
 
-def parse_scalar(text, mode: str = "exact") -> Scalar:
-    """Parse ``"p/q"``, ``"p"``, or a JSON number into a scalar."""
+def exact_scalars(values) -> tuple:
+    """The scalars ``values`` with every float replaced by the simplest
+    rational that rounds to it: the rational of least denominator in the
+    interval of reals that round to the float, so that ``0.6`` reads as
+    ``3/5`` and ``float()`` of the result gives the float back.  Other
+    values are kept as they are; NaN and infinities raise ValueError."""
+    values = tuple(values)
+    if not any(isinstance(x, float) for x in values):
+        return values
+    return tuple(_simplest_rounding_to(x) if isinstance(x, float) else x
+                 for x in values)
+
+
+def _simplest_rounding_to(x: float) -> Fraction:
+    """Walk the Stern-Brocot path to the binary value of x, one run (one
+    continued-fraction term) at a time: its first node that rounds to x
+    is the simplest rational in the interval.  Within a run the nodes
+    approach the value from one side, so the first one that rounds to x
+    is found by bisection."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x!r}")
+    if x <= 0:
+        return -_simplest_rounding_to(-x) if x else Fraction(0)
+    n, d = x.as_integer_ratio()
+    # the run's nodes are (p0 + j p1) / (q0 + j q1) for j = 1..a
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a, rest = divmod(n, d)
+        if (p0 + a * p1) / (q0 + a * q1) == x:   # int division rounds once
+            lo, hi = 1, a
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if (p0 + mid * p1) / (q0 + mid * q1) == x:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return Fraction(p0 + lo * p1, q0 + lo * q1)
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, rest
+
+
+def parse_scalar(text, mode: str = "exact") -> Fraction:
+    """Parse ``"p/q"``, ``"p"`` or a JSON number into a Fraction; a JSON
+    float is allowed in float mode only, read by :func:`exact_scalars`."""
     if isinstance(text, str):
-        value = Fraction(text)
-    elif isinstance(text, (int, Fraction)):
-        value = Fraction(text)
-    elif isinstance(text, float):
-        if mode != "float":
-            raise ValueError(f"float literal {text!r} not allowed in exact mode")
-        return text
-    else:
-        raise ValueError(f"cannot parse scalar from {text!r}")
-    return float(value) if mode == "float" else value
+        return Fraction(text)
+    if mode != "float" and not isinstance(text, int):
+        raise ValueError(f"{text!r} is not an exact scalar; use \"p/q\"")
+    return Fraction(*exact_scalars((text,)))
 
 
-def format_scalar(x: Scalar) -> Union[str, float]:
-    """Canonical serialization: ``"p/q"`` for rationals, plain float otherwise."""
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return f"{x}/1"
-    return float(x)
+def format_scalar(x, mode: str = "exact") -> Union[str, float]:
+    """Canonical serialization of an exact scalar (a Fraction or an int):
+    ``"p/q"``, or in float mode the float nearest to it."""
+    if mode == "float":
+        return float(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
-def scalar_eq(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
-    if tol is None:
-        return a == b
-    return abs(float(a) - float(b)) <= tol
-
-
-def scalar_is_zero(x: Scalar, tol: float | None = None) -> bool:
-    return scalar_eq(x, 0, tol)
-
-
-def numerators(values, exact: bool) -> tuple[list, int]:
+def numerators(values) -> tuple[list, int]:
     """Values as Python-int numerators over their least common denominator,
-    so that sums, differences and comparisons run on ints; with
-    ``exact=False`` floats over the denominator 1."""
-    if not exact:
-        return [float(v) for v in values], 1
+    so that sums, differences and comparisons run on ints."""
     den = math.lcm(*{v.denominator for v in values})
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def from_numerators(nums, den: int, exact: bool) -> tuple[Scalar, ...]:
+def from_numerators(nums, den: int) -> tuple[Fraction, ...]:
     """Inverse of :func:`numerators`; equal numerators share one
-    ``Fraction``, and float mode yields floats only (no exact zero)."""
-    if not exact:
-        return tuple(map(float, nums))
+    ``Fraction``."""
     fractions = {x: Fraction(x, den) for x in set(nums)}
     return tuple(map(fractions.__getitem__, nums))

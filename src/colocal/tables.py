@@ -4,12 +4,12 @@ An :class:`FnTable` stores one scalar per configuration of ``S^Lambda``,
 index-ordered by the mixed-radix encoding of :mod:`colocal.statespace`.
 Tables are immutable; arithmetic returns new tables.
 
-Between calls an exact table carries its values as Python-int numerators
-over one positive denominator (see :mod:`colocal.scalars`); a float table
-carries floats over the denominator 1.  A table built from scalars converts
-them at most once, when a kernel first asks for ``numerators``; a table
-built by a kernel from numerators makes its ``Fraction`` values only when
-``values`` is read.
+Between calls a table carries its values as Python-int numerators over
+one positive denominator (see :mod:`colocal.scalars`).  A table built from
+scalars reads any float among them once, as the simplest rational that
+rounds to it, and converts them to numerators when a kernel first asks for
+``numerators``; a table built by a kernel from numerators makes its
+``Fraction`` values only when ``values`` is read.
 """
 
 from __future__ import annotations
@@ -20,24 +20,23 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import SiteSetMismatch
-from .scalars import Scalar, from_numerators, numerators, scalar_eq
+from .scalars import Scalar, exact_scalars, from_numerators, numerators
 from .statespace import ConfigSpace, SiteSet, digit_slices, spread
 
 
 class Numerators(NamedTuple):
-    """A table's values as ``nums[i] / den``: ints over a positive int when
-    ``exact``, else floats over 1.  The list is shared; never mutate it."""
+    """A table's values as ``nums[i] / den``: ints over a positive int.
+    The list is shared; never mutate it."""
 
     nums: list
     den: int
-    exact: bool
 
 
 class FnTable:
     """``FnTable(sites, n_states, values)``: one scalar per configuration."""
 
     def __init__(self, sites: SiteSet, n_states: int, values):
-        values = tuple(values)
+        values = exact_scalars(values)
         if len(values) != n_states ** len(sites):
             raise ValueError("value count != n_states ** n_sites")
         self.sites = sites
@@ -46,17 +45,17 @@ class FnTable:
         self._numerators = None
 
     @classmethod
-    def from_numerators(cls, sites: SiteSet, n_states: int, nums, den: int,
-                        exact: bool = True) -> "FnTable":
-        """The table with values ``nums[i] / den`` (floats over 1 unless
-        ``exact``); the list is kept, not copied."""
+    def from_numerators(cls, sites: SiteSet, n_states: int, nums,
+                        den: int) -> "FnTable":
+        """The table with values ``nums[i] / den``; the list is kept, not
+        copied."""
         if len(nums) != n_states ** len(sites):
             raise ValueError("value count != n_states ** n_sites")
         table = cls.__new__(cls)
         table.sites = sites
         table.n_states = n_states
         table._values = None
-        table._numerators = Numerators(nums, den, exact)
+        table._numerators = Numerators(nums, den)
         return table
 
     @property
@@ -68,30 +67,16 @@ class FnTable:
     @property
     def numerators(self) -> Numerators:
         if self._numerators is None:
-            exact = not any(isinstance(v, float) for v in self._values)
-            self._numerators = Numerators(*numerators(self._values, exact),
-                                          exact)
+            self._numerators = Numerators(*numerators(self._values))
         return self._numerators
-
-    def numerators_in(self, exact: bool) -> tuple[list, int]:
-        """(nums, den) of the values, as floats over 1 unless ``exact``
-        (which requires an exact table)."""
-        nums, den, own = self.numerators
-        if own and not exact:
-            return [x / den for x in nums], 1
-        return nums, den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FnTable):
             return NotImplemented
         if self.sites != other.sites or self.n_states != other.n_states:
             return False
-        a, p, a_exact = self.numerators
-        b, q, b_exact = other.numerators
-        if a_exact and b_exact:
-            return a == b if p == q else all(
-                x * q == y * p for x, y in zip(a, b))
-        return self.values == other.values
+        (a, p), (b, q) = self.numerators, other.numerators
+        return a == b if p == q else all(x * q == y * p for x, y in zip(a, b))
 
     def __hash__(self) -> int:
         return hash((self.sites, self.n_states, self.values))
@@ -118,61 +103,47 @@ class FnTable:
         if self.sites != other.sites or self.n_states != other.n_states:
             raise SiteSetMismatch("tables live on different site sets")
 
-    def _derived(self, nums, den: int, exact: bool) -> "FnTable":
-        return FnTable.from_numerators(self.sites, self.n_states, nums, den,
-                                       exact)
+    def _derived(self, nums, den: int) -> "FnTable":
+        return FnTable.from_numerators(self.sites, self.n_states, nums, den)
 
     def __add__(self, other: "FnTable") -> "FnTable":
         self._check_same(other)
-        (a, b), den, exact = aligned((self, other))
-        return self._derived([x + y for x, y in zip(a, b)], den, exact)
+        (a, b), den = aligned((self, other))
+        return self._derived([x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "FnTable") -> "FnTable":
         self._check_same(other)
-        (a, b), den, exact = aligned((self, other))
-        return self._derived([x - y for x, y in zip(a, b)], den, exact)
+        (a, b), den = aligned((self, other))
+        return self._derived([x - y for x, y in zip(a, b)], den)
 
     def __neg__(self) -> "FnTable":
-        nums, den, exact = self.numerators
-        return self._derived([-x for x in nums], den, exact)
+        nums, den = self.numerators
+        return self._derived([-x for x in nums], den)
 
     def __mul__(self, other: "FnTable") -> "FnTable":
         self._check_same(other)
-        (a, b), den, exact = aligned((self, other))
-        return self._derived([x * y for x, y in zip(a, b)], den * den, exact)
+        (a, b), den = aligned((self, other))
+        return self._derived([x * y for x, y in zip(a, b)], den * den)
 
     def scale(self, c: Scalar) -> "FnTable":
-        nums, den, exact = self.numerators
-        if exact and not isinstance(c, float):
-            c = Fraction(c)
-            return self._derived([c.numerator * x for x in nums],
-                                 den * c.denominator, True)
-        return self._derived([c * x for x in self.numerators_in(False)[0]],
-                             1, False)
+        nums, den = self.numerators
+        c = Fraction(*exact_scalars((c,)))
+        return self._derived([c.numerator * x for x in nums],
+                             den * c.denominator)
 
     def shift(self, c: Scalar) -> "FnTable":
-        nums, den, exact = self.numerators
-        if exact and not isinstance(c, float):
-            c = Fraction(c)
-            common = math.lcm(den, c.denominator)
-            k, add = common // den, c.numerator * (common // c.denominator)
-            return self._derived([k * x + add for x in nums], common, True)
-        return self._derived([x + c for x in self.numerators_in(False)[0]],
-                             1, False)
+        nums, den = self.numerators
+        c = Fraction(*exact_scalars((c,)))
+        common = math.lcm(den, c.denominator)
+        k, add = common // den, c.numerator * (common // c.denominator)
+        return self._derived([k * x + add for x in nums], common)
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        if tol is None:
-            return not any(self.numerators.nums)
-        return all(abs(x) <= tol for x in self.numerators_in(False)[0])
+    def is_zero(self) -> bool:
+        return not any(self.numerators.nums)
 
-    def equals(self, other: "FnTable", tol: float | None = None) -> bool:
-        if self.sites != other.sites or self.n_states != other.n_states:
-            return False
-        if tol is None:
-            return self == other
-        return all(scalar_eq(a, b, tol)
-                   for a, b in zip(self.numerators_in(False)[0],
-                                   other.numerators_in(False)[0]))
+    def equals(self, other: "FnTable") -> bool:
+        """Exact equality (``==``)."""
+        return self == other
 
     # -- embeddings ---------------------------------------------------------
 
@@ -180,41 +151,34 @@ class FnTable:
         """Natural inclusion C(S^Lambda) -> C(S^Lambda') for Lambda in Lambda'."""
         if self.sites == ambient:
             return self
-        nums, den, exact = self.numerators
+        nums, den = self.numerators
         return FnTable.from_numerators(
             ambient, self.n_states,
             spread(nums, self.sites, ConfigSpace(ambient, self.n_states)),
-            den, exact)
+            den)
 
     def depends_on(self, site: int) -> bool:
         """Does the value actually change with the digit at ``site``?"""
-        if site not in self.sites:
-            return False
-        nums, n = self.numerators.nums, self.n_states
-        stride = n ** self.sites.position(site)
-        block = stride * n
-        if stride * block <= len(nums):
-            # few offsets below the stride: one extended slice per offset
-            # and digit (positions b + a*stride + m*block)
-            return any(nums[b::block] != nums[b + a * stride::block]
-                       for b in range(stride) for a in range(1, n))
-        # few blocks: compare the digit's runs block by block
-        return any(nums[b:b + stride] != nums[b + a * stride:
-                                              b + (a + 1) * stride]
-                   for b in range(0, len(nums), block) for a in range(1, n))
+        return site in self.sites and _depends(
+            self.numerators.nums, self.n_states,
+            self.n_states ** self.sites.position(site))
 
     def minimized(self) -> "FnTable":
-        """Restrict to the sites the table genuinely depends on."""
-        needed = tuple(s for s in self.sites if self.depends_on(s))
-        if needed == self.sites.sites:
+        """Restrict to the sites the table genuinely depends on.  Sites are
+        tested from the most significant digit down, and each unused one is
+        dropped at once (its digit 0 kept), so that later tests read a
+        smaller table and the strides below never change."""
+        nums, den = self.numerators
+        needed = list(self.sites)
+        for k in reversed(range(len(needed))):
+            stride = self.n_states ** k
+            if not _depends(nums, self.n_states, stride):
+                nums = digit_slices(nums, self.n_states, stride)[0]
+                del needed[k]
+        if len(needed) == len(self.sites):
             return self
-        # the value does not change with a dropped digit: keep digit 0
-        nums, den, exact = self.numerators
-        for k in reversed(range(len(self.sites))):
-            if self.sites.sites[k] not in needed:
-                nums = digit_slices(nums, self.n_states, self.n_states ** k)[0]
-        return FnTable.from_numerators(SiteSet(needed), self.n_states, nums,
-                                       den, exact)
+        return FnTable.from_numerators(SiteSet(tuple(needed)), self.n_states,
+                                       nums, den)
 
     def relabel(self, sigma) -> "FnTable":
         """Push forward along a site map: the new table on sigma(Lambda) takes
@@ -231,20 +195,30 @@ class FnTable:
         return FnTable(new_sites, self.n_states, tuple(values))
 
 
-def aligned(tables: Sequence[FnTable]) -> tuple[list, int, bool]:
+def _depends(nums: list, n: int, stride: int) -> bool:
+    """Does a table (numerators in index order) change with the digit of
+    the given stride?"""
+    block = stride * n
+    if stride * block <= len(nums):
+        # few offsets below the stride: one extended slice per offset and
+        # digit (positions b + a*stride + m*block)
+        return any(nums[b::block] != nums[b + a * stride::block]
+                   for b in range(stride) for a in range(1, n))
+    # few blocks: compare the digit's runs block by block
+    return any(nums[b:b + stride] != nums[b + a * stride:b + (a + 1) * stride]
+               for b in range(0, len(nums), block) for a in range(1, n))
+
+
+def aligned(tables: Sequence[FnTable]) -> tuple[list, int]:
     """The numerators of the tables over one common denominator, their lcm:
-    (list of numerator lists, denominator, exact); floats over 1 as soon
-    as one table is a float table."""
-    exact = all(t.numerators.exact for t in tables)
-    if not exact:
-        return [t.numerators_in(False)[0] for t in tables], 1, False
+    (list of numerator lists, denominator)."""
     den = math.lcm(*(t.numerators.den for t in tables))
     out = []
     for t in tables:
-        nums, d, _ = t.numerators
+        nums, d = t.numerators
         k = den // d
         out.append(nums if k == 1 else [k * x for x in nums])
-    return out, den, True
+    return out, den
 
 
 # -- constructors -----------------------------------------------------------

@@ -35,7 +35,7 @@ from .measure import (
     _integrate,
     _site_components,
 )
-from .scalars import Scalar, numerators, scalar_eq
+from .scalars import Scalar, exact_scalars, numerators
 from .statespace import (
     DEFAULT_STATE_CAP,
     Edge,
@@ -147,6 +147,7 @@ class Cocycle:
         return tuple(out)
 
     def scale(self, c: Scalar) -> "Cocycle":
+        c = Fraction(*exact_scalars((c,)))
         return Cocycle(self.n_states, self.basis,
                        tuple(tuple(c * v for v in row) for row in self.images))
 
@@ -158,7 +159,7 @@ def cocycle_from_coefficients(basis: Sequence[ConservedQuantity],
         if not basis:
             raise ValueError("n_states required for an empty basis")
         n_states = basis[0].n_states
-    rows = tuple(tuple(Fraction(c) for c in row) for row in images)
+    rows = tuple(tuple(map(Fraction, exact_scalars(row))) for row in images)
     return Cocycle(n_states, basis, rows)
 
 
@@ -206,14 +207,13 @@ def theta_from_cocycle(rho: Cocycle, window: Locale,
     guard_space(n ** len(sites), state_cap)
     per_site = [v for s in sites
                 for v in rho.site_state_table(window.coord_of(s))]
-    exact = not any(isinstance(v, float) for v in per_site)
-    per_site, den = numerators(per_site, exact)
+    per_site, den = numerators(per_site)
     values = [0]
     for k in range(len(sites)):
         # site k becomes the most significant digit of the index so far
         h = per_site[k * n:(k + 1) * n]
         values = [x + a for a in h for x in values]
-    return FnTable.from_numerators(sites, n, values, den, exact)
+    return FnTable.from_numerators(sites, n, values, den)
 
 
 def omega_from_cocycle(rho: Cocycle, window: Locale,
@@ -330,7 +330,7 @@ class InvariantFormSpec:
                 best = max(best, spread)
         return best
 
-    def check_invariance(self, tol: float | None = None) -> list[Edge]:
+    def check_invariance(self) -> list[Edge]:
         """Template edges whose tables disagree with the translated anchor
         (edges whose translated support leaves the template are skipped)."""
         bad = []
@@ -343,7 +343,7 @@ class InvariantFormSpec:
                                         co, None, None)
             if expected is None:
                 continue
-            if not expected.equals(table.minimized(), tol):
+            if not expected.equals(table.minimized()):
                 bad.append((o, t))
         return sorted(bad)
 
@@ -510,46 +510,23 @@ class VaradhanDecomposition:
     checks: dict
 
 
-def _shift_residue(pair_tables, basis, context: str, tol: float | None):
+def _shift_residue(pair_tables, basis, context: str):
     """Common value of the per-site differences, solved over the basis."""
     reference = pair_tables[0]
-    for other in pair_tables[1:]:
-        if not all(scalar_eq(a, b, tol) for a, b in zip(other, reference)):
-            raise ResidueNotConserved(
-                f"shift residue varies across {context}; window too small "
-                "or interaction not irreducibly quantified")
-    coeffs = _span_coefficients([xi.xi for xi in basis], reference, tol)
+    if any(other != reference for other in pair_tables[1:]):
+        raise ResidueNotConserved(
+            f"shift residue varies across {context}; window too small "
+            "or interaction not irreducibly quantified")
+    coeffs = linalg.solve_in_span([xi.xi for xi in basis], reference)
     if coeffs is None:
         raise ResidueNotConserved(
             f"shift residue on {context} is outside the conserved span")
     return coeffs
 
 
-def _span_coefficients(vectors, target, tol: float | None):
-    """Coefficients c with sum(c_i * vectors[i]) == target, or None.  With
-    a tolerance (float mode, where rounding leaves the target just off the
-    span) c is the least-squares fit over the basis ``vectors``, accepted
-    if it meets the target within ``tol``."""
-    if tol is None:
-        return linalg.solve_in_span(vectors, target)
-    coeffs = ()
-    if vectors:
-        cols = [[Fraction(v) for v in vec] for vec in vectors]
-        gram = [[sum(a * b for a, b in zip(u, v)) for v in cols]
-                for u in cols]
-        rhs = [sum(a * Fraction(b) for a, b in zip(u, target)) for u in cols]
-        coeffs = tuple(float(c) for c in linalg.solve(gram, rhs))
-    fitted = [sum(c * vec[i] for c, vec in zip(coeffs, vectors))
-              for i in range(len(target))]
-    if not all(scalar_eq(a, b, tol) for a, b in zip(fitted, target)):
-        return None
-    return coeffs
-
-
 def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                              nu: StateMeasure, *,
                              margin: Optional[int] = None,
-                             tol: float | None = None,
                              state_cap: int = DEFAULT_STATE_CAP) -> VaradhanDecomposition:
     """Split a shift-invariant closed form into a cocycle part and an exact
     part.
@@ -570,7 +547,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     if nu.n_states != n:
         raise ValueError("measure and interaction state counts differ")
 
-    mismatched = spec.check_invariance(tol)
+    mismatched = spec.check_invariance()
     if mismatched:
         raise NotInvariant("template form is not translation-consistent",
                            edges=mismatched)
@@ -592,7 +569,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
 
     if mode == "window":
         omega = spec.materialize(window, nu)
-        theta = solve_potential(omega, mu, tol=tol, state_cap=state_cap)
+        theta = solve_potential(omega, mu, state_cap=state_cap)
         singles = _site_components(theta, mu)
         inside = set(interior_sites(window, margin))
         rows = []
@@ -609,8 +586,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                 raise WindowTooSmall(
                     f"interior has no site pairs along axis {axis}",
                     axis=axis, margin=margin)
-            rows.append(_shift_residue(diffs, basis,
-                                       f"axis {axis} interior", tol))
+            rows.append(_shift_residue(diffs, basis, f"axis {axis} interior"))
         rho = Cocycle(n, tuple(basis), tuple(rows))
 
         residual_potential = theta - theta_from_cocycle(rho, window,
@@ -624,15 +600,15 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                              residual_tables)
 
         checks["residual_interior_zero"] = all(
-            residual_tables[e].is_zero(tol)
+            residual_tables[e].is_zero()
             for e in interior_edges(window, margin))
         checks["residual_interior_invariant"] = _interior_invariance(
-            residual_form, window, margin, tol)
+            residual_form, window, margin)
     else:
         residual_form = None
         residual_potential = None
         checks["closedness_window_radius"] = _validate_closed_locally(
-            spec, nu, mu, tol, state_cap)
+            spec, nu, mu, state_cap)
         rows = []
         for axis in range(dim):
             unit = _unit(axis, dim)
@@ -647,20 +623,18 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                 sub_sites.append(s)
             sub = SiteSet(tuple(sorted(sub_sites)))
             omega_sub = spec.materialize(window, nu, keep=sub)
-            theta_sub = solve_potential(omega_sub, mu, tol=tol,
-                                        state_cap=state_cap)
+            theta_sub = solve_potential(omega_sub, mu, state_cap=state_cap)
             singles = _site_components(theta_sub, mu)
             mid, tip = sub_sites[1], sub_sites[2]
             low = sub_sites[0]
             diffs = [tuple(a - b for a, b in zip(singles[mid], singles[low])),
                      tuple(a - b for a, b in zip(singles[tip], singles[mid]))]
-            rows.append(_shift_residue(diffs, basis, f"axis {axis} probe",
-                                       tol))
+            rows.append(_shift_residue(diffs, basis, f"axis {axis} probe"))
         rho = Cocycle(n, tuple(basis), tuple(rows))
 
     residual_spec = spec - invariant_form_from_cocycle(rho, interaction, dim)
     checks["residual_stencil_zero"] = all(
-        residual_spec.anchor_table(axis).is_zero(tol)
+        residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))
 
     return VaradhanDecomposition(rho, residual_spec, residual_form,
@@ -668,8 +642,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                                  checks)
 
 
-def _interior_invariance(form: Form, window: Locale, margin: int,
-                         tol: float | None) -> bool:
+def _interior_invariance(form: Form, window: Locale, margin: int) -> bool:
     """Are the (support-minimized) interior edge tables translation
     consistent along every axis?"""
     inside = interior_edges(window, margin)
@@ -686,13 +659,13 @@ def _interior_invariance(form: Form, window: Locale, margin: int,
             expected = _translate_table(ref, window, window, shift, None, None)
             if expected is None:
                 continue
-            if not expected.equals(form.tables[e].minimized(), tol):
+            if not expected.equals(form.tables[e].minimized()):
                 return False
     return True
 
 
 def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,
-                             mu: ProductMeasure, tol, state_cap) -> Optional[int]:
+                             mu: ProductMeasure, state_cap) -> Optional[int]:
     """Check closedness on the largest materializable box window; returns
     its radius, or None when even radius 1 exceeds the cap."""
     n = spec.interaction.n_states
@@ -700,6 +673,6 @@ def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,
         if n ** ((2 * radius + 1) ** spec.dim) <= state_cap:
             probe = lattice_window(spec.dim, radius)
             omega = spec.materialize(probe, nu)
-            solve_potential(omega, mu, tol=tol, state_cap=state_cap)
+            solve_potential(omega, mu, state_cap=state_cap)
             return radius
     return None

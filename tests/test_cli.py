@@ -1,8 +1,10 @@
 import json
 import re
+from fractions import Fraction
 
+import colocal as cl
+from colocal import jsonio
 from colocal.cli import main
-from colocal.scalars import FLOAT_TOLERANCE
 
 EXCLUSION = {"states": [0, 1], "base": 0,
              "phi": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
@@ -189,6 +191,30 @@ def test_usage_errors(tmp_path):
     assert main(["conserved", "--input", str(src3)]) == 2
 
 
+def test_unknown_flag_returns_usage_code(tmp_path, capsys):
+    src = tmp_path / "ok.json"
+    src.write_text(json.dumps({"interaction": EXCLUSION, "nu": HALF}))
+    assert main(["conserved", "--input", str(src), "--bogus", "1"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_non_finite_numbers_are_usage_errors(tmp_path):
+    fn = {"siteset": [0, 1], "values": ["NaN", 1.0, "Infinity", 0.0]}
+    locale = {"sites": [0, 1], "edges": [[0, 1], [1, 0]]}
+    src = tmp_path / "nan.json"
+    # json.dumps would quote the constants; write them as bare JSON words
+    src.write_text(json.dumps({"interaction": EXCLUSION, "nu": [0.5, 0.5],
+                               "locale": locale, "fn": fn})
+                   .replace('"NaN"', "NaN").replace('"Infinity"', "Infinity"))
+    assert main(["expand", "--input", str(src), "--mode", "float"]) == 2
+    fn["values"] = [1e999, 1.0, 0.5, 0.0]   # overflows to inf when read
+    code, report = run(tmp_path, "expand", {"interaction": EXCLUSION,
+                                            "nu": [0.5, 0.5],
+                                            "locale": locale, "fn": fn},
+                       "--mode", "float")
+    assert code == 2 and report is None
+
+
 def test_float_mode(tmp_path):
     payload = {"interaction": EXCLUSION, "nu": [0.5, 0.5]}
     src = tmp_path / "float.json"
@@ -198,6 +224,30 @@ def test_float_mode(tmp_path):
                  "--mode", "float"]) == 0
     report = json.loads(out.read_text())
     assert report["result"]["dimension"] == 1
+
+
+def test_float_mode_measure_sums(tmp_path):
+    # 0.6 and 0.4 read as 3/5 and 2/5: their sum is exactly 1, kept
+    code, report = run(tmp_path, "conserved",
+                       {"interaction": EXCLUSION, "nu": [0.6, 0.4]},
+                       "--mode", "float")
+    assert code == 0 and report["result"]["basis"] == [[-0.4, 0.6]]
+    # equal weights 0.4999999999 sum to within FLOAT_TOLERANCE of 1:
+    # normalised exactly to (1/2, 1/2)
+    code, report = run(tmp_path, "conserved",
+                       {"interaction": EXCLUSION,
+                        "nu": [0.4999999999, 0.4999999999]},
+                       "--mode", "float")
+    assert code == 0 and report["result"]["basis"] == [[-0.5, 0.5]]
+    window = jsonio.measure_from_json(
+        {"kind": "window", "siteset": [0, 1], "weights": [0.2499999999] * 4},
+        cl.exclusion_interaction(), "float")
+    assert window.weights == (Fraction(1, 4),) * 4
+    # a sum farther from 1 is a usage error
+    code, _ = run(tmp_path, "conserved",
+                  {"interaction": EXCLUSION, "nu": [0.5, 0.4]},
+                  "--mode", "float")
+    assert code == 2
 
 
 
@@ -212,6 +262,18 @@ STENCIL_R4 = {
                      "values": ["0", "0", "0", "-11/6", "0", "11/6", "0",
                                 "0", "0", "0", "11/6", "0", "-11/6", "0",
                                 "0", "0"]}]}}}
+
+
+def floated(value):
+    """A report with every "p/q" string replaced by its float: what float
+    mode must print for the same exact results."""
+    if isinstance(value, dict):
+        return {k: floated(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [floated(v) for v in value]
+    if isinstance(value, str) and re.fullmatch(r"-?\d+/\d+", value):
+        return float(Fraction(value))
+    return value
 
 
 def exact_strings(value):
@@ -230,12 +292,52 @@ def test_varadhan_float_mode_recovers_cocycle(tmp_path):
     assert code == 0 and report["ok"]
     result = report["result"]
     assert result["mode"] == "window"
-    (coefficient,), = result["cocycle"]["generators"]
-    assert abs(coefficient - (-2 / 3)) <= FLOAT_TOLERANCE
+    assert result["cocycle"]["generators"] == [[-2 / 3]]
     exact_code, exact = run(tmp_path, "varadhan", STENCIL_R4)
     assert exact_code == 0
     assert exact["result"]["cocycle"]["generators"] == [["-2/3"]]
     assert result["checks"] == exact["result"]["checks"]
+
+
+def test_varadhan_float_mode_prints_the_exact_results(tmp_path):
+    """Same edges, supports and value counts as exact mode (the residual
+    tables are minimized exactly: 16 values per edge, not one per window
+    configuration), and every number is float() of the exact one."""
+    code, report = run(tmp_path, "varadhan", STENCIL_R4, "--mode", "float")
+    exact_code, exact = run(tmp_path, "varadhan", STENCIL_R4)
+    assert code == exact_code == 0
+    assert [len(e["values"]) for e in
+            report["result"]["residual_interior_edges"]] == [16] * 4
+    assert report == floated(exact)
+
+
+def test_closed_float_mode_matches_exact_mode(tmp_path):
+    """A three-state form that is closed over the rationals but not in
+    floating point: the differential of a potential of size about 10^8
+    with sevenths, where float rounding leaves errors above 10^-9."""
+    three = cl.make_interaction((0, 1, 2), 0, {
+        (a, b): (b, a) for a in range(3) for b in range(3) if a != b})
+    sites = cl.siteset([0, 1, 2])
+    locale = cl.build_locale([0, 1, 2], [(0, 1), (1, 0), (1, 2), (2, 1)])
+    potential = cl.FnTable(sites, 3, tuple(
+        Fraction(123456789 * (k % 5) + k * k, 7) for k in range(27)))
+    form = cl.differential(potential, three, locale)
+    payload = {"interaction": {"states": [0, 1, 2], "base": 0,
+                               "phi": [[[a, b], [b, a]] for a in range(3)
+                                       for b in range(3) if a != b]},
+               "form": {"siteset": [0, 1, 2],
+                        "edges": [{"edge": list(e),
+                                   "support": list(form.tables[e].sites),
+                                   "values": [float(v) for v in
+                                              form.tables[e].values]}
+                                  for e in form.edges]}}
+    code, report = run(tmp_path, "closed", payload, "--mode", "float")
+    assert code == 0
+    exact_payload = json.loads(json.dumps(payload))
+    for entry, e in zip(exact_payload["form"]["edges"], form.edges):
+        entry["values"] = [str(v) for v in form.tables[e].values]
+    exact_code, exact = run(tmp_path, "closed", exact_payload)
+    assert exact_code == 0 and report == floated(exact)
 
 
 def test_float_mode_emits_floats_only(tmp_path):

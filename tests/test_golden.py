@@ -7,9 +7,15 @@ a breadth-first search: an exact form without a measure (three-state
 exclusion on four sites, so the potential's zeros show each component's
 root) and a form that is not closed under a one-way hopping rule (the
 witness cycle follows the search tree).  Exact outputs must not change
-with the scalar representation or the way the potential is found."""
+with the scalar representation or the way the potential is found.
+
+``varadhan-window-float`` is the same ``varadhan`` input written with JSON
+floats and run with ``--mode float``: every number it prints is float() of
+the exact golden's value."""
 
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,14 +25,35 @@ from colocal.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("subcommand, name", [("varadhan", "varadhan-window"),
-                                              ("expand", "expand"),
-                                              ("closed", "closed-potential"),
-                                              ("closed", "closed-not-closed")])
+@pytest.mark.parametrize("subcommand, name",
+                         [("varadhan", "varadhan-window"),
+                          ("varadhan", "varadhan-window-float"),
+                          ("expand", "expand"),
+                          ("closed", "closed-potential"),
+                          ("closed", "closed-not-closed")])
 def test_output_bytes_match_golden(tmp_path, subcommand, name):
     out = tmp_path / f"{name}.out.json"
     expected = (GOLDEN / f"{name}.out.json").read_bytes()
     code = 0 if json.loads(expected)["ok"] else 1
+    mode = "float" if name.endswith("-float") else "exact"
     assert main([subcommand, "--input", str(GOLDEN / f"{name}.json"),
-                 "--output", str(out)]) == code
+                 "--output", str(out), "--mode", mode]) == code
     assert out.read_bytes() == expected
+
+
+def floated(value):
+    """Every "p/q" string of a report replaced by its float."""
+    if isinstance(value, dict):
+        return {k: floated(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [floated(v) for v in value]
+    if isinstance(value, str) and re.fullmatch(r"-?\d+/\d+", value):
+        return float(Fraction(value))
+    return value
+
+
+def test_float_golden_is_the_exact_golden_as_floats():
+    exact = json.loads((GOLDEN / "varadhan-window.out.json").read_text())
+    floats = json.loads((GOLDEN / "varadhan-window-float.out.json")
+                        .read_text())
+    assert floats == floated(exact)

@@ -16,7 +16,6 @@ from hypothesis import example, given, strategies as st
 
 import colocal as cl
 from colocal.measure import _site_components
-from colocal.scalars import FLOAT_TOLERANCE
 
 
 def state_measures(n):
@@ -103,16 +102,12 @@ def recursive_expansion(f, prod):
 
 
 def as_float(f, prod):
+    """The table and the measure built from float values and weights."""
     def floats(nu):
         return cl.StateMeasure(tuple(float(w) for w in nu.weights))
     per_site = {s: floats(nu) for s, nu in (prod.per_site or {}).items()}
     return (cl.FnTable(f.sites, f.n_states, tuple(map(float, f.values))),
             cl.product_measure(floats(prod.base), per_site))
-
-
-def close(xs, ys):
-    return len(xs) == len(ys) and all(
-        abs(float(x) - float(y)) <= FLOAT_TOLERANCE for x, y in zip(xs, ys))
 
 
 # -- properties ---------------------------------------------------------------
@@ -166,22 +161,24 @@ def test_expansion_matches_recursion(case):
 
 @given(product_cases(max_sites=5), st.integers(0, 2 ** 5 - 1))
 def test_float_mode_within_tolerance(case, mask):
+    """Floats are read as the simplest rationals that round to them, which
+    recovers the small-denominator inputs: every result is exact."""
     f, prod = case
     sub = subset(f.sites, mask)
     ff, fprod = as_float(f, prod)
+    assert ff.values == f.values and fprod == prod
     projected = cl.conditional_expectation(ff, sub, fprod)
-    assert all(isinstance(v, float) for v in projected.values)
-    assert close(projected.values,
-                 cl.conditional_expectation(f, sub, prod).values)
-    assert close(fprod.materialize(f.sites).weights,
-                 prod.materialize(f.sites).weights)
-    assert close([cl.expectation(ff, fprod), cl.inner(ff, ff, fprod)],
-                 [cl.expectation(f, prod), cl.inner(f, f, prod)])
+    assert all(isinstance(v, F) for v in projected.values)
+    assert projected == cl.conditional_expectation(f, sub, prod)
+    assert (fprod.materialize(f.sites).weights
+            == prod.materialize(f.sites).weights)
+    assert ([cl.expectation(ff, fprod), cl.inner(ff, ff, fprod)]
+            == [cl.expectation(f, prod), cl.inner(f, f, prod)])
     exact = cl.expand_martingale(f, prod).components
     floats = cl.expand_martingale(ff, fprod).components
     assert list(floats) == list(exact)
     for sub, table in exact.items():
-        assert close(floats[sub].values, table.values)
+        assert floats[sub].values == table.values
 
 
 @st.composite
@@ -221,7 +218,4 @@ def test_site_components_match_per_site_projections(case):
     assert list(components) == list(oracle)
     assert components == oracle
     ff, fprod = as_float(f, prod)
-    floats = _site_components(ff, fprod)
-    for s, per_state in oracle.items():
-        assert all(isinstance(v, float) for v in floats[s])
-        assert close(floats[s], per_state)
+    assert _site_components(ff, fprod) == oracle

@@ -1,14 +1,17 @@
 """Property tests of FnTable: the index-order helpers (embedding and support
-minimization) against loops over decoded configurations, and tables built
-from integer numerators against the same tables built from Fractions."""
+minimization) against loops over decoded configurations, tables built from
+integer numerators against the same tables built from Fractions, and the
+reading of floats as exact scalars."""
 
 import math
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 import colocal as cl
+from colocal.scalars import exact_scalars
 
 
 @st.composite
@@ -110,12 +113,40 @@ def test_numerator_tables_agree_with_fraction_tables(case, p, q):
     assert nf.shift(c) == f.shift(c)
 
 
-def test_float_numerator_tables_have_float_values():
+# -- floats read as the simplest rationals that round to them -----------------
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_floats_read_as_simplest_rationals(x):
+    (q,) = exact_scalars((x,))
+    assert isinstance(q, F) and float(q) == x
+    if q.denominator > 1:
+        # the closest rational of smaller denominator rounds elsewhere
+        assert float(q.limit_denominator(q.denominator - 1)) != x
+
+
+@given(st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 4))
+def test_floats_of_small_rationals_read_back_exactly(p, q):
+    assert exact_scalars((p / q, F(p, q), p)) == (F(p, q), F(p, q), p)
+
+
+def test_non_finite_floats_are_rejected():
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            exact_scalars((1, x))
+
+
+def test_public_entry_points_read_floats():
     sites = cl.siteset([0, 1])
-    t = cl.FnTable.from_numerators(sites, 2, [0, 0.5, -1.25, 0], 1,
-                                   exact=False)
-    assert t.values == (0.0, 0.5, -1.25, 0.0)
-    assert all(isinstance(v, float) for v in t.values)
-    exact = cl.FnTable(sites, 2, (F(0), F(1, 2), F(-5, 4), F(0)))
-    assert t == exact and hash(t) == hash(exact)
-    assert (t + exact).values == (0.0, 1.0, -2.5, 0.0)
+    table = cl.FnTable(sites, 2, (0.1, 0.2, 1 / 3, -0.75))
+    assert table.values == (F(1, 10), F(1, 5), F(1, 3), F(-3, 4))
+    assert table.scale(0.5) == table.scale(F(1, 2))
+    assert table.shift(0.1).values[0] == F(1, 5)
+    nu = cl.bernoulli(0.4)
+    assert nu == cl.state_measure([0.6, 0.4]) == cl.StateMeasure((0.6, 0.4))
+    assert nu.weights == (F(3, 5), F(2, 5))
+    window = cl.WindowMeasure(sites, 2, (0.1, 0.2, 0.3, 0.4))
+    assert window.weights == (F(1, 10), F(1, 5), F(3, 10), F(2, 5))
+    basis = cl.conserved_quantities(cl.exclusion_interaction(), nu)
+    rho = cl.cocycle_from_coefficients(basis, [[0.5]])
+    assert rho.images == ((F(1, 2),),)
+    assert rho.scale(0.1).images == ((F(1, 20),),)

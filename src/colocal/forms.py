@@ -47,6 +47,7 @@ from .statespace import (
     edge_moves,
     edges_within,
     guard_space,
+    kron,
     spread,
     transition_graph,
     transition_runs,
@@ -517,11 +518,10 @@ def _consistent(potential, space: ConfigSpace, interaction: Interaction,
 def _lexicographic(space: ConfigSpace) -> list[int]:
     """Configuration indices sorted by their assignment tuples (the digit of
     the smallest site compared first)."""
-    order = [0]
-    for k in reversed(range(len(space.sites))):
-        stride = space.n_states ** k
-        order = [a * stride + j for a in range(space.n_states) for j in order]
-    return order
+    n = space.n_states
+    # the largest site's digit runs fastest
+    return kron([[a * n ** k for a in range(n)]
+                 for k in reversed(range(len(space.sites)))])
 
 
 def _tree_steps(space: ConfigSpace, parent, idx: int):

@@ -24,21 +24,21 @@ from .measure import (
     ProductMeasure,
     StateMeasure,
     _contract,
-    _interleave,
     conditional_expectation,
 )
 from .scalars import numerators
 from .statespace import (
-    ConfigSpace,
     DEFAULT_STATE_CAP,
     DEFAULT_SUBSET_CAP,
     Interaction,
     Locale,
     SiteSet,
+    interleave,
+    kron,
     siteset,
     transition_graph,
 )
-from .tables import FnTable, fn_constant, site_table
+from .tables import FnTable, fn_constant
 
 __all__ = [
     "FnTable",
@@ -64,15 +64,12 @@ def iota_restrict(f: FnTable, sub: SiteSet, interaction: Interaction) -> FnTable
         raise NotSubset("restriction target is not a subset of the domain")
     if sub == f.sites:
         return f
-    base = interaction.base_index
-    sub_space = ConfigSpace(sub, f.n_states)
-    values = []
-    for idx in range(sub_space.size):
-        assignment = sub_space.decode(idx)
-        full = tuple(assignment[sub.position(s)] if s in sub else base
-                     for s in f.sites)
-        values.append(f.value_at(full))
-    return FnTable(sub, f.n_states, tuple(values))
+    n, base = f.n_states, interaction.base_index
+    # entry j: the index of configuration j of S^sub, extended by the base
+    gather = kron([[a * n ** k for a in range(n)] if s in sub
+                   else [base * n ** k] for k, s in enumerate(f.sites)])
+    nums, den = f.numerators
+    return FnTable.from_numerators(sub, n, [nums[i] for i in gather], den)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +179,7 @@ def expand_martingale(f: FnTable, nu: Measure,
             mean, slices = _contract(piece, n, stride, weights)
             split[kept] = mean
             # sum(weights) == q, so q g - mean is q (g - P_x g)
-            split[(sites[k],) + kept] = _interleave(
+            split[(sites[k],) + kept] = interleave(
                 [[q * x - m for x, m in zip(part, mean)] for part in slices],
                 stride)
         pieces = split
@@ -267,14 +264,13 @@ def conserved_quantities(interaction: Interaction,
 def conserved_colocal(xi: ConservedQuantity, sites: SiteSet,
                       state_cap: int = DEFAULT_STATE_CAP) -> FnTable:
     """The window sum: eta -> sum over sites of xi(eta_x)."""
-    space = ConfigSpace(sites, xi.n_states)
-    if space.size > state_cap:
+    size = xi.n_states ** len(sites)
+    if size > state_cap:
         raise TooManySubsets(f"window of {len(sites)} sites exceeds cap",
-                             size=space.size, cap=state_cap)
-    total = fn_constant(sites, xi.n_states, Fraction(0))
-    for s in sites:
-        total = total + site_table(sites, xi.n_states, s, xi.xi)
-    return total
+                             size=size, cap=state_cap)
+    per_state, den = numerators(xi.xi)
+    return FnTable.from_numerators(sites, xi.n_states,
+                                   kron([per_state] * len(sites)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +310,11 @@ def check_iq(interaction: Interaction, nu: StateMeasure,
         sites = siteset(locale.sites)
         graph = transition_graph(sites, interaction, locale, state_cap)
         space = graph.space
-        # each conserved total as a Kronecker sum over the index, on the
-        # numerators of xi (same order as the Fraction totals)
-        columns, dens = [], []
-        for xi in basis:
-            per_state, den = numerators(xi.xi)
-            column = [0]
-            for _ in sites:
-                column = [x + a for a in per_state for x in column]
-            columns.append(column)
-            dens.append(den)
-        keys = zip(*columns) if columns else [()] * space.size
+        # each conserved total as numerators (ordered as the Fraction totals)
+        columns = [conserved_colocal(xi, sites, state_cap).numerators
+                   for xi in basis]
+        keys = (zip(*(column.nums for column in columns)) if columns
+                else [()] * space.size)
         groups: dict[tuple, dict[int, int]] = {}
         for idx, (key, label) in enumerate(zip(keys, graph.component_labels)):
             groups.setdefault(key, {}).setdefault(label, idx)
@@ -332,7 +322,8 @@ def check_iq(interaction: Interaction, nu: StateMeasure,
         for key, per_component in sorted(groups.items()):
             if len(per_component) > 1:
                 first, second = sorted(per_component.values())[:2]
-                totals = tuple(map(Fraction, key, dens))
+                totals = tuple(Fraction(x, column.den)
+                               for x, column in zip(key, columns))
                 witnesses.append((totals, space.decode(first),
                                   space.decode(second)))
         results.append(IqLocaleResult(locale, not witnesses, tuple(witnesses)))

@@ -12,9 +12,10 @@ exactly 1; a float weight is read as the simplest rational that rounds to it
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotSubset, SiteSetMismatch
@@ -30,7 +31,8 @@ from .statespace import (
     edge_moves,
     edges_within,
     guard_space,
-    restriction_indices,
+    kron,
+    spread,
 )
 from .tables import FnTable
 
@@ -93,16 +95,20 @@ class ProductMeasure:
 
     def materialize(self, sites: SiteSet,
                     state_cap: int = DEFAULT_STATE_CAP) -> "WindowMeasure":
-        """Kronecker product of the site weights: each site in turn becomes
-        the most significant digit."""
+        """Kronecker product of the site weights."""
         guard_space(self.n_states ** len(sites), state_cap)
-        table, den = [1], 1
-        for s in sites:
-            weights, q = numerators(self.factor(s).weights)
-            table = [w * x for w in weights for x in table]
-            den *= q
+        table, den = _weight_numerators(self, sites)
         return WindowMeasure(sites, self.n_states,
                              from_numerators(table, den))
+
+
+def _weight_numerators(prod: ProductMeasure,
+                       sites: SiteSet) -> tuple[list, int]:
+    """The product weights on S^sites as int numerators over one
+    denominator."""
+    site_weights = [numerators(prod.factor(s).weights) for s in sites]
+    return (kron([w for w, _ in site_weights], 1, mul),
+            math.prod(q for _, q in site_weights))
 
 
 def product_measure(nu: StateMeasure,
@@ -175,7 +181,7 @@ def pushforward(mu: WindowMeasure, sub: SiteSet) -> WindowMeasure:
     if sub == mu.sites:
         return mu
     out = [Fraction(0)] * (mu.n_states ** len(sub))
-    for idx, j in enumerate(restriction_indices(mu.space, sub)):
+    for idx, j in enumerate(spread(range(len(out)), sub, mu.space)):
         out[j] = out[j] + mu.weights[idx]
     return WindowMeasure(sub, mu.n_states, tuple(out))
 
@@ -224,7 +230,7 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
         raise SiteSetMismatch("measure and function state counts differ")
     marginal = pushforward(win, sub)
     out = [Fraction(0)] * len(marginal.weights)
-    for idx, j in enumerate(restriction_indices(f.space, sub)):
+    for idx, j in enumerate(spread(range(len(out)), sub, f.space)):
         out[j] = out[j] + f.values[idx] * win.weights[idx]
     return FnTable(sub, f.n_states,
                    tuple(v / w for v, w in zip(out, marginal.weights)))
@@ -249,15 +255,6 @@ def _contract(nums: list, n: int, stride: int, weights) -> tuple[list, list]:
     for w, part in zip(weights[1:], slices[1:]):
         out = [o + w * x for o, x in zip(out, part)]
     return out, slices
-
-
-def _interleave(slices: list, stride: int) -> list:
-    """Inverse of the slicing in ``_contract``: put the digit back."""
-    if stride == 1:
-        return list(chain.from_iterable(zip(*slices)))
-    return list(chain.from_iterable(
-        part[h:h + stride]
-        for h in range(0, len(slices[0]), stride) for part in slices))
 
 
 def _integrate(tables: Sequence[FnTable], keep: SiteSet,
@@ -297,16 +294,13 @@ def _site_components(f: FnTable, prod: ProductMeasure) -> dict:
     if prod.n_states != n:
         raise SiteSetMismatch("measure and function state counts differ")
     nums, den = f.numerators
-    site_weights = [numerators(prod.factor(s).weights) for s in f.sites]
-    weight = [1]
-    for w, q in site_weights:
-        # this site becomes the most significant digit; den collects q
-        weight = [a * x for a in w for x in weight]
-        den *= q
+    weight, weight_den = _weight_numerators(prod, f.sites)
+    den *= weight_den
     weighted = [x * w for x, w in zip(nums, weight)]
     total = sum(weighted)
     out = {}
-    for k, (s, (w, q)) in enumerate(zip(f.sites, site_weights)):
+    for k, s in enumerate(f.sites):
+        w, q = numerators(prod.factor(s).weights)
         sums = [sum(part) for part in digit_slices(weighted, n, n ** k)]
         # E[f | eta_s = a] = sums[a] q / (den w[a]) and E[f] = total / den
         out[s] = tuple(Fraction(sums[a] * q - total * w[a], den * w[a])
@@ -358,7 +352,7 @@ def is_ordinary(sub: SiteSet, sup: SiteSet, mu: Measure,
               edge_moves(sub_space, interaction, e)) for e in lam_edges]
 
     violations = []
-    for idx, j in enumerate(restriction_indices(sup_space, sub)):
+    for idx, j in enumerate(spread(range(sub_space.size), sub, sup_space)):
         for e, sup_moves, sub_moves in moves:
             dst = sup_moves[idx]
             if dst < 0:

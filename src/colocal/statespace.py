@@ -8,7 +8,10 @@ first), so that sorting ids coincides with lexicographic coordinate order.
 
 Configurations over a finite site set are indexed by mixed-radix encoding:
 sites ascending, the state index at a site is one digit, and the smallest
-site is the least significant digit.
+site is the least significant digit.  This module alone knows that digit
+order: every table over configurations is built through its index kernel,
+``kron`` (one vector per digit), ``digit_slices`` (one digit out of a table)
+and ``interleave`` (one digit back in).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -417,7 +421,9 @@ class ConfigSpace:
         return tuple(digits)
 
     def assignments(self):
-        return (self.decode(i) for i in range(self.size))
+        """Every assignment, in index order."""
+        return (digits[::-1] for digits in itertools.product(
+            range(self.n_states), repeat=len(self.sites)))
 
     def config(self, index: int) -> Config:
         return Config(self.sites, self.decode(index))
@@ -494,46 +500,35 @@ def transition_runs(space: ConfigSpace, edge: Edge,
     return runs
 
 
-def restriction_indices(space: ConfigSpace, sub: SiteSet) -> list[int]:
-    """Entry i is the index, in S^sub, of the restriction of the
-    configuration of index i in ``space`` (``sub`` a subset of its sites)."""
-    if not sub.is_subset_of(space.sites):
-        raise NotSubset("restriction target is not a subset of the sites")
-    n = space.n_states
-    index = [0]
-    for s in space.sites:
-        # this site becomes the most significant digit of the index so far
-        weight = n ** sub.position(s) if s in sub else 0
-        index = [a * weight + j for a in range(n) for j in index]
-    return index
+def kron(vectors: Sequence[Sequence], unit=0, op=add) -> list:
+    """Combine one vector per digit in index order, the first vector the
+    least significant digit: entry i folds ``op`` from ``unit`` over
+    ``vectors[k][d_k]``, where d_k is digit k of i.  A vector of length one
+    pins its digit, which then takes no place in the index."""
+    table = [unit]
+    for vector in vectors:
+        # this digit becomes the most significant digit of the index so far
+        grown = []
+        for a in vector:
+            grown += map(op, table, itertools.repeat(a))
+        table = grown
+    return table
 
 
-def spread(values: Sequence, sub: SiteSet, space: ConfigSpace) -> list:
-    """A table on ``sub`` (a subset of the space's sites) as a dense list on
-    the space: entry i is the value at the restriction of configuration i.
-    Built by block repetition, one digit of the other sites at a time."""
-    if not sub.is_subset_of(space.sites):
-        raise NotSubset("restriction target is not a subset of the sites")
-    n = space.n_states
-    dense = list(values)
-    below = 1   # stride of the digit of the next site
-    for s in space.sites:
-        if s not in sub:
-            # s's digit enters at this stride: each block of ``below``
-            # entries repeats n times; copy by offset within the block when
-            # there are fewer offsets than blocks
-            if below * below < len(dense):
-                grown = [None] * (len(dense) * n)
-                for x in range(below):
-                    for a in range(n):
-                        grown[x + a * below::below * n] = dense[x::below]
-            else:
-                grown = []
-                for b in range(0, len(dense), below):
-                    grown += dense[b:b + below] * n
-            dense = grown
-        below *= n
-    return dense
+def _digit_runs(n: int, stride: int, size: int):
+    """Move the digit of the given stride between a table of ``size``
+    entries and its n digit slices: (digit, slice of the table, slice of
+    that digit's part) triples of equal lengths.  The runs are one slice
+    per block of ``stride * n`` entries, or one extended slice per offset
+    below the stride where offsets are fewer and blocks short (extended
+    slices a long block apart read memory slower than block copies)."""
+    block = stride * n
+    if block < 128 and stride * block <= size:
+        return ((a, slice(a * stride + x, None, block), slice(x, None, stride))
+                for a in range(n) for x in range(stride))
+    return ((a, slice(b + a * stride, b + (a + 1) * stride),
+             slice(b // n, b // n + stride))
+            for b in range(0, size, block) for a in range(n))
 
 
 def digit_slices(values: Sequence, n: int, stride: int) -> list[list]:
@@ -541,11 +536,34 @@ def digit_slices(values: Sequence, n: int, stride: int) -> list[list]:
     a holds the entries whose digit is a, ordered by the remaining digits."""
     if stride == 1:
         return [values[a::n] for a in range(n)]
-    block = stride * n
-    return [list(itertools.chain.from_iterable(
-                values[b:b + stride]
-                for b in range(a * stride, len(values), block)))
-            for a in range(n)]
+    slices = [[None] * (len(values) // n) for _ in range(n)]
+    for a, whole, part in _digit_runs(n, stride, len(values)):
+        slices[a][part] = values[whole]
+    return slices
+
+
+def interleave(slices: Sequence[Sequence], stride: int) -> list:
+    """Inverse of ``digit_slices``: put the digit of the given stride back,
+    slice a supplying the entries whose digit is a."""
+    values = [None] * (len(slices[0]) * len(slices))
+    for a, whole, part in _digit_runs(len(slices), stride, len(values)):
+        values[whole] = slices[a][part]
+    return values
+
+
+def spread(values: Sequence, sub: SiteSet, space: ConfigSpace) -> list:
+    """A table on ``sub`` (a subset of the space's sites) as a dense list on
+    the space: entry i is the value at the restriction of configuration i.
+    The digit of each other site is put back in turn.  On
+    ``range(n ** len(sub))`` it gives the index of each restriction."""
+    if not sub.is_subset_of(space.sites):
+        raise NotSubset("restriction target is not a subset of the sites")
+    n = space.n_states
+    dense = list(values)
+    for k, s in enumerate(space.sites):
+        if s not in sub:
+            dense = interleave([dense] * n, n ** k)
+    return dense
 
 
 # ---------------------------------------------------------------------------

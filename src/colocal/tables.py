@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import SiteSetMismatch
 from .scalars import Scalar, exact_scalars, from_numerators, numerators
-from .statespace import ConfigSpace, SiteSet, digit_slices, spread
+from .statespace import ConfigSpace, SiteSet, digit_slices, kron, spread
 
 
 class Numerators(NamedTuple):
@@ -183,16 +183,16 @@ class FnTable:
     def relabel(self, sigma) -> "FnTable":
         """Push forward along a site map: the new table on sigma(Lambda) takes
         at eta the old value at sigma^{-1}(eta)."""
+        n = self.n_states
         new_sites = sigma.map_siteset(self.sites)
-        new_space = ConfigSpace(new_sites, self.n_states)
-        values = [None] * new_space.size
-        for idx in range(self.space.size):
-            assignment = self.space.decode(idx)
-            moved = [0] * len(assignment)
-            for k, s in enumerate(self.sites):
-                moved[new_sites.position(sigma.apply_or_raise(s))] = assignment[k]
-            values[new_space.encode(tuple(moved))] = self.values[idx]
-        return FnTable(new_sites, self.n_states, tuple(values))
+        # the old digit position of each new site
+        origin = {sigma.apply_or_raise(s): k for k, s in enumerate(self.sites)}
+        # entry j: the old index of the configuration of new index j
+        gather = kron([[a * n ** origin[t] for a in range(n)]
+                       for t in new_sites])
+        nums, den = self.numerators
+        return FnTable.from_numerators(new_sites, n,
+                                       [nums[i] for i in gather], den)
 
 
 def _depends(nums: list, n: int, stride: int) -> bool:
@@ -234,9 +234,8 @@ def fn_zeros(sites: SiteSet, n_states: int) -> FnTable:
 
 def fn_from_callable(sites: SiteSet, n_states: int,
                      fn: Callable[[tuple[int, ...]], Scalar]) -> FnTable:
-    space = ConfigSpace(sites, n_states)
     return FnTable(sites, n_states,
-                   tuple(fn(space.decode(i)) for i in range(space.size)))
+                   tuple(map(fn, ConfigSpace(sites, n_states).assignments())))
 
 
 def site_table(sites: SiteSet, n_states: int, site: int,

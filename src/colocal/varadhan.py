@@ -43,6 +43,7 @@ from .statespace import (
     Locale,
     SiteSet,
     guard_space,
+    kron,
     lattice_window,
     siteset,
 )
@@ -208,11 +209,7 @@ def theta_from_cocycle(rho: Cocycle, window: Locale,
     per_site = [v for s in sites
                 for v in rho.site_state_table(window.coord_of(s))]
     per_site, den = numerators(per_site)
-    values = [0]
-    for k in range(len(sites)):
-        # site k becomes the most significant digit of the index so far
-        h = per_site[k * n:(k + 1) * n]
-        values = [x + a for a in h for x in values]
+    values = kron([per_site[k * n:(k + 1) * n] for k in range(len(sites))])
     return FnTable.from_numerators(sites, n, values, den)
 
 
@@ -237,8 +234,7 @@ def omega_from_cocycle(rho: Cocycle, window: Locale,
 def _endpoint_table(edge: Edge, h_o, h_t) -> FnTable:
     """eta -> h_o[eta_o] + h_t[eta_t] on the two endpoints (o < t, so the
     state at o is the less significant digit)."""
-    return FnTable(SiteSet(edge), len(h_o),
-                   tuple(x + y for y in h_t for x in h_o))
+    return FnTable(SiteSet(edge), len(h_o), kron([h_o, h_t]))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ def run(tmp_path, name, payload, *extra):
     src = tmp_path / f"{name}.json"
     out = tmp_path / f"{name}.out.json"
     src.write_text(json.dumps(payload))
+    # a run that writes nothing must not return an earlier run's report
+    out.unlink(missing_ok=True)
     code = main([name, "--input", str(src), "--output", str(out), *extra])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
@@ -244,10 +246,10 @@ def test_float_mode_measure_sums(tmp_path):
         cl.exclusion_interaction(), "float")
     assert window.weights == (Fraction(1, 4),) * 4
     # a sum farther from 1 is a usage error
-    code, _ = run(tmp_path, "conserved",
-                  {"interaction": EXCLUSION, "nu": [0.5, 0.4]},
-                  "--mode", "float")
-    assert code == 2
+    code, report = run(tmp_path, "conserved",
+                       {"interaction": EXCLUSION, "nu": [0.5, 0.4]},
+                       "--mode", "float")
+    assert code == 2 and report is None
 
 
 

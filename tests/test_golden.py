@@ -11,7 +11,16 @@ with the scalar representation or the way the potential is found.
 
 ``varadhan-window-float`` is the same ``varadhan`` input written with JSON
 floats and run with ``--mode float``: every number it prints is float() of
-the exact golden's value."""
+the exact golden's value.
+
+The other runs were captured while configuration indices were still
+decoded one configuration at a time, before every table went through the
+mixed-radix kernel of :mod:`colocal.statespace`: ``iq`` with witnesses
+(the three-state identity rule on a d=1 window) and without (three-state
+exclusion on a path, a window, a ring and the 3x3 box), ``dims`` on part
+of the 3x3 box, ``project`` of a function and of a form under window
+measures (the form's measure is exchangeable, hence edge compatible), and
+``conserved``."""
 
 import json
 import re
@@ -30,7 +39,13 @@ GOLDEN = Path(__file__).parent / "golden"
                           ("varadhan", "varadhan-window-float"),
                           ("expand", "expand"),
                           ("closed", "closed-potential"),
-                          ("closed", "closed-not-closed")])
+                          ("closed", "closed-not-closed"),
+                          ("iq", "iq"),
+                          ("iq", "iq-witness"),
+                          ("dims", "dims"),
+                          ("project", "project-fn-window"),
+                          ("project", "project-form-window"),
+                          ("conserved", "conserved")])
 def test_output_bytes_match_golden(tmp_path, subcommand, name):
     out = tmp_path / f"{name}.out.json"
     expected = (GOLDEN / f"{name}.out.json").read_bytes()

@@ -1,14 +1,18 @@
-"""Cap-scale sweep of window-mode ``varadhan``: raw wall time and peak RSS.
+"""Cap-scale sweep of window-mode ``varadhan`` and of ``expand``: raw wall
+time and peak RSS.
 
-Each case is one d=1 exclusion window decomposed in window mode through
-``colocal.cli.main``, in a fresh interpreter so that its peak RSS is its
-own.  Cases: two states, nu = (3/5, 2/5), cocycle 3/7, radius 6 to 9 (up to
-2^19 configurations); three states, nu = (1/2, 1/3, 1/6), cocycle
-(3/7, -2/5), radius 4 and 5 (up to 3^11 configurations).  Per run the
-child reports the wall time of the CLI call, the time inside
-``solve_potential`` and inside the ``edge_moves`` builds it makes, its peak
-RSS, and the sha256 of the output bytes.  Each case runs ``REPEATS``
-times per tree; the report keeps every run and the medians.
+Each case is one CLI run through ``colocal.cli.main``, in a fresh
+interpreter so that its peak RSS is its own.  State-cap cases decompose a
+d=1 exclusion window in window mode: two states, nu = (3/5, 2/5), cocycle
+3/7, radius 6 to 9 (up to 2^19 configurations); three states,
+nu = (1/2, 1/3, 1/6), cocycle (3/7, -2/5), radius 4 and 5 (up to 3^11
+configurations).  Subset-cap cases expand a seeded function on a path of
+10, 12 and 13 two-state sites under nu = (3/5, 2/5); its entries are
+p/q with |p| <= 4 and q <= 3, so they repeat, as in the benchmark's
+tables.  Per run the child reports the wall time of the CLI call, the time
+inside ``solve_potential`` and inside the ``edge_moves`` builds it makes,
+its peak RSS, and the sha256 of the output bytes.  Each case runs
+``REPEATS`` times per tree; the report keeps every run and the medians.
 
 With ``--baseline REV`` the same cases also run on the ``src/`` tree of
 that git revision (exported with ``git archive`` to a temporary
@@ -25,6 +29,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -38,20 +43,45 @@ ROOT = Path(__file__).resolve().parent.parent
 TWO = {"states": [0, 1], "nu": ["3/5", "2/5"], "cocycle": [["3/7"]]}
 THREE = {"states": [0, 1, 2], "nu": ["1/2", "1/3", "1/6"],
          "cocycle": [["3/7", "-2/5"]]}
-CASES = ([("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
-         + [("n3-r%d" % r, THREE, r) for r in (4, 5)])
 REPEATS = 3
 
 
-def payload(spec: dict, radius: int) -> dict:
-    states = spec["states"]
+def exclusion(states: list) -> dict:
     phi = [[[a, b], [b, a]] for a in states for b in states if a != b]
-    return {"interaction": {"states": states, "base": 0, "phi": phi},
-            "nu": spec["nu"], "dim": 1, "cocycle": spec["cocycle"],
-            "window": {"lattice": {"dim": 1, "radius": radius}}}
+    return {"states": states, "base": 0, "phi": phi}
 
 
-def child(input_path: str, output_path: str) -> None:
+def varadhan_case(name: str, spec: dict, radius: int) -> dict:
+    return {"case": name, "subcommand": "varadhan",
+            "states": len(spec["states"]), "radius": radius,
+            "configurations": len(spec["states"]) ** (2 * radius + 1),
+            "payload": {"interaction": exclusion(spec["states"]),
+                        "nu": spec["nu"], "dim": 1,
+                        "cocycle": spec["cocycle"],
+                        "window": {"lattice": {"dim": 1,
+                                               "radius": radius}}}}
+
+
+def expand_case(n_sites: int) -> dict:
+    rng = random.Random(f"cap-sweep:expand:{n_sites}")
+    values = [f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
+              for _ in range(2 ** n_sites)]
+    sites = list(range(n_sites))
+    edges = [[a, a + 1] for a in sites[:-1]] + [[a + 1, a]
+                                                for a in sites[:-1]]
+    return {"case": f"expand-n2-s{n_sites}", "subcommand": "expand",
+            "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
+            "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
+                        "locale": {"sites": sites, "edges": edges},
+                        "fn": {"siteset": sites, "values": values}}}
+
+
+CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
+         + [varadhan_case("n3-r%d" % r, THREE, r) for r in (4, 5)]
+         + [expand_case(n) for n in (10, 12, 13)])
+
+
+def child(subcommand: str, input_path: str, output_path: str) -> None:
     """Run one case in this interpreter and print its measurements."""
     import resource
 
@@ -72,7 +102,7 @@ def child(input_path: str, output_path: str) -> None:
                                      varadhan.solve_potential)
     forms.edge_moves = timed("edge_moves", forms.edge_moves)
     start = time.perf_counter()
-    code = cli.main(["varadhan", "--input", input_path,
+    code = cli.main([subcommand, "--input", input_path,
                      "--output", output_path])
     wall = time.perf_counter() - start
     digest = hashlib.sha256(Path(output_path).read_bytes()).hexdigest()
@@ -96,10 +126,11 @@ def export_tree(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def run_case(src: Path, input_path: Path, work: Path) -> dict:
+def run_case(src: Path, subcommand: str, input_path: Path,
+             work: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
-        [sys.executable, __file__, "--child", str(input_path),
+        [sys.executable, __file__, "--child", subcommand, str(input_path),
          str(work / "out.json")],
         check=True, capture_output=True, text=True, env=env).stdout
     return json.loads(out)
@@ -114,7 +145,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", help="git revision to compare with")
     parser.add_argument("--out", type=Path, help="write the results here")
-    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         child(*args.child)
@@ -129,14 +160,16 @@ def main(argv=None) -> int:
                                              work / "baseline"),
                      **trees}
         results = []
-        for name, spec, radius in CASES:
+        for case in CASES:
+            name = case["case"]
             input_path = work / f"{name}.json"
-            input_path.write_text(json.dumps(payload(spec, radius)))
+            input_path.write_text(json.dumps(case["payload"]))
             runs = {tree: [] for tree in trees}
             for k in range(REPEATS):
                 order = list(trees) if k % 2 == 0 else list(trees)[::-1]
                 for tree in order:
-                    run = run_case(trees[tree], input_path, work)
+                    run = run_case(trees[tree], case["subcommand"],
+                                   input_path, work)
                     if run["exit"] != 0:
                         raise SystemExit(f"{name} on {tree}: exit "
                                          f"{run['exit']}")
@@ -147,9 +180,7 @@ def main(argv=None) -> int:
             if len(hashes) != 1:
                 raise SystemExit(f"{name}: output bytes differ between runs")
             results.append({
-                "case": name, "states": len(spec["states"]),
-                "radius": radius,
-                "configurations": len(spec["states"]) ** (2 * radius + 1),
+                **{k: v for k, v in case.items() if k != "payload"},
                 "sha256": hashes.pop(),
                 "median": {tree: summary(rs) for tree, rs in runs.items()},
                 "runs": {tree: [{k: v for k, v in r.items()
@@ -158,8 +189,9 @@ def main(argv=None) -> int:
             })
 
     report = {
-        "what": "window-mode varadhan at cap scale: raw wall time and peak "
-                "RSS per fresh interpreter, medians over repeats",
+        "what": "window-mode varadhan and expand at cap scale: raw wall "
+                "time and peak RSS per fresh interpreter, medians over "
+                "repeats",
         "baseline": args.baseline,
         "repeats": REPEATS,
         "python": platform.python_version(),

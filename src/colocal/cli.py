@@ -90,12 +90,11 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 def _load_common(payload: dict, cfg: RunConfig):
+    """The interaction and the state measure ``nu``; a missing ``nu`` is
+    malformed input (a KeyError)."""
     interaction = jsonio.interaction_from_json(payload["interaction"])
-    nu = None
-    if "nu" in payload:
-        nu = jsonio.state_measure_from_json(payload["nu"], interaction.states,
-                                            cfg.mode)
-    return interaction, nu
+    return interaction, jsonio.state_measure_from_json(
+        payload["nu"], interaction.states, cfg.mode)
 
 
 def _run_conserved(payload: dict, cfg: RunConfig) -> dict:
@@ -132,15 +131,15 @@ def _run_expand(payload: dict, cfg: RunConfig) -> dict:
     components = {}
     for sub, table in sorted(expansion.components.items()):
         mask = expansion.subset_bitmask(sub)
-        components[str(mask)] = {"subset": list(sub),
-                                 "values": [jsonio.format_scalar(v, cfg.mode)
-                                            for v in table.values]}
+        components[str(mask)] = {
+            "subset": list(sub),
+            "values": jsonio.format_numerators(*table.numerators, cfg.mode)}
     return {"components": components,
             "uniform_radius": uniform_radius(expansion, locale)}
 
 
 def _run_project(payload: dict, cfg: RunConfig) -> dict:
-    interaction, _ = _load_common(payload, cfg)
+    interaction = jsonio.interaction_from_json(payload["interaction"])
     mu = jsonio.measure_from_json(payload["measure"], interaction, cfg.mode)
     target = siteset(payload["target"])
     if "fn" in payload:
@@ -157,7 +156,7 @@ def _run_project(payload: dict, cfg: RunConfig) -> dict:
 
 
 def _run_closed(payload: dict, cfg: RunConfig) -> dict:
-    interaction, _ = _load_common(payload, cfg)
+    interaction = jsonio.interaction_from_json(payload["interaction"])
     mu = (jsonio.measure_from_json(payload["measure"], interaction, cfg.mode)
           if "measure" in payload else None)
     form = jsonio.form_from_json(payload["form"], interaction, cfg.mode,
@@ -218,8 +217,8 @@ def _run_varadhan(payload: dict, cfg: RunConfig) -> dict:
         interior = [e for e in decomposition.residual_form.edges if e in inside]
         result["residual_interior_edges"] = [
             {"edge": list(e),
-             "values": [jsonio.format_scalar(v, cfg.mode)
-                        for v in decomposition.residual_form.tables[e].values],
+             "values": jsonio.format_numerators(
+                 *decomposition.residual_form.tables[e].numerators, cfg.mode),
              "support": list(decomposition.residual_form.tables[e].sites)}
             for e in interior]
     return result

@@ -25,16 +25,19 @@ from .errors import (
     NotClosed,
     NotOrdinary,
     NotSubset,
+    SiteSetMismatch,
 )
 from .measure import (
     Measure,
     WindowMeasure,
+    _as_product,
+    _weight_numerators,
     conditional_expectation,
     expectation,
     is_ordinary,
     materialize,
 )
-from .scalars import Scalar, from_numerators
+from .scalars import Scalar, from_numerators, numerators
 from .statespace import (
     Config,
     ConfigSpace,
@@ -52,7 +55,7 @@ from .statespace import (
     transition_graph,
     transition_runs,
 )
-from .tables import FnTable, aligned, fn_constant, fn_zeros
+from .tables import FnTable, aligned, fn_zeros
 
 
 def canonical_edge(edge: Edge) -> Edge:
@@ -576,17 +579,25 @@ def kernel_basis(sites: SiteSet, interaction: Interaction, locale: Locale,
     labels = graph.component_labels
     m = graph.n_components
     n_states = interaction.n_states
-    indicators = []
-    for comp in range(m):
-        values = tuple(Fraction(1) if labels[i] == comp else Fraction(0)
-                       for i in range(graph.space.size))
-        indicators.append(FnTable(sites, n_states, values))
-    win = materialize(mu, sites, state_cap)
-    mean_zero = []
-    for ind in indicators[:-1]:
-        mass = expectation(ind, win)
-        mean_zero.append(ind - fn_constant(sites, n_states, mass))
-    return KernelBasis(sites, m, labels, tuple(indicators), tuple(mean_zero))
+    prod = _as_product(mu)
+    weights, den = (_weight_numerators(prod, sites) if prod is not None
+                    else numerators(materialize(mu, sites, state_cap).weights))
+    if len(weights) != len(labels):
+        raise SiteSetMismatch("function and measure site sets differ")
+    # every indicator and every component mass (over den) in one pass
+    rows = [[0] * len(labels) for _ in range(m)]
+    mass = [0] * m
+    for idx, (label, w) in enumerate(zip(labels, weights)):
+        rows[label][idx] = 1
+        mass[label] += w
+    indicators = tuple(FnTable.from_numerators(sites, n_states, row, 1)
+                       for row in rows)
+    mean_zero = tuple(
+        FnTable.from_numerators(sites, n_states,
+                                [den * x - mass[comp] for x in rows[comp]],
+                                den)
+        for comp in range(m - 1))
+    return KernelBasis(sites, m, labels, indicators, mean_zero)
 
 
 #: prime modulus of the rank computation in closed_form_space_dimension

@@ -103,8 +103,11 @@ def build_chain(f: FnTable, windows: Sequence[SiteSet], mu: Measure) -> CoLocalC
             raise NotSubset(f"windows {i} and {i + 1} are not nested")
     if not windows or windows[-1] != f.sites:
         raise NotSubset("last window must equal the function's site set")
-    tables = tuple(conditional_expectation(f, w, mu) for w in windows)
-    return CoLocalChain(windows, tables, mu)
+    # tower law: projecting the next larger window's table is projecting f
+    tables = [f]
+    for w in reversed(windows[:-1]):
+        tables.append(conditional_expectation(tables[-1], w, mu))
+    return CoLocalChain(windows, tuple(reversed(tables)), mu)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ from fractions import Fraction
 from .errors import NotReversible
 from .forms import Form, Path
 from .measure import ProductMeasure, StateMeasure, WindowMeasure
-from .scalars import FLOAT_TOLERANCE, format_scalar, parse_scalar
+from .scalars import (
+    FLOAT_TOLERANCE,
+    format_numerators,
+    format_scalar,
+    parse_numerators,
+    parse_scalar,
+)
 from .statespace import (
     Config,
     Interaction,
@@ -150,13 +156,13 @@ def window_measure_to_json(mu: WindowMeasure) -> dict:
 def fn_table_from_json(obj: dict, interaction: Interaction,
                        mode: str = "exact") -> FnTable:
     sites = siteset(obj["siteset"])
-    values = tuple(parse_scalar(v, mode) for v in obj["values"])
-    return FnTable(sites, interaction.n_states, values)
+    return FnTable.from_numerators(sites, interaction.n_states,
+                                   *parse_numerators(obj["values"], mode))
 
 
 def fn_table_to_json(f: FnTable, mode: str = "exact") -> dict:
     return {"siteset": list(f.sites),
-            "values": [format_scalar(v, mode) for v in f.values]}
+            "values": format_numerators(*f.numerators, mode)}
 
 
 def form_from_json(obj: dict, interaction: Interaction,
@@ -173,8 +179,9 @@ def form_from_json(obj: dict, interaction: Interaction,
     for entry in obj["edges"]:
         edge = tuple(entry["edge"])
         support = siteset(entry.get("support", obj["siteset"]))
-        values = tuple(parse_scalar(v, mode) for v in entry["values"])
-        tables[edge] = FnTable(support, interaction.n_states, values)
+        tables[edge] = FnTable.from_numerators(
+            support, interaction.n_states,
+            *parse_numerators(entry["values"], mode))
         edges.append(edge)
     return make_form(sites, interaction, edges, tables, validate=validate,
                      state_cap=state_cap)
@@ -185,7 +192,7 @@ def form_to_json(form: Form, mode: str = "exact") -> dict:
     for e in form.edges:
         t = form.tables[e]
         entries.append({"edge": list(e), "support": list(t.sites),
-                        "values": [format_scalar(v, mode) for v in t.values]})
+                        "values": format_numerators(*t.numerators, mode)})
     return {"siteset": list(form.sites), "edges": entries}
 
 

@@ -4,8 +4,12 @@ Every computation runs over exact rationals.  On the hot paths values are
 not carried as ``Fraction`` objects: a table (:class:`colocal.tables.FnTable`)
 or a measure's weights travel as Python-int numerators over one common
 denominator (:func:`numerators`), so that sums, differences and comparisons
-run on ints.  ``Fraction`` values are made only at the API and JSON boundary
-(:func:`from_numerators`).
+run on ints.  ``Fraction`` values are made only at the API boundary
+(:func:`from_numerators`) and for the JSON scalars outside tables (measure
+weights, cocycle coefficients).  Tables cross the JSON boundary as numerators:
+:func:`parse_numerators` reads each distinct serialized entry once and maps
+every entry to its numerator, and :func:`format_numerators` writes one
+string (or float) per distinct numerator.
 
 Floats are an input and output format only.  A float given to a public
 constructor, or read from JSON in float mode, is read once by
@@ -72,10 +76,50 @@ def parse_scalar(text, mode: str = "exact") -> Fraction:
     """Parse ``"p/q"``, ``"p"`` or a JSON number into a Fraction; a JSON
     float is allowed in float mode only, read by :func:`exact_scalars`."""
     if isinstance(text, str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     if mode != "float" and not isinstance(text, int):
         raise ValueError(f"{text!r} is not an exact scalar; use \"p/q\"")
     return Fraction(*exact_scalars((text,)))
+
+
+def parse_numerators(raw, mode: str = "exact") -> tuple[list, int]:
+    """Parse a sequence of serialized scalars straight into
+    :func:`numerators`: each distinct entry is read once by
+    :func:`parse_scalar` (so the syntax accepted and the errors raised are
+    its own), and every entry then maps to its numerator over the least
+    common denominator."""
+    # an entry that is not a string is keyed with its type, so that 1, 1.0
+    # and True are read apart
+    keys = [x if x.__class__ is str else (x.__class__, x) for x in raw]
+    try:
+        distinct = dict(zip(keys, raw))   # in order of first occurrence
+    except TypeError:   # an unhashable entry: raise the first entry's error
+        for text in raw:
+            parse_scalar(text, mode)
+        raise
+    nums, den = numerators([parse_scalar(text, mode)
+                            for text in distinct.values()])
+    if len(distinct) < len(keys):   # else nums is in entry order already
+        nums = list(map(dict(zip(distinct, nums)).__getitem__, keys))
+    return nums, den
+
+
+def format_numerators(nums, den: int, mode: str = "exact") -> list:
+    """:func:`format_scalar` of every value ``x / den`` (``den`` > 0), made
+    once per distinct numerator without a Fraction: ``"p/q"`` in lowest
+    terms, or in float mode the correctly rounded ``x / den``, the same
+    float as ``float(Fraction(x, den))``."""
+    if mode == "float":
+        text = {x: x / den for x in set(nums)}
+    else:
+        text = {}
+        for x in set(nums):
+            g = math.gcd(x, den)
+            text[x] = f"{x // g}/{den // g}"
+    return list(map(text.__getitem__, nums))
 
 
 def format_scalar(x, mode: str = "exact") -> Union[str, float]:

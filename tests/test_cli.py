@@ -2,9 +2,12 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
+
 import colocal as cl
 from colocal import jsonio
 from colocal.cli import main
+from colocal.scalars import parse_scalar
 
 EXCLUSION = {"states": [0, 1], "base": 0,
              "phi": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
@@ -191,6 +194,44 @@ def test_usage_errors(tmp_path):
     src3 = tmp_path / "incomplete.json"
     src3.write_text(json.dumps({"nu": HALF}))
     assert main(["conserved", "--input", str(src3)]) == 2
+
+
+PAIR = {"sites": [0, 1], "edges": [[0, 1], [1, 0]]}
+TABLE = {"siteset": [0, 1], "values": ["0", "0", "0", "1"]}
+NEEDS_NU = {
+    "conserved": {},
+    "iq": {"locales": [PAIR]},
+    "dims": {"locale": PAIR},
+    "varadhan": {"dim": 1, "window": {"lattice": {"dim": 1, "radius": 4}},
+                 "cocycle": [["1"]]},
+    "martingale": {"fn": TABLE, "chain": [[0], [0, 1]]},
+    "expand": {"locale": PAIR, "fn": TABLE},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(NEEDS_NU))
+def test_missing_nu_is_a_usage_error(tmp_path, capsys, subcommand):
+    payload = {"interaction": EXCLUSION, **NEEDS_NU[subcommand]}
+    code, report = run(tmp_path, subcommand, payload)
+    assert code == 2 and report is None
+    assert "malformed input: KeyError('nu')" in capsys.readouterr().err
+    # the same input with nu runs
+    code, report = run(tmp_path, subcommand, {**payload, "nu": HALF})
+    assert code == 0 and report["ok"]
+
+
+def test_zero_denominators_are_usage_errors(tmp_path, capsys):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar("1/0")
+    runs = [("conserved", {"interaction": EXCLUSION, "nu": ["1/0", "1/2"]}),
+            ("expand", {"interaction": EXCLUSION, "nu": HALF, "locale": PAIR,
+                        "fn": {**TABLE, "values": ["0", "-3/0", "0", "1"]}}),
+            ("varadhan", {"interaction": EXCLUSION, "nu": HALF,
+                          **NEEDS_NU["varadhan"], "cocycle": [["2/0"]]})]
+    for subcommand, payload in runs:
+        code, report = run(tmp_path, subcommand, payload)
+        assert code == 2 and report is None
+        assert "zero denominator" in capsys.readouterr().err
 
 
 def test_unknown_flag_returns_usage_code(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import colocal as cl
 from conftest import rand_table
@@ -229,6 +230,50 @@ def test_kernel_identity_interaction(single_edge, mu_half):
     kb = cl.kernel_basis(sites, cl.identity_interaction(2), single_edge,
                          mu_half)
     assert kb.n_components == 4
+
+
+PATH4 = cl.lattice_window(1, radius=2)
+BOX = cl.lattice_window(2, radius=1)
+
+
+@given(st.sampled_from([2, 3]), st.sampled_from([PATH4, BOX]),
+       st.sampled_from(["exclusion", "identity"]),
+       st.sampled_from(["product", "window"]), st.data())
+def test_kernel_basis_matches_fraction_tables(n, window, rule, kind, data):
+    """The indicators and their centred copies equal the tables built the
+    direct way: Fraction indicators, each centred by its expectation under
+    the materialized window measure."""
+    sites = cl.siteset(data.draw(st.lists(
+        st.sampled_from(window.sites), unique=True, min_size=1,
+        max_size=5 if n == 2 else 3)))
+    interaction = (cl.exclusion_interaction(n) if rule == "exclusion"
+                   else cl.identity_interaction(n))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    raw = [rng.randint(1, 9) for _ in range(n)]
+    if kind == "product":
+        mu = cl.ProductMeasure(cl.state_measure([F(w, sum(raw)) for w in raw]))
+    else:
+        mu = cl.window_measure_from_raw(
+            sites, n, [rng.randint(1, 9) for _ in range(n ** len(sites))])
+    kb = cl.kernel_basis(sites, interaction, window, mu)
+    labels = cl.transition_graph(sites, interaction, window).component_labels
+    assert kb.component_labels == labels
+    assert kb.n_components == max(labels) + 1
+    win = cl.materialize(mu, sites)
+    indicators = [cl.FnTable(sites, n, tuple(F(int(label == c))
+                                             for label in labels))
+                  for c in range(kb.n_components)]
+    assert kb.indicators == tuple(indicators)
+    assert kb.mean_zero == tuple(
+        ind - cl.fn_constant(sites, n, cl.expectation(ind, win))
+        for ind in indicators[:-1])
+
+
+def test_kernel_basis_rejects_a_measure_on_other_states(exclusion,
+                                                        single_edge):
+    with pytest.raises(cl.SiteSetMismatch):
+        cl.kernel_basis(cl.siteset([0, 1]), exclusion, single_edge,
+                        cl.uniform_states(3))
 
 
 def test_kernel_characterizes_flat_functions(exclusion, path3, mu_half):

@@ -58,6 +58,55 @@ def test_chain_compatibility_random(mu_half):
         assert cl.build_chain(f, windows, mu_half).verify_compatibility()
 
 
+PATH = cl.lattice_window(1, radius=3)
+BOX = cl.lattice_window(2, radius=1)
+
+
+def rand_state_measure(rng, n):
+    raw = [rng.randint(1, 6) for _ in range(n)]
+    return cl.state_measure([F(w, sum(raw)) for w in raw])
+
+
+@st.composite
+def chain_cases(draw):
+    """(f, windows, mu): a table on part of a d=1 path or of the 3x3 box,
+    2 or 3 states, a nested chain ending at its domain (consecutive
+    windows may be equal), and a product measure (homogeneous or not) or
+    a window measure on the domain or on one site more."""
+    n = draw(st.sampled_from([2, 3]))
+    window = draw(st.sampled_from([PATH, BOX]))
+    order = draw(st.permutations(window.sites))
+    k = draw(st.integers(0, 5 if n == 2 else 4))
+    cuts = sorted(draw(st.lists(st.integers(0, k), max_size=4)))
+    windows = [cl.siteset(order[:c]) for c in cuts] + [cl.siteset(order[:k])]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    f = rand_table(rng, windows[-1], n)
+    kind = draw(st.sampled_from(["state", "product", "window"]))
+    if kind == "state":
+        mu = rand_state_measure(rng, n)
+    elif kind == "product":
+        mu = cl.product_measure(rand_state_measure(rng, n),
+                                {s: rand_state_measure(rng, n)
+                                 for s in order[:k] if rng.random() < 0.5})
+    else:
+        sites = cl.siteset(order[:k + draw(st.integers(0, 1))])
+        mu = cl.window_measure_from_raw(
+            sites, n, [rng.randint(1, 9) for _ in range(n ** len(sites))])
+    return f, windows, mu
+
+
+@given(chain_cases())
+def test_build_chain_equals_projections_of_f(case):
+    f, windows, mu = case
+    chain = cl.build_chain(f, windows, mu)
+    # oracle: every window projected from f itself
+    assert chain.tables == tuple(cl.conditional_expectation(f, w, mu)
+                                 for w in windows)
+    assert chain.tables[-1] is f
+    assert chain.verify_compatibility()
+
+
+
 # -- expansion ----------------------------------------------------------------
 
 def test_expansion_worked_example(half):

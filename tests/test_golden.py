@@ -20,7 +20,15 @@ mixed-radix kernel of :mod:`colocal.statespace`: ``iq`` with witnesses
 exclusion on a path, a window, a ring and the 3x3 box), ``dims`` on part
 of the 3x3 box, ``project`` of a function and of a form under window
 measures (the form's measure is exchangeable, hence edge compatible), and
-``conserved``."""
+``conserved``.
+
+The last two were captured while every JSON scalar was still read into a
+``Fraction`` and written from one: ``martingale`` on a 12-site chain (two
+states, windows growing outward from the middle, each table projected
+from the full function), and ``expand`` on a three-state table whose
+entries repeat and are written in non-canonical ways (``"2/4"``, ``"3"``,
+``"-0/5"``, ``"+1/3"``, ``"1.5"``, ``" 7/14 "``, ``"1e-1"``, a JSON int),
+under a measure written the same way."""
 
 import json
 import re
@@ -45,7 +53,9 @@ GOLDEN = Path(__file__).parent / "golden"
                           ("dims", "dims"),
                           ("project", "project-fn-window"),
                           ("project", "project-form-window"),
-                          ("conserved", "conserved")])
+                          ("conserved", "conserved"),
+                          ("martingale", "martingale-chain12"),
+                          ("expand", "expand-scalars")])
 def test_output_bytes_match_golden(tmp_path, subcommand, name):
     out = tmp_path / f"{name}.out.json"
     expected = (GOLDEN / f"{name}.out.json").read_bytes()

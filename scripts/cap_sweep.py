@@ -1,5 +1,5 @@
-"""Cap-scale sweep of window-mode ``varadhan`` and of ``expand``: raw wall
-time and peak RSS.
+"""Cap-scale sweep of window-mode ``varadhan``, of ``expand`` and of
+``iq``: raw wall time and peak RSS.
 
 Each case is one CLI run through ``colocal.cli.main``, in a fresh
 interpreter so that its peak RSS is its own.  State-cap cases decompose a
@@ -9,9 +9,10 @@ nu = (1/2, 1/3, 1/6), cocycle (3/7, -2/5), radius 4 and 5 (up to 3^11
 configurations).  Subset-cap cases expand a seeded function on a path of
 10, 12 and 13 two-state sites under nu = (3/5, 2/5); its entries are
 p/q with |p| <= 4 and q <= 3, so they repeat, as in the benchmark's
-tables.  Per run the child reports the wall time of the CLI call, the time
-inside ``solve_potential`` and inside the ``edge_moves`` builds it makes,
-its peak RSS, and the sha256 of the output bytes.  Each case runs
+tables.  The transition-graph case checks irreducible quantification of
+two-state exclusion on a path of 16 sites (2^16 configurations).  Per run
+the child reports the wall time of the CLI call, the time inside
+``solve_potential``, its peak RSS, and the sha256 of the output bytes.  Each case runs
 ``REPEATS`` times per tree; the report keeps every run and the medians.
 
 With ``--baseline REV`` the same cases also run on the ``src/`` tree of
@@ -76,31 +77,40 @@ def expand_case(n_sites: int) -> dict:
                         "fn": {"siteset": sites, "values": values}}}
 
 
+def iq_case(n_sites: int) -> dict:
+    sites = list(range(n_sites))
+    edges = [[a, a + 1] for a in sites[:-1]] + [[a + 1, a]
+                                                for a in sites[:-1]]
+    return {"case": f"iq-n2-path{n_sites}", "subcommand": "iq",
+            "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
+            "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
+                        "locales": [{"sites": sites, "edges": edges}]}}
+
+
 CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [varadhan_case("n3-r%d" % r, THREE, r) for r in (4, 5)]
-         + [expand_case(n) for n in (10, 12, 13)])
+         + [expand_case(n) for n in (10, 12, 13)]
+         + [iq_case(16)])
 
 
 def child(subcommand: str, input_path: str, output_path: str) -> None:
     """Run one case in this interpreter and print its measurements."""
     import resource
 
-    from colocal import cli, forms, varadhan
+    from colocal import cli, varadhan
 
-    spent = {"solve_potential": 0.0, "edge_moves": 0.0}
+    spent = 0.0
+    solve_potential = varadhan.solve_potential
 
-    def timed(name, fn):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[name] += time.perf_counter() - start
-        return wrapper
+    def timed(*args, **kwargs):
+        nonlocal spent
+        start = time.perf_counter()
+        try:
+            return solve_potential(*args, **kwargs)
+        finally:
+            spent += time.perf_counter() - start
 
-    varadhan.solve_potential = timed("solve_potential",
-                                     varadhan.solve_potential)
-    forms.edge_moves = timed("edge_moves", forms.edge_moves)
+    varadhan.solve_potential = timed
     start = time.perf_counter()
     code = cli.main([subcommand, "--input", input_path,
                      "--output", output_path])
@@ -108,8 +118,7 @@ def child(subcommand: str, input_path: str, output_path: str) -> None:
     digest = hashlib.sha256(Path(output_path).read_bytes()).hexdigest()
     print(json.dumps({
         "exit": code, "wall_s": wall,
-        "solve_potential_s": spent["solve_potential"],
-        "edge_moves_s": spent["edge_moves"],
+        "solve_potential_s": spent,
         "peak_rss_mib": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024,
         "sha256": digest}))
@@ -137,7 +146,7 @@ def run_case(src: Path, subcommand: str, input_path: Path,
 
 
 def summary(runs: list[dict]) -> dict:
-    keys = ("wall_s", "solve_potential_s", "edge_moves_s", "peak_rss_mib")
+    keys = ("wall_s", "solve_potential_s", "peak_rss_mib")
     return {k: round(statistics.median(r[k] for r in runs), 4) for k in keys}
 
 
@@ -189,9 +198,9 @@ def main(argv=None) -> int:
             })
 
     report = {
-        "what": "window-mode varadhan and expand at cap scale: raw wall "
-                "time and peak RSS per fresh interpreter, medians over "
-                "repeats",
+        "what": "window-mode varadhan, expand and iq at cap scale: raw "
+                "wall time and peak RSS per fresh interpreter, medians "
+                "over repeats",
         "baseline": args.baseline,
         "repeats": REPEATS,
         "python": platform.python_version(),

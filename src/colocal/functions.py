@@ -18,7 +18,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import NonProductMeasure, NotSubset, TooManySubsets
+from .errors import (
+    NonProductMeasure,
+    NotSubset,
+    SiteSetMismatch,
+    TooManySubsets,
+)
 from .measure import (
     Measure,
     ProductMeasure,
@@ -176,6 +181,10 @@ def expand_martingale(f: FnTable, nu: Measure,
     pieces = {(): nums}
     for k in reversed(range(len(sites))):
         weights, q = numerators(prod.factor(sites[k]).weights)
+        if len(weights) != n:
+            raise SiteSetMismatch("measure and function state counts differ",
+                                  site=sites[k], n_states=n,
+                                  measure_states=len(weights))
         stride = n ** k
         split = {}
         for kept, piece in pieces.items():
@@ -199,6 +208,10 @@ def uniform_radius(expansion: Expansion, locale: Locale) -> int:
     """Smallest R such that every component on a subset of diameter > R
     vanishes; the bound witnessed by the nonzero components.  The graph
     distances from a site are computed once per call."""
+    outside = set(expansion.sites) - set(locale.sites)
+    if outside:
+        raise NotSubset("expansion sites are not all in the locale",
+                        outside=sorted(outside))
     distances: dict[int, dict[int, int]] = {}
     radius = 0
     for sub, table in expansion.components.items():
@@ -244,6 +257,9 @@ def conserved_quantities(interaction: Interaction,
     solution spaces, so the result is a basis.
     """
     n = interaction.n_states
+    if nu.n_states != n:
+        raise SiteSetMismatch("measure and interaction state counts differ",
+                              n_states=n, measure_states=nu.n_states)
     rows = []
     for (i, j), (i2, j2) in interaction.changed_pairs():
         row = [Fraction(0)] * n

@@ -94,14 +94,6 @@ def interaction_from_json(obj: dict) -> Interaction:
     return inter
 
 
-def interaction_to_json(inter: Interaction) -> dict:
-    changed = []
-    for (i, j), (i2, j2) in inter.changed_pairs():
-        changed.append([[inter.states[i], inter.states[j]],
-                        [inter.states[i2], inter.states[j2]]])
-    return {"states": list(inter.states), "base": inter.base, "phi": changed}
-
-
 # -- measures -----------------------------------------------------------
 
 def _weights(raw, mode: str) -> tuple:
@@ -116,26 +108,27 @@ def _weights(raw, mode: str) -> tuple:
 
 
 def state_measure_from_json(obj, states, mode: str = "exact") -> StateMeasure:
-    """Accepts either a list of weights (state order) or a mapping keyed by
-    the string form of each state label; see ``_weights``."""
+    """Accepts either a list of weights (state order, one per state) or a
+    mapping keyed by the string form of each state label; see
+    ``_weights``."""
     if not isinstance(obj, list):
         obj = [obj[str(s)] for s in states]
+    elif len(obj) != len(states):
+        raise ValueError(f"nu has {len(obj)} weights for {len(states)} states")
     return StateMeasure(_weights(obj, mode))
-
-
-def state_measure_to_json(nu: StateMeasure, states) -> dict:
-    return {str(s): format_scalar(w) for s, w in zip(states, nu.weights)}
 
 
 def measure_from_json(obj: dict, interaction: Interaction,
                       mode: str = "exact"):
-    """{"kind": "product", "nu": ...} or
+    """{"kind": "product", "nu": ...} (the kind defaults to product) or
     {"kind": "window", "siteset": [...], "weights": {index: scalar}};
     see ``_weights``."""
     kind = obj.get("kind", "product")
     if kind == "product":
         return ProductMeasure(state_measure_from_json(
             obj["nu"], interaction.states, mode))
+    if kind != "window":
+        raise ValueError(f"unknown measure kind {kind!r}")
     sites = siteset(obj["siteset"])
     n = interaction.n_states
     size = n ** len(sites)
@@ -143,12 +136,6 @@ def measure_from_json(obj: dict, interaction: Interaction,
     if not isinstance(weights, list):
         weights = [weights[str(i)] for i in range(size)]
     return WindowMeasure(sites, n, _weights(weights, mode))
-
-
-def window_measure_to_json(mu: WindowMeasure) -> dict:
-    return {"kind": "window", "siteset": list(mu.sites),
-            "weights": {str(i): format_scalar(w)
-                        for i, w in enumerate(mu.weights)}}
 
 
 # -- tables and forms ---------------------------------------------------

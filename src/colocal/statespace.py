@@ -577,54 +577,68 @@ def edges_within(locale: Locale, sites: SiteSet) -> tuple[Edge, ...]:
                         if e[0] in inside and e[1] in inside))
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class TransitionGraph:
-    """All transitions (eta, eta^e) with eta^e != eta over a site set.
+    """All transitions (eta, eta^e) with eta^e != eta over a site set, kept
+    as the space, the edges and the interaction: the transitions of each
+    edge are the arithmetic runs of ``transition_runs``, and nothing is
+    stored per transition.
 
-    One record is kept per (configuration, edge) pair even when several edges
-    produce the same target, so that per-edge consistency stays checkable;
+    ``records`` lists one (src index, edge, dst index) triple per
+    (configuration, edge) pair, even when several edges produce the same
+    target, in index order and then edge order; it is built when read.
     ``pairs`` deduplicates to the underlying graph on configurations.
     """
 
     space: ConfigSpace
     edges: tuple[Edge, ...]
-    records: tuple[tuple[int, Edge, int], ...]  # (src index, edge, dst index)
+    interaction: Interaction
+
+    def _runs(self):
+        changed = tuple(self.interaction.changed_pairs())
+        for e in self.edges:
+            yield from transition_runs(self.space, e, changed)
+
+    @cached_property
+    def records(self) -> tuple[tuple[int, Edge, int], ...]:
+        maps = [edge_moves(self.space, self.interaction, e)
+                for e in self.edges]
+        return tuple((idx, e, moves[idx])
+                     for idx in range(self.space.size)
+                     for e, moves in zip(self.edges, maps) if moves[idx] >= 0)
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted({(s, d) for s, _, d in self.records}))
+        return tuple(sorted({(i, i + delta)
+                             for start, stop, step, delta in self._runs()
+                             for i in range(start, stop, step)}))
 
     @cached_property
     def component_labels(self) -> tuple[int, ...]:
-        uf = UnionFind(self.space.size)
-        for s, _, d in self.records:
-            uf.union(s, d)
-        roots = [uf.find(i) for i in range(self.space.size)]
-        order: dict[int, int] = {}
-        for r in roots:
-            if r not in order:
-                order[r] = len(order)
-        return tuple(order[r] for r in roots)
+        """Component of each configuration, numbered in order of first
+        appearance.  Union-find over the runs keeps every parent at most
+        its child (a root is the least index of its tree), so one pass in
+        index order meets each root before the rest of its component and
+        each parent before its children."""
+        parent = list(range(self.space.size))
+        for start, stop, step, delta in self._runs():
+            for a in range(start, stop, step):
+                b = a + delta
+                while parent[a] != a:   # path halving
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+        labels, count = parent, 0   # overwritten in place, index by index
+        for i, p in enumerate(parent):
+            if p == i:
+                labels[i], count = count, count + 1
+            else:
+                labels[i] = labels[p]
+        return tuple(labels)
 
     @property
     def n_components(self) -> int:
@@ -633,13 +647,14 @@ class TransitionGraph:
 
 def transition_graph(sites: SiteSet, interaction: Interaction, locale: Locale,
                      state_cap: int = DEFAULT_STATE_CAP) -> TransitionGraph:
+    """The transition graph of the locale's edges within ``sites``, which
+    must lie inside the locale."""
+    outside = set(sites) - set(locale.sites)
+    if outside:
+        raise NotSubset("site set is not inside the locale",
+                        outside=sorted(outside))
     space = enumerate_configs(sites, interaction, state_cap)
-    lam_edges = edges_within(locale, sites)
-    maps = [edge_moves(space, interaction, e) for e in lam_edges]
-    records = tuple((idx, e, moves[idx])
-                    for idx in range(space.size)
-                    for e, moves in zip(lam_edges, maps) if moves[idx] >= 0)
-    return TransitionGraph(space, lam_edges, records)
+    return TransitionGraph(space, edges_within(locale, sites), interaction)
 
 
 # ---------------------------------------------------------------------------

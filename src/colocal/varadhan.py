@@ -439,7 +439,11 @@ def invariant_spec_from_anchors(template: Locale, interaction: Interaction,
 def invariant_form_from_cocycle(rho: Cocycle, interaction: Interaction,
                                 dim: int) -> InvariantFormSpec:
     """Stencil of the canonical closed form of a cocycle; each anchor table
-    depends only on the two endpoint states."""
+    depends only on the two endpoint states.  The cocycle must have one
+    generator row per axis."""
+    if rho.dim != dim:
+        raise ValueError(
+            f"cocycle has {rho.dim} generator rows, expected {dim}")
     template = lattice_window(dim, 1)
     origin = template.site_at((0,) * dim)
     zero = tuple([Fraction(0)] * rho.n_states)

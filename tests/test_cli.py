@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from fractions import Fraction
@@ -403,3 +404,128 @@ def test_varadhan_float_mode_emits_floats_only(tmp_path):
         assert code == 0
         assert report["result"]["residual_interior_edges"]
         assert exact_strings(report) == []
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract: help, flags and usage exit codes
+# ---------------------------------------------------------------------------
+
+def test_help_names_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    page = capsys.readouterr().out
+    for name in ("conserved", "iq", "expand", "project", "closed", "dims",
+                 "varadhan", "martingale"):
+        assert name in page
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus", "--input", "{src}"],
+    ["conserved", "--input", "{src}", "--state-cap", "0"],
+    ["conserved", "--input", "{src}", "--subset-cap", "-1"],
+    ["conserved", "--input", "{src}", "--state-cap", "x"],
+    ["conserved", "--input", "{src}", "--bogus"],
+    ["conserved", "--input", "{src}", "--tolerance", "1e-6"],
+    ["conserved"],
+], ids=["no-subcommand", "unknown-subcommand", "state-cap-0",
+        "subset-cap-negative", "state-cap-not-int", "unknown-flag",
+        "tolerance", "missing-input"])
+def test_usage_exit_codes(tmp_path, argv):
+    src = tmp_path / "ok.json"
+    src.write_text(json.dumps({"interaction": EXCLUSION, "nu": HALF}))
+    assert main([a.format(src=src) for a in argv]) == 2
+
+
+def test_flags_may_precede_the_subcommand(tmp_path):
+    src = tmp_path / "ok.json"
+    src.write_text(json.dumps({"interaction": EXCLUSION, "nu": HALF}))
+    out = tmp_path / "out.json"
+    assert main(["--input", str(src), "--output", str(out), "conserved"]) == 0
+    assert json.loads(out.read_text())["result"]["dimension"] == 1
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    src = tmp_path / "ok.json"
+    src.write_text(json.dumps({"interaction": EXCLUSION, "nu": HALF}))
+    out = tmp_path / "out.json"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser was built per call")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert main(["conserved", "--input", str(src), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["ok"]
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs the library used to accept or to crash on
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nu", [["1/1"], ["1/3", "1/3", "1/3"]],
+                         ids=["one-weight", "three-weights"])
+@pytest.mark.parametrize("subcommand", sorted(NEEDS_NU))
+def test_nu_of_the_wrong_length_is_a_usage_error(tmp_path, capsys,
+                                                 subcommand, nu):
+    payload = {"interaction": EXCLUSION, "nu": nu, **NEEDS_NU[subcommand]}
+    code, report = run(tmp_path, subcommand, payload)
+    assert code == 2 and report is None
+    assert "weights for 2 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nu", [["1/1"], ["1/3", "1/3", "1/3"]],
+                         ids=["one-weight", "three-weights"])
+def test_product_measure_of_the_wrong_length_is_a_usage_error(tmp_path, nu):
+    measure = {"kind": "product", "nu": nu}
+    form = {"siteset": [0, 1],
+            "edges": [{"edge": [0, 1], "values": ["0", "-1", "1", "0"]}]}
+    for subcommand, payload in [
+            ("project", {"interaction": EXCLUSION, "measure": measure,
+                         "target": [0], "fn": TABLE}),
+            ("closed", {"interaction": EXCLUSION, "measure": measure,
+                        "form": form})]:
+        code, report = run(tmp_path, subcommand, payload)
+        assert code == 2 and report is None
+
+
+def test_unknown_measure_kind_is_a_usage_error(tmp_path, capsys):
+    payload = {"interaction": EXCLUSION, "target": [0], "fn": TABLE,
+               "measure": {"kind": "bogus", "siteset": [0, 1],
+                           "weights": ["1/4"] * 4}}
+    code, report = run(tmp_path, "project", payload)
+    assert code == 2 and report is None
+    assert "unknown measure kind 'bogus'" in capsys.readouterr().err
+    # the same measure declared as a window measure projects
+    payload["measure"]["kind"] = "window"
+    code, report = run(tmp_path, "project", payload)
+    assert code == 0 and report["ok"]
+
+
+BOX2 = {"lattice": {"dim": 2, "radius": 1}}
+
+
+@pytest.mark.parametrize("dim, window, cocycle", [
+    (2, BOX2, [["1"]]),
+    (1, NEEDS_NU["varadhan"]["window"], []),
+    (1, NEEDS_NU["varadhan"]["window"], [["1"], ["1"]]),
+], ids=["one-row-for-dim-2", "no-row-for-dim-1", "two-rows-for-dim-1"])
+def test_cocycle_rows_must_match_dim(tmp_path, capsys, dim, window, cocycle):
+    payload = {"interaction": EXCLUSION, "nu": HALF, "dim": dim,
+               "window": window, "margin": 0, "cocycle": cocycle}
+    code, report = run(tmp_path, "varadhan", payload)
+    assert code == 2 and report is None
+    assert f"expected {dim}" in capsys.readouterr().err
+
+
+def test_expand_siteset_outside_the_locale_is_not_subset(tmp_path):
+    payload = {"interaction": EXCLUSION, "nu": HALF, "locale": PAIR,
+               "fn": {"siteset": [0, 7], "values": ["0", "0", "0", "1"]}}
+    code, report = run(tmp_path, "expand", payload)
+    assert code == 1 and report["ok"] is False
+    assert report["error"]["name"] == "NotSubset"
+
+
+def test_dims_siteset_outside_the_locale_is_not_subset(tmp_path):
+    payload = {"interaction": EXCLUSION, "nu": HALF, "locale": PAIR,
+               "siteset": [0, 1, 5]}
+    code, report = run(tmp_path, "dims", payload)
+    assert code == 1 and report["ok"] is False
+    assert report["error"]["name"] == "NotSubset"

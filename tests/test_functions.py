@@ -190,6 +190,19 @@ def test_expansion_rejects_window_measure(exclusion, half):
         cl.expand_martingale(f, win)
 
 
+def test_expansion_rejects_a_measure_on_other_states(exclusion, half):
+    sites = cl.siteset([0, 1])
+    f = cl.site_occupation(sites, 2, 0)
+    thirds = cl.uniform_states(3)
+    with pytest.raises(cl.SiteSetMismatch):
+        cl.expand_martingale(f, thirds)
+    with pytest.raises(cl.SiteSetMismatch):
+        cl.expand_martingale(f, cl.state_measure([1]))
+    # one per-site factor on three states is enough
+    with pytest.raises(cl.SiteSetMismatch):
+        cl.expand_martingale(f, cl.product_measure(half, {1: thirds}))
+
+
 def test_expansion_subset_cap(half):
     sites = cl.siteset(range(5))
     f = cl.fn_constant(sites, 2, F(1))
@@ -212,6 +225,14 @@ def test_uniform_radius_examples(exclusion, half):
     assert cl.uniform_radius(cl.expand_martingale(c, half), w) == 0
 
 
+def test_uniform_radius_rejects_sites_outside_the_locale(half):
+    sites = cl.siteset([0, 7])
+    f = cl.site_occupation(sites, 2, 0) * cl.site_occupation(sites, 2, 7)
+    pair = cl.build_locale([0, 1], [(0, 1), (1, 0)])
+    with pytest.raises(cl.NotSubset):
+        cl.uniform_radius(cl.expand_martingale(f, half), pair)
+
+
 # -- conserved quantities ---------------------------------------------------------
 
 def test_conserved_exclusion(exclusion, half):
@@ -221,6 +242,12 @@ def test_conserved_exclusion(exclusion, half):
     assert xi.xi == (F(-1, 2), F(1, 2))
     assert xi.xi[1] - xi.xi[0] == 1
     assert half.mean(xi.xi) == 0
+
+
+def test_conserved_rejects_a_measure_on_other_states(exclusion):
+    for nu in (cl.state_measure([1]), cl.uniform_states(3)):
+        with pytest.raises(cl.SiteSetMismatch):
+            cl.conserved_quantities(exclusion, nu)
 
 
 def test_conserved_killed_by_extra_rule(half):

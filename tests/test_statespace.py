@@ -148,6 +148,12 @@ def test_transition_graph_path3_components(exclusion, path3):
     assert graph.n_components == 4
 
 
+def test_transition_graph_rejects_sites_outside_the_locale(exclusion,
+                                                         single_edge):
+    with pytest.raises(cl.NotSubset):
+        cl.transition_graph(cl.siteset([0, 1, 5]), exclusion, single_edge)
+
+
 def test_transition_symmetry(exclusion, path3):
     sites = cl.siteset(path3.sites)
     graph = cl.transition_graph(sites, exclusion, path3)

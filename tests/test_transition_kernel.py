@@ -78,6 +78,45 @@ def test_edge_moves_agree_with_apply_transition(case):
             assert moves[idx] == expected
 
 
+@given(kernel_cases())
+@example((cl.make_interaction((0, 1), 0, {(0, 1): (1, 1)}), BOX,
+          cl.siteset(BOX.sites)))
+def test_transition_graph_agrees_with_apply_transition(case):
+    """Records, pairs and component labels, which the graph derives from
+    the runs of ``transition_runs``, against the per-configuration
+    definition, on any rule: a depth-first search over the undirected
+    transitions numbers the components in order of first appearance."""
+    interaction, locale, sites = case
+    graph = cl.transition_graph(sites, interaction, locale)
+    space = graph.space
+    records = []
+    for idx in range(space.size):
+        eta = space.config(idx)
+        for e in cl.edges_within(locale, sites):
+            moved = cl.apply_transition(eta, e, interaction)
+            if moved != eta:
+                records.append((idx, e, space.encode(moved.assignment)))
+    assert graph.records == tuple(records)
+    assert graph.pairs == tuple(sorted({(s, d) for s, _, d in records}))
+    neighbours = [set() for _ in range(space.size)]
+    for s, _, d in records:
+        neighbours[s].add(d)
+        neighbours[d].add(s)
+    labels = [None] * space.size
+    count = 0
+    for root in range(space.size):
+        if labels[root] is None:
+            labels[root], stack = count, [root]
+            while stack:
+                for y in neighbours[stack.pop()]:
+                    if labels[y] is None:
+                        labels[y] = count
+                        stack.append(y)
+            count += 1
+    assert graph.component_labels == tuple(labels)
+    assert graph.n_components == count
+
+
 @given(kernel_cases(reversible=True), st.integers(0, 2 ** 32))
 @example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites[:6])), 5)
 def test_solve_potential_inverts_differential(case, seed):

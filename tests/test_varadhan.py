@@ -137,6 +137,16 @@ def test_potential_stencil_matches_dense_differential(mu_half):
         assert omega.tables[e].minimized().equals(dense.tables[e].minimized())
 
 
+def test_cocycle_form_needs_one_row_per_axis():
+    exclusion, _, basis, rho = exclusion_cocycle()
+    with pytest.raises(ValueError, match="expected 2"):
+        cl.invariant_form_from_cocycle(rho, exclusion, 2)
+    for rows in ([], [[F(1)], [F(1)]]):
+        with pytest.raises(ValueError, match="expected 1"):
+            cl.invariant_form_from_cocycle(
+                cl.cocycle_from_coefficients(basis, rows), exclusion, 1)
+
+
 # -- decomposition -----------------------------------------------------------
 
 def test_decompose_pure_cocycle_round_trip():

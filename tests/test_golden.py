@@ -28,7 +28,15 @@ states, windows growing outward from the middle, each table projected
 from the full function), and ``expand`` on a three-state table whose
 entries repeat and are written in non-canonical ways (``"2/4"``, ``"3"``,
 ``"-0/5"``, ``"+1/3"``, ``"1.5"``, ``" 7/14 "``, ``"1e-1"``, a JSON int),
-under a measure written the same way."""
+under a measure written the same way.
+
+The last two ``varadhan`` runs were captured while window mode still read
+its residual form off the dense differential of the residual potential:
+a three-state window of radius 4 under a seeded cocycle plus a potential
+stencil of radius 2, with the margin set to 2, below its default of 3 (so
+the printed residual edges reach the stencil's boundary effects), and a
+local-mode d=2 run on the box of radius 3 (a cocycle plus the stencil of a
+two-site potential core given by its anchor edges only)."""
 
 import json
 import re
@@ -55,7 +63,9 @@ GOLDEN = Path(__file__).parent / "golden"
                           ("project", "project-form-window"),
                           ("conserved", "conserved"),
                           ("martingale", "martingale-chain12"),
-                          ("expand", "expand-scalars")])
+                          ("expand", "expand-scalars"),
+                          ("varadhan", "varadhan-window-margin"),
+                          ("varadhan", "varadhan-local-d2")])
 def test_output_bytes_match_golden(tmp_path, subcommand, name):
     out = tmp_path / f"{name}.out.json"
     expected = (GOLDEN / f"{name}.out.json").read_bytes()

@@ -150,6 +150,8 @@ def _run_varadhan(payload: dict, args: argparse.Namespace) -> dict:
     interaction, nu = _load_common(payload, args)
     basis = conserved_quantities(interaction, nu)
     dim = payload["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"dim must be a positive int, got {dim!r}")
     window = jsonio.locale_from_json(payload["window"])
     spec = None
     if "cocycle" in payload:

@@ -284,12 +284,12 @@ def _scalar(integrated) -> Scalar:
     return from_numerators(*integrated)[0]
 
 
-def _site_components(f: FnTable, prod: ProductMeasure) -> dict:
+def _site_components(f: FnTable, prod: ProductMeasure) -> tuple[dict, Fraction]:
     """The mean-removed single-site component of f at every site, as a
-    per-state tuple: site -> (E[f | eta_x = a] - E[f] for each state a).
-    These are the first-order Hoeffding / Efron-Stein terms; all of them
-    come from one pass, weighting f by the integer product weights once and
-    then summing its digit slices site by site."""
+    per-state tuple: site -> (E[f | eta_x = a] - E[f] for each state a),
+    and E[f].  These are the first-order Hoeffding / Efron-Stein terms; all
+    of them come from one pass, weighting f by the integer product weights
+    once and then summing its digit slices site by site."""
     n = f.n_states
     if prod.n_states != n:
         raise SiteSetMismatch("measure and function state counts differ")
@@ -305,7 +305,7 @@ def _site_components(f: FnTable, prod: ProductMeasure) -> dict:
         # E[f | eta_s = a] = sums[a] q / (den w[a]) and E[f] = total / den
         out[s] = tuple(Fraction(sums[a] * q - total * w[a], den * w[a])
                        for a in range(n))
-    return out
+    return out, Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------

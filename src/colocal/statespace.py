@@ -17,6 +17,7 @@ and ``interleave`` (one digit back in).
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,42 +61,37 @@ class LatticeMeta:
     radius: Optional[int] = None
     sizes: Optional[tuple[int, ...]] = None
 
-    def in_window(self, coord: tuple[int, ...]) -> bool:
-        if self.kind == "window":
-            return all(abs(c) <= self.radius for c in coord)
-        return all(0 <= c < s for c, s in zip(coord, self.sizes))
+    @cached_property
+    def extents(self) -> tuple[int, ...]:
+        """The number of coordinates along each axis."""
+        return self.sizes or (2 * self.radius + 1,) * self.dim
+
+    @cached_property
+    def low(self) -> int:
+        """The least coordinate along every axis."""
+        return -self.radius if self.kind == "window" else 0
 
     def coord_to_site(self, coord: Sequence[int]) -> Optional[int]:
+        """The row-major rank of the coordinate (the last axis fastest),
+        offset in one dimension so that a site id is its coordinate; None
+        outside the chart."""
         coord = tuple(coord)
-        if len(coord) != self.dim or not self.in_window(coord):
+        if len(coord) != self.dim:
             return None
-        if self.kind == "window":
-            if self.dim == 1:
-                return coord[0]
-            width = 2 * self.radius + 1
-            site = 0
-            for c in coord:
-                site = site * width + (c + self.radius)
-            return site
-        site = 0
-        for c, s in zip(coord, self.sizes):
-            site = site * s + c
-        return site
+        site, low = 0, self.low
+        for c, extent in zip(coord, self.extents):
+            if not 0 <= c - low < extent:
+                return None
+            site = site * extent + c - low
+        return site + (low if self.dim == 1 else 0)
 
     def site_to_coord(self, site: int) -> tuple[int, ...]:
-        if self.kind == "window":
-            if self.dim == 1:
-                return (site,)
-            width = 2 * self.radius + 1
-            digits = []
-            for _ in range(self.dim):
-                digits.append(site % width - self.radius)
-                site //= width
-            return tuple(reversed(digits))
+        if self.kind == "window" and self.dim == 1:
+            return (site,)
         digits = []
-        for s in reversed(self.sizes):
-            digits.append(site % s)
-            site //= s
+        for extent in reversed(self.extents):
+            digits.append(site % extent + self.low)
+            site //= extent
         return tuple(reversed(digits))
 
     def translate_coord(self, coord: tuple[int, ...], vector: Sequence[int]):
@@ -103,12 +99,6 @@ class LatticeMeta:
         if self.kind == "torus":
             moved = tuple(c % s for c, s in zip(moved, self.sizes))
         return moved
-
-    def all_coords(self):
-        if self.kind == "window":
-            rng = range(-self.radius, self.radius + 1)
-            return itertools.product(rng, repeat=self.dim)
-        return itertools.product(*(range(s) for s in self.sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +206,19 @@ def lattice_window(dim: int, radius: Optional[int] = None,
                 sizes=list(sizes))
         meta = LatticeMeta(dim, "torus", sizes=sizes)
 
-    coords = list(meta.all_coords())
-    sites = [meta.coord_to_site(c) for c in coords]
-    edges = set()
-    for c in coords:
-        s = meta.coord_to_site(c)
-        for axis in range(dim):
-            for step in (-1, 1):
-                nb = meta.translate_coord(c, tuple(step if i == axis else 0
-                                                   for i in range(dim)))
-                if meta.kind == "window" and not meta.in_window(nb):
-                    continue
-                edges.add((s, meta.coord_to_site(nb)))
+    # site ids are consecutive row-major ranks from the least corner's
+    first = meta.coord_to_site((meta.low,) * dim)
+    sites = range(first, first + math.prod(meta.extents))
+    edges = []
+    stride = 1
+    for extent in reversed(meta.extents):
+        for k, s in enumerate(sites):
+            digit = k // stride % extent
+            if digit < extent - 1:
+                edges += [(s, s + stride), (s + stride, s)]
+            elif sizes:   # the torus wraps around
+                edges += [(s, s - digit * stride), (s - digit * stride, s)]
+        stride *= extent
     return build_locale(sites, edges, meta)
 
 

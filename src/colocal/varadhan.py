@@ -27,7 +27,12 @@ from .errors import (
     ResidueNotConserved,
     WindowTooSmall,
 )
-from .forms import Form, _differentials, edge_differential, solve_potential
+from .forms import (
+    Form,
+    _check_zero_on_fixed,
+    edge_differential,
+    solve_potential,
+)
 from .functions import ConservedQuantity, conserved_quantities
 from .measure import (
     ProductMeasure,
@@ -47,7 +52,7 @@ from .statespace import (
     lattice_window,
     siteset,
 )
-from .tables import FnTable, fn_zeros
+from .tables import FnTable, aligned, fn_zeros
 
 Coord = tuple[int, ...]
 
@@ -131,20 +136,22 @@ class Cocycle:
         return all(all(c == 0 for c in row) for row in self.images)
 
     def generator_state_table(self, axis: int) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.n_states
-        for c, xi in zip(self.images[axis], self.basis):
-            for s in range(self.n_states):
-                out[s] += c * xi.xi[s]
-        return tuple(out)
+        return self._generator_tables[axis]
+
+    @cached_property
+    def _generator_tables(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per generator, the per-state value of its image."""
+        return tuple(
+            tuple(sum((c * xi.xi[s] for c, xi in zip(row, self.basis)),
+                      Fraction(0)) for s in range(self.n_states))
+            for row in self.images)
 
     def site_state_table(self, coord: Coord) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * self.n_states
         for axis, x in enumerate(coord):
-            if x == 0:
-                continue
-            g = self.generator_state_table(axis)
-            for s in range(self.n_states):
-                out[s] += x * g[s]
+            if x:
+                out = [o + x * g for o, g in
+                       zip(out, self.generator_state_table(axis))]
         return tuple(out)
 
     def scale(self, c: Scalar) -> "Cocycle":
@@ -222,12 +229,11 @@ def omega_from_cocycle(rho: Cocycle, window: Locale,
         raise ValueError("cocycle and interaction state counts differ")
     sites = siteset(window.sites)
     pairs = tuple(sorted((o, t) for (o, t) in window.edges if o < t))
+    h = {s: rho.site_state_table(window.coord_of(s)) for s in sites}
     tables = {}
     for (o, t) in pairs:
-        h_o = rho.site_state_table(window.coord_of(o))
-        h_t = rho.site_state_table(window.coord_of(t))
         tables[(o, t)] = edge_differential(
-            _endpoint_table((o, t), h_o, h_t), interaction, (o, t))
+            _endpoint_table((o, t), h[o], h[t]), interaction, (o, t))
     return Form(sites, interaction, pairs, tables)
 
 
@@ -332,14 +338,10 @@ class InvariantFormSpec:
         bad = []
         for (o, t), table in self.form.tables.items():
             co, ct = self.template.coord_of(o), self.template.coord_of(t)
-            direction = _coord_sub(ct, co)
-            axis = direction.index(1)
-            anchor = self.anchor_table(axis).minimized()
-            expected = _translate_table(anchor, self.template, self.template,
-                                        co, None, None)
-            if expected is None:
-                continue
-            if not expected.equals(table.minimized()):
+            anchor = self.anchor_table(_coord_sub(ct, co).index(1))
+            expected = _translate_table(anchor.minimized(), self.template,
+                                        self.template, co, None, None)
+            if expected is not None and not expected.equals(table.minimized()):
                 bad.append((o, t))
         return sorted(bad)
 
@@ -510,10 +512,13 @@ class VaradhanDecomposition:
     checks: dict
 
 
-def _shift_residue(pair_tables, basis, context: str):
-    """Common value of the per-site differences, solved over the basis."""
-    reference = pair_tables[0]
-    if any(other != reference for other in pair_tables[1:]):
+def _shift_residue(singles: dict, pairs, basis, context: str):
+    """Common value of ``singles[s] - singles[p]`` over the site pairs
+    (s, p), solved over the basis."""
+    diffs = [tuple(a - b for a, b in zip(singles[s], singles[p]))
+             for s, p in pairs]
+    reference = diffs[0]
+    if any(other != reference for other in diffs[1:]):
         raise ResidueNotConserved(
             f"shift residue varies across {context}; window too small "
             "or interaction not irreducibly quantified")
@@ -531,22 +536,32 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     """Split a shift-invariant closed form into a cocycle part and an exact
     part.
 
-    On windows within the state cap this solves for a potential on the full
-    window, reads the cocycle off the shift residue of its single-site
-    components on the interior, and returns the residual form together with
-    its potential.  On larger windows the same single-site components are
-    computed exactly from solves on three-site sub-windows per axis, and the
-    residual is returned as a stencil only.
+    On windows within the state cap this solves for a potential theta on
+    the full window, reads the cocycle rho off the shift residue of its
+    single-site components on the interior (``margin``, a non-negative int,
+    by default ``stencil_radius + 1``), and returns the residual potential
+    theta - theta_rho - E[theta] and form omega - d theta_rho, edge by edge
+    at each table's own support (the solver certified d theta = omega on
+    every transition).  On larger windows the same single-site components
+    are computed exactly from solves on three-site sub-windows per axis,
+    and the residual is returned as a stencil only.
     """
     _require_lattice_window(window)
     dim = window.lattice.dim
     if spec.dim != dim:
         raise ValueError("stencil and window dimensions differ")
+    if margin is not None and (isinstance(margin, bool)
+                               or not isinstance(margin, int) or margin < 0):
+        raise ValueError(f"margin must be a non-negative int, got {margin!r}")
     interaction = spec.interaction
     n = interaction.n_states
     if nu.n_states != n:
         raise ValueError("measure and interaction state counts differ")
 
+    # the residual form is read off omega: it must vanish where phi fixes
+    for axis in range(dim):
+        _check_zero_on_fixed(spec.anchor_table(axis), spec.anchor_edge(axis),
+                             interaction)
     mismatched = spec.check_invariance()
     if mismatched:
         raise NotInvariant("template form is not translation-consistent",
@@ -561,41 +576,40 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
             f"window radius {radius} cannot hold margin {margin}",
             radius=radius, margin=margin)
 
-    window_size = n ** len(window.sites)
-    mode = "window" if window_size <= state_cap else "local"
+    mode = "window" if n ** len(window.sites) <= state_cap else "local"
     checks: dict = {"mode": mode, "margin": margin,
                     "stencil_radius": spec.stencil_radius}
     mu = ProductMeasure(nu)
 
     if mode == "window":
         omega = spec.materialize(window, nu)
-        theta = solve_potential(omega, mu, state_cap=state_cap)
-        singles = _site_components(theta, mu)
+        theta = solve_potential(omega, state_cap=state_cap)
+        singles, mean = _site_components(theta, mu)
         inside = set(interior_sites(window, margin))
         rows = []
         for axis in range(dim):
             unit = _unit(axis, dim)
-            diffs = []
-            for s in sorted(inside):
-                partner = window.site_at(_coord_sub(window.coord_of(s), unit))
-                if partner is None or partner not in inside:
-                    continue
-                diffs.append(tuple(a - b for a, b in zip(singles[s],
-                                                         singles[partner])))
-            if not diffs:
+            pairs = [(s, window.site_at(_coord_sub(window.coord_of(s), unit)))
+                     for s in sorted(inside)]
+            pairs = [(s, p) for s, p in pairs if p in inside]
+            if not pairs:
                 raise WindowTooSmall(
                     f"interior has no site pairs along axis {axis}",
                     axis=axis, margin=margin)
-            rows.append(_shift_residue(diffs, basis, f"axis {axis} interior"))
+            rows.append(_shift_residue(singles, pairs, basis,
+                                       f"axis {axis} interior"))
         rho = Cocycle(n, tuple(basis), tuple(rows))
 
-        residual_potential = theta - theta_from_cocycle(rho, window,
-                                                        state_cap)
-        # minimize each dense residual edge as soon as it is made
-        residual_tables = {
-            e: table.minimized()
-            for e, table in _differentials(residual_potential, interaction,
-                                           omega.edges)}
+        # theta_rho has zero mean: one pass subtracts it and E[theta]
+        (a, b), den = aligned((theta, theta_from_cocycle(rho, window,
+                                                         state_cap)))
+        c = mean * den
+        p, q = c.numerator, c.denominator
+        residual_potential = FnTable.from_numerators(
+            theta.sites, n, [q * (x - y) - p for x, y in zip(a, b)], den * q)
+        # d(theta - theta_rho), as the solver certified d theta = omega
+        residual = omega - omega_from_cocycle(rho, window, interaction)
+        residual_tables = {e: t.minimized() for e, t in residual.tables.items()}
         residual_form = Form(omega.sites, interaction, omega.edges,
                              residual_tables)
 
@@ -608,28 +622,23 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         residual_form = None
         residual_potential = None
         checks["closedness_window_radius"] = _validate_closed_locally(
-            spec, nu, mu, state_cap)
+            spec, nu, state_cap)
         rows = []
         for axis in range(dim):
             unit = _unit(axis, dim)
-            coords = [_coord_sub((0,) * dim, unit), (0,) * dim, unit]
-            sub_sites = []
-            for c in coords:
-                s = window.site_at(c)
-                if s is None:
-                    raise WindowTooSmall(
-                        f"window cannot hold the axis-{axis} probe sites",
-                        axis=axis)
-                sub_sites.append(s)
+            sub_sites = [window.site_at(c) for c in
+                         (_coord_sub((0,) * dim, unit), (0,) * dim, unit)]
+            if None in sub_sites:
+                raise WindowTooSmall(
+                    f"window cannot hold the axis-{axis} probe sites",
+                    axis=axis)
             sub = SiteSet(tuple(sorted(sub_sites)))
             omega_sub = spec.materialize(window, nu, keep=sub)
-            theta_sub = solve_potential(omega_sub, mu, state_cap=state_cap)
-            singles = _site_components(theta_sub, mu)
-            mid, tip = sub_sites[1], sub_sites[2]
-            low = sub_sites[0]
-            diffs = [tuple(a - b for a, b in zip(singles[mid], singles[low])),
-                     tuple(a - b for a, b in zip(singles[tip], singles[mid]))]
-            rows.append(_shift_residue(diffs, basis, f"axis {axis} probe"))
+            theta_sub = solve_potential(omega_sub, state_cap=state_cap)
+            low, mid, tip = sub_sites
+            rows.append(_shift_residue(_site_components(theta_sub, mu)[0],
+                                       [(mid, low), (tip, mid)], basis,
+                                       f"axis {axis} probe"))
         rho = Cocycle(n, tuple(basis), tuple(rows))
 
     residual_spec = spec - invariant_form_from_cocycle(rho, interaction, dim)
@@ -644,28 +653,23 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
 
 def _interior_invariance(form: Form, window: Locale, margin: int) -> bool:
     """Are the (support-minimized) interior edge tables translation
-    consistent along every axis?"""
-    inside = interior_edges(window, margin)
-    by_axis: dict[int, list[Edge]] = {}
-    for (o, t) in inside:
-        axis = _coord_sub(window.coord_of(t), window.coord_of(o)).index(1)
-        by_axis.setdefault(axis, []).append((o, t))
-    for axis, edges in by_axis.items():
-        reference_edge = edges[0]
-        ref = form.tables[reference_edge].minimized()
-        ref_origin = window.coord_of(reference_edge[0])
-        for e in edges[1:]:
-            shift = _coord_sub(window.coord_of(e[0]), ref_origin)
-            expected = _translate_table(ref, window, window, shift, None, None)
-            if expected is None:
-                continue
-            if not expected.equals(form.tables[e].minimized()):
-                return False
+    consistent along every axis?  Each is compared with the first interior
+    edge of its axis, moved onto it."""
+    first: dict[int, tuple[FnTable, Coord]] = {}
+    for (o, t) in interior_edges(window, margin):
+        origin = window.coord_of(o)
+        axis = _coord_sub(window.coord_of(t), origin).index(1)
+        table = form.tables[(o, t)].minimized()
+        ref, ref_origin = first.setdefault(axis, (table, origin))
+        expected = _translate_table(ref, window, window,
+                                    _coord_sub(origin, ref_origin), None, None)
+        if expected is not None and not expected.equals(table):
+            return False
     return True
 
 
 def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,
-                             mu: ProductMeasure, state_cap) -> Optional[int]:
+                             state_cap) -> Optional[int]:
     """Check closedness on the largest materializable box window; returns
     its radius, or None when even radius 1 exceeds the cap."""
     n = spec.interaction.n_states
@@ -673,6 +677,6 @@ def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,
         if n ** ((2 * radius + 1) ** spec.dim) <= state_cap:
             probe = lattice_window(spec.dim, radius)
             omega = spec.materialize(probe, nu)
-            solve_potential(omega, mu, state_cap=state_cap)
+            solve_potential(omega, state_cap=state_cap)
             return radius
     return None

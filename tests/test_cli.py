@@ -529,3 +529,31 @@ def test_dims_siteset_outside_the_locale_is_not_subset(tmp_path):
     code, report = run(tmp_path, "dims", payload)
     assert code == 1 and report["ok"] is False
     assert report["error"]["name"] == "NotSubset"
+
+
+@pytest.mark.parametrize("margin", [-1, 1.5, True, "2"],
+                         ids=["negative", "float", "bool", "string"])
+def test_varadhan_margin_must_be_a_non_negative_int(tmp_path, capsys, margin):
+    payload = {"interaction": EXCLUSION, "nu": HALF, **NEEDS_NU["varadhan"],
+               "margin": margin}
+    code, report = run(tmp_path, "varadhan", payload)
+    assert code == 2 and report is None
+    assert (f"margin must be a non-negative int, got {margin!r}"
+            in capsys.readouterr().err)
+
+
+def test_varadhan_margin_zero_stays_allowed(tmp_path):
+    payload = {"interaction": EXCLUSION, "nu": HALF, **NEEDS_NU["varadhan"],
+               "margin": 0}
+    code, report = run(tmp_path, "varadhan", payload)
+    assert code == 0 and report["result"]["margin"] == 0
+
+
+@pytest.mark.parametrize("dim", ["1", True, 0, 1.5],
+                         ids=["string", "bool", "zero", "float"])
+def test_varadhan_dim_must_be_a_positive_int(tmp_path, capsys, dim):
+    payload = {"interaction": EXCLUSION, "nu": HALF,
+               **NEEDS_NU["varadhan"], "dim": dim}
+    code, report = run(tmp_path, "varadhan", payload)
+    assert code == 2 and report is None
+    assert f"dim must be a positive int, got {dim!r}" in capsys.readouterr().err

@@ -213,9 +213,10 @@ def per_site_components(f, prod):
 @example(big_case())
 def test_site_components_match_per_site_projections(case):
     f, prod = case
-    components = _site_components(f, prod)
+    components, mean = _site_components(f, prod)
     oracle = per_site_components(f, prod)
     assert list(components) == list(oracle)
     assert components == oracle
+    assert mean == cl.expectation(f, prod)
     ff, fprod = as_float(f, prod)
-    assert _site_components(ff, fprod) == oracle
+    assert _site_components(ff, fprod) == (oracle, mean)

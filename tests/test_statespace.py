@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 import colocal as cl
+from colocal.statespace import LatticeMeta
 
 
 # -- locales ------------------------------------------------------------
@@ -41,6 +43,45 @@ def test_lattice_window_counts():
     assert len(w1.sites) == 3 and len(w1.edges) == 4
     w2 = cl.lattice_window(2, radius=1)
     assert len(w2.sites) == 9 and len(w2.edges) == 24
+
+
+def enumerated_locale(meta):
+    """Oracle: coordinates enumerated in lexicographic order get ascending
+    site ids (from -radius in one dimension, else from 0), and each is
+    joined to its +1 neighbour along every axis, wrapped on a torus."""
+    if meta.kind == "window":
+        ranges = [range(-meta.radius, meta.radius + 1)] * meta.dim
+    else:
+        ranges = [range(size) for size in meta.sizes]
+    first = ranges[0].start if meta.dim == 1 else 0
+    ids = {c: first + k for k, c in enumerate(itertools.product(*ranges))}
+    edges = set()
+    for c, s in ids.items():
+        for axis, r in enumerate(ranges):
+            nb = list(c)
+            nb[axis] = r[(c[axis] - r.start + 1) % len(r)]
+            if meta.kind == "torus" or nb[axis] > c[axis]:
+                edges |= {(s, ids[tuple(nb)]), (ids[tuple(nb)], s)}
+    return ids, cl.build_locale(ids.values(), edges, meta)
+
+
+@pytest.mark.parametrize("meta", [
+    *(LatticeMeta(d, "window", radius=r) for d in (1, 2, 3)
+      for r in range(4 - d)),
+    LatticeMeta(1, "window", radius=7),
+    *(LatticeMeta(len(sizes), "torus", sizes=sizes)
+      for sizes in [(3,), (7,), (3, 3), (3, 5), (4, 3), (3, 4, 3)])],
+    ids=repr)
+def test_lattice_window_matches_enumeration(meta):
+    built = (cl.lattice_window(meta.dim, radius=meta.radius)
+             if meta.kind == "window"
+             else cl.lattice_window(meta.dim, sizes=meta.sizes))
+    ids, oracle = enumerated_locale(meta)
+    assert built.sites == oracle.sites
+    assert built.edges == oracle.edges
+    assert built.lattice == oracle.lattice == meta
+    for c, s in ids.items():
+        assert built.site_at(c) == s and built.coord_of(s) == c
 
 
 def test_torus_too_small():

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import colocal as cl
 
@@ -329,3 +330,57 @@ def test_decompose_window_too_small():
     with pytest.raises(cl.WindowTooSmall):
         cl.decompose_invariant_form(spec, cl.lattice_window(1, radius=1), nu,
                                     margin=5)
+
+
+def test_decompose_rejects_a_stencil_nonzero_on_fixed_configurations():
+    # omega_(0,1)(0, 0) = 3, where exclusion fixes the pair: not a form
+    exclusion, nu, _, _ = exclusion_cocycle()
+    anchor = cl.FnTable(cl.siteset([0, 1]), 2, (F(3), F(1), F(-1), F(0)))
+    spec = cl.invariant_spec_from_anchors(cl.lattice_window(1, radius=1),
+                                          exclusion, [anchor])
+    with pytest.raises(cl.MalformedForm, match="fixed configuration"):
+        cl.decompose_invariant_form(spec, cl.lattice_window(1, radius=3), nu)
+
+
+# -- window-mode round trip as a property -------------------------------------
+
+@st.composite
+def window_round_trips(draw):
+    """d=1, 2 or 3 states, a product measure, radius 3-5, a random cocycle
+    plus the stencil of a random potential core on 2 or 3 sites."""
+    n = draw(st.sampled_from([2, 3]))
+    core_len = draw(st.sampled_from([2, 3]))
+    radius = draw(st.integers(core_len + 1, 5))
+    raw = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    nu = cl.state_measure([F(w, sum(raw)) for w in raw])
+    ratio = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    inter = cl.exclusion_interaction(n)
+    basis = cl.conserved_quantities(inter, nu)
+    rho = cl.cocycle_from_coefficients(
+        basis, [draw(st.lists(ratio, min_size=len(basis),
+                              max_size=len(basis)))])
+    template = cl.lattice_window(1, radius=core_len)
+    core_sites = cl.siteset(range(core_len))
+    core = cl.FnTable(core_sites, n, tuple(draw(st.lists(
+        ratio, min_size=n ** core_len, max_size=n ** core_len))))
+    spec = cl.invariant_form_from_potential_stencil(core, template, inter) + \
+        cl.invariant_form_from_cocycle(rho, inter, 1)
+    return spec, cl.lattice_window(1, radius=radius), nu, rho
+
+
+@settings(max_examples=25)
+@given(window_round_trips())
+def test_window_mode_round_trip(case):
+    spec, window, nu, rho = case
+    dec = cl.decompose_invariant_form(spec, window, nu)
+    assert dec.mode == "window"
+    assert dec.cocycle.images == rho.images
+    # the dense differential of the residual potential is the oracle of
+    # the residual form, on every window edge
+    back = cl.differential(dec.residual_potential, spec.interaction, window)
+    sites = cl.siteset(window.sites)
+    assert back.edges == dec.residual_form.edges
+    for e in back.edges:
+        assert back.tables[e] == dec.residual_form.tables[e].embed(sites)
+    assert cl.expectation(dec.residual_potential, cl.ProductMeasure(nu)) == 0
+    assert dec.checks["residual_interior_invariant"]

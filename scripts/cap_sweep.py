@@ -7,7 +7,7 @@ d=1 exclusion window in window mode: two states, nu = (3/5, 2/5), cocycle
 3/7, radius 6 to 9 (up to 2^19 configurations); three states,
 nu = (1/2, 1/3, 1/6), cocycle (3/7, -2/5), radius 4 and 5 (up to 3^11
 configurations).  Subset-cap cases expand a seeded function on a path of
-10, 12 and 13 two-state sites under nu = (3/5, 2/5); its entries are
+10, 12, 13 and 14 two-state sites under nu = (3/5, 2/5); its entries are
 p/q with |p| <= 4 and q <= 3, so they repeat, as in the benchmark's
 tables.  The transition-graph case checks irreducible quantification of
 two-state exclusion on a path of 16 sites (2^16 configurations).  Per run
@@ -89,7 +89,7 @@ def iq_case(n_sites: int) -> dict:
 
 CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [varadhan_case("n3-r%d" % r, THREE, r) for r in (4, 5)]
-         + [expand_case(n) for n in (10, 12, 13)]
+         + [expand_case(n) for n in (10, 12, 13, 14)]
          + [iq_case(16)])
 
 

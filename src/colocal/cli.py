@@ -238,7 +238,8 @@ _PARSER.add_argument("--state-cap", type=positive_int, metavar="N",
                      help="configuration cap (%(default)s)")
 _PARSER.add_argument("--subset-cap", type=positive_int, metavar="N",
                      default=DEFAULT_SUBSET_CAP,
-                     help="expansion site cap (%(default)s)")
+                     help="expansion site cap (%(default)s; the expansion "
+                          "of N sites with n states has (n+1)^N entries)")
 _PARSER.add_argument("--mode", choices=["exact", "float"], default="exact",
                      help="number format of input and output")
 
@@ -248,12 +249,12 @@ _PARSER.add_argument("--mode", choices=["exact", "float"], default="exact",
 # ---------------------------------------------------------------------------
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write the report to ``output``, or to stdout; raises OSError."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            jsonio.write_report(report, fh)
     else:
-        sys.stdout.write(text)
+        jsonio.write_report(report, sys.stdout)
 
 
 def _reject_constant(name: str):
@@ -275,24 +276,24 @@ def main(argv=None) -> int:
     envelope = {"schema_version": SCHEMA_VERSION,
                 "subcommand": args.subcommand}
     try:
-        result = _RUNNERS[args.subcommand](payload, args)
+        envelope["result"] = _RUNNERS[args.subcommand](payload, args)
+        envelope["ok"], code = True, 0
     except (KeyError, ValueError, TypeError) as exc:
         print(f"usage error: malformed input: {exc!r}", file=sys.stderr)
         return 2
     except ColocalError as exc:
-        envelope["ok"] = False
         error = {"name": exc.name, "message": exc.message,
                  "details": jsonify(exc.details, args.mode)}
         if isinstance(exc, NotClosed) and exc.witness is not None:
             error["witness"] = jsonio.path_to_json(exc.witness)
             error["integral"] = jsonio.format_scalar(exc.integral, args.mode)
-        envelope["error"] = error
+        envelope["ok"], envelope["error"], code = False, error, 1
+    try:
         _emit(envelope, args.output)
-        return 1
-    envelope["ok"] = True
-    envelope["result"] = result
-    _emit(envelope, args.output)
-    return 0
+    except OSError as exc:
+        print(f"usage error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -25,19 +25,16 @@ from .errors import (
     NotClosed,
     NotOrdinary,
     NotSubset,
-    SiteSetMismatch,
 )
 from .measure import (
     Measure,
     WindowMeasure,
-    _as_product,
-    _weight_numerators,
     conditional_expectation,
     expectation,
     is_ordinary,
-    materialize,
+    weight_table,
 )
-from .scalars import Scalar, from_numerators, numerators
+from .scalars import Scalar, from_numerators
 from .statespace import (
     Config,
     ConfigSpace,
@@ -579,11 +576,7 @@ def kernel_basis(sites: SiteSet, interaction: Interaction, locale: Locale,
     labels = graph.component_labels
     m = graph.n_components
     n_states = interaction.n_states
-    prod = _as_product(mu)
-    weights, den = (_weight_numerators(prod, sites) if prod is not None
-                    else numerators(materialize(mu, sites, state_cap).weights))
-    if len(weights) != len(labels):
-        raise SiteSetMismatch("function and measure site sets differ")
+    weights, den = weight_table(mu, sites, n_states, state_cap)
     # every indicator and every component mass (over den) in one pass
     rows = [[0] * len(labels) for _ in range(m)]
     mass = [0] * m

@@ -4,13 +4,15 @@ Scalars are canonical ``"p/q"`` strings in exact mode.  Float mode is an
 input and output format only: a JSON float is read as the simplest rational
 that rounds to it (:func:`colocal.scalars.exact_scalars`), every computation
 stays exact, and each scalar is written as ``float()`` of its exact value.
-All dump functions produce deterministic structures (sorted keys are applied
-at serialization time by the CLI).
+All dump functions produce deterministic structures; ``write_report``
+writes them with sorted keys.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import NotReversible
 from .forms import Form, Path
@@ -239,3 +241,105 @@ def jsonify(value, mode: str = "exact"):
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     return str(value)
+
+
+# -- report writer --------------------------------------------------------
+#
+# json.dumps runs its pure-Python encoder whenever ``indent`` is set, one
+# generator step per value.  The writer below keeps that layout but
+# encodes each list of leaves as one chunk, at C iteration speed.
+
+_INDENT = "  "
+_CONTAINERS = (list, tuple, dict)
+# the characters encode_basestring_ascii copies unescaped
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
+def write_report(report, fh) -> None:
+    """Write to the text file ``fh`` the text ``json.dumps`` makes of the
+    report with sorted keys and an indent of two spaces, plus a newline:
+    chunk by chunk, a list of leaves as one chunk.  A dict key that is not
+    a ``str`` raises ``TypeError``, as does a value JSON cannot hold."""
+    _write_value(report, fh.write, "\n")
+    fh.write("\n")
+
+
+def _leaf_text(value) -> str:
+    """The JSON text of a value that is not a list, tuple or dict."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+def _write_value(value, write, newline: str) -> None:
+    """Write one value; ``newline`` is a line break plus the indent of the
+    line the value starts on."""
+    if isinstance(value, dict):
+        _write_dict(value, write, newline)
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, write, newline)
+    else:
+        write(_leaf_text(value))
+
+
+def _write_list(items, write, newline: str) -> None:
+    if not items:
+        write("[]")
+        return
+    inner = newline + _INDENT
+    sep = "," + inner
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        joined = "".join(items)
+        if (joined.isascii()
+                and not joined.encode("ascii").translate(None, _PLAIN)):
+            # no character needs an escape: quote every item in one join
+            body = '"' + f'"{sep}"'.join(items) + '"'
+        else:
+            body = sep.join(map(_quote, items))
+    elif kinds == {int}:
+        body = sep.join(map(int.__repr__, items))
+    elif not any(issubclass(kind, _CONTAINERS) for kind in kinds):
+        body = sep.join(map(_leaf_text, items))
+    else:
+        opener = "["
+        for item in items:
+            write(opener + inner)
+            _write_value(item, write, inner)
+            opener = ","
+        write(newline + "]")
+        return
+    write(f"[{inner}{body}{newline}]")
+
+
+def _write_dict(obj: dict, write, newline: str) -> None:
+    if not obj:
+        write("{}")
+        return
+    for kind in set(map(type, obj)):
+        if not issubclass(kind, str):
+            raise TypeError(f"keys must be str, not {kind.__name__}")
+    inner = newline + _INDENT
+    opener = "{"
+    for key in sorted(obj):
+        write(f"{opener}{inner}{_quote(key)}: ")
+        _write_value(obj[key], write, inner)
+        opener = ","
+    write(newline + "}")

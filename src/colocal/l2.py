@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import repeat
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from .functions import build_chain
-from .measure import Measure, WindowMeasure, inner, materialize
+from .measure import Measure, WindowMeasure, inner, materialize, weight_table
 from .scalars import Scalar, format_scalar
-from .statespace import SiteSet
+from .statespace import ConfigSpace, SiteSet, spread
 from .tables import FnTable
 
 
@@ -71,20 +74,32 @@ class MartingaleReport:
 def martingale_chain_report(f: FnTable, windows: Sequence[SiteSet],
                             mu: Measure) -> MartingaleReport:
     """Project f along a nested chain and report norms, gaps, and the two
-    exact identities (monotonicity and Pythagoras)."""
+    exact identities (monotonicity and Pythagoras).
+
+    Each window's weights are read once, as int numerators W over one
+    denominator w (``measure.weight_table``).  A table a/p on the window
+    has squared norm sum(a^2 W) / (p^2 w).  The gap between the table a/p
+    of one window and the table b/q of the next is the squared norm of the
+    scaled difference q spread(a) - p b over (pq)^2, summed against the
+    larger window's W; it is read off the two tables, never off the norms,
+    so Pythagoras is an independent check."""
     chain = build_chain(f, windows, mu)
-    norms = []
-    for w, table in zip(chain.windows, chain.tables):
-        norms.append(inner(table, table, mu))
-    gaps = []
-    pythagoras = True
-    for i in range(len(chain.windows) - 1):
-        big = chain.windows[i + 1]
-        diff = chain.tables[i + 1] - chain.tables[i].embed(big)
-        gap = inner(diff, diff, mu)
-        gaps.append(gap)
-        if norms[i + 1] != norms[i] + gap:
-            pythagoras = False
+    n = f.n_states
+    norms, gaps = [], []
+    for i, (window, table) in enumerate(zip(chain.windows, chain.tables)):
+        weights, w_den = weight_table(mu, window, n)
+        b, q = table.numerators
+        norms.append(Fraction(sum(map(mul, map(mul, b, b), weights)),
+                              q * q * w_den))
+        if i:
+            a, p = chain.tables[i - 1].numerators
+            spread_a = spread(a, chain.windows[i - 1], ConfigSpace(window, n))
+            diff = list(map(sub, map(mul, repeat(q), spread_a),
+                            map(mul, repeat(p), b)))
+            gaps.append(Fraction(sum(map(mul, map(mul, diff, diff), weights)),
+                                 (p * q) ** 2 * w_den))
+    pythagoras = all(norms[i + 1] == norms[i] + gaps[i]
+                     for i in range(len(gaps)))
     monotone = all(norms[i + 1] >= norms[i] for i in range(len(norms) - 1))
     return MartingaleReport(chain.windows, tuple(norms), tuple(gaps),
                             max(norms), monotone, pythagoras)

@@ -97,18 +97,9 @@ class ProductMeasure:
                     state_cap: int = DEFAULT_STATE_CAP) -> "WindowMeasure":
         """Kronecker product of the site weights."""
         guard_space(self.n_states ** len(sites), state_cap)
-        table, den = _weight_numerators(self, sites)
+        table, den = weight_table(self, sites, self.n_states)
         return WindowMeasure(sites, self.n_states,
                              from_numerators(table, den))
-
-
-def _weight_numerators(prod: ProductMeasure,
-                       sites: SiteSet) -> tuple[list, int]:
-    """The product weights on S^sites as int numerators over one
-    denominator."""
-    site_weights = [numerators(prod.factor(s).weights) for s in sites]
-    return (kron([w for w, _ in site_weights], 1, mul),
-            math.prod(q for _, q in site_weights))
 
 
 def product_measure(nu: StateMeasure,
@@ -168,6 +159,21 @@ def materialize(mu: Measure, sites: SiteSet,
     if mu.sites == sites:
         return mu
     return pushforward(mu, sites)
+
+
+def weight_table(mu: Measure, sites: SiteSet, n_states: int,
+                 state_cap: int = DEFAULT_STATE_CAP) -> tuple[list, int]:
+    """The weights of mu on S^sites as int numerators over one denominator,
+    in index order: the Kronecker product of the site weights under a
+    product measure, the marginal on ``sites`` of a window measure."""
+    if mu.n_states != n_states:
+        raise SiteSetMismatch("measure and function state counts differ")
+    prod = _as_product(mu)
+    if prod is None:
+        return numerators(materialize(mu, sites, state_cap).weights)
+    site_weights = [numerators(prod.factor(s).weights) for s in sites]
+    return (kron([w for w, _ in site_weights], 1, mul),
+            math.prod(q for _, q in site_weights))
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +297,8 @@ def _site_components(f: FnTable, prod: ProductMeasure) -> tuple[dict, Fraction]:
     of them come from one pass, weighting f by the integer product weights
     once and then summing its digit slices site by site."""
     n = f.n_states
-    if prod.n_states != n:
-        raise SiteSetMismatch("measure and function state counts differ")
     nums, den = f.numerators
-    weight, weight_den = _weight_numerators(prod, f.sites)
+    weight, weight_den = weight_table(prod, f.sites, n)
     den *= weight_den
     weighted = [x * w for x, w in zip(nums, weight)]
     total = sum(weighted)

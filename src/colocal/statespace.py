@@ -39,8 +39,10 @@ from .errors import (
 #: default cap on the number of configurations enumerated at once
 DEFAULT_STATE_CAP = 1 << 20
 
-#: default cap on |site set| for subset-indexed expansions
-DEFAULT_SUBSET_CAP = 16
+#: default cap on |site set| for subset-indexed expansions: the largest
+#: path ``scripts/cap_sweep.py`` measures (14 two-state sites, 3^14 output
+#: entries, in seconds); ``--subset-cap`` raises it
+DEFAULT_SUBSET_CAP = 14
 
 Edge = tuple[int, int]
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -557,3 +558,52 @@ def test_varadhan_dim_must_be_a_positive_int(tmp_path, capsys, dim):
     code, report = run(tmp_path, "varadhan", payload)
     assert code == 2 and report is None
     assert f"dim must be a positive int, got {dim!r}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the two branches of the writer: stdout and --output
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("subcommand, name", [
+    ("conserved", "conserved"), ("iq", "iq-witness"), ("expand", "expand"),
+    ("project", "project-form-window"), ("closed", "closed-potential"),
+    ("dims", "dims"), ("varadhan", "varadhan-window"),
+    ("martingale", "martingale-chain12"),
+    ("closed", "closed-not-closed")])   # an error envelope, exit 1
+def test_stdout_bytes_equal_output_file_bytes(tmp_path, capsys, subcommand,
+                                              name):
+    src = str(GOLDEN / f"{name}.json")
+    out = tmp_path / "out.json"
+    code = main([subcommand, "--input", src, "--output", str(out)])
+    assert capsys.readouterr().out == ""
+    assert main([subcommand, "--input", src]) == code
+    assert code == (0 if name != "closed-not-closed" else 1)
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["missing/dir/x.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
+    src = tmp_path / "ok.json"
+    src.write_text(json.dumps({"interaction": EXCLUSION, "nu": HALF}))
+    code = main(["conserved", "--input", str(src),
+                 "--output", str(tmp_path / target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: cannot write output: ")
+    assert captured.out == ""
+
+
+def test_default_subset_cap_is_fourteen_sites(tmp_path):
+    sites = list(range(15))
+    payload = {"interaction": EXCLUSION, "nu": HALF,
+               "locale": {"sites": sites,
+                          "edges": [[a, b] for a in sites for b in sites
+                                    if abs(a - b) == 1]},
+               "fn": {"siteset": sites, "values": ["0"] * 2 ** 15}}
+    code, report = run(tmp_path, "expand", payload)
+    assert code == 1 and report["error"]["name"] == "TooManySubsets"
+    assert report["error"]["details"] == {"cap": 14, "size": 15}

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, strategies as st
+
 import colocal as cl
+from colocal import l2
 from conftest import rand_table
 
 
@@ -98,3 +101,74 @@ def test_form_norm_of_density_gradient(mu_half):
     # every directed edge table is +-(eta_n - eta_{n+1}): squared norm 1/2
     norm = cl.form_l2_norm(omega, mu_half)
     assert norm.squared == F(1, 2)
+
+
+def rand_state_measure(rng, n):
+    raw = [rng.randint(1, 6) for _ in range(n)]
+    return cl.state_measure([F(w, sum(raw)) for w in raw])
+
+
+@st.composite
+def d1_chains(draw):
+    """(f, windows, mu): a table on up to 5 sites of a d=1 path (2 states)
+    or 4 (3 states), a nested chain of intervals ending at its domain
+    (consecutive windows may be equal, the first may be empty), and a
+    product measure (homogeneous or not) or a window measure on the domain
+    or on one site more."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 5 if n == 2 else 4))
+    lo = draw(st.integers(0, k - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, k), max_size=4)))
+    windows = [cl.siteset(range(max(0, lo - c // 2), min(k, lo + c - c // 2)))
+               for c in cuts] + [cl.siteset(range(k))]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    f = rand_table(rng, windows[-1], n)
+    kind = draw(st.sampled_from(["product", "per-site", "window"]))
+    if kind == "product":
+        mu = cl.ProductMeasure(rand_state_measure(rng, n))
+    elif kind == "per-site":
+        mu = cl.product_measure(rand_state_measure(rng, n),
+                                {s: rand_state_measure(rng, n)
+                                 for s in range(k) if rng.random() < 0.5})
+    else:
+        sites = cl.siteset(range(k + draw(st.integers(0, 1))))
+        mu = cl.window_measure_from_raw(
+            sites, n, [rng.randint(1, 9) for _ in range(n ** len(sites))])
+    return f, windows, mu
+
+
+@given(d1_chains())
+def test_chain_report_equals_the_table_construction(case):
+    """Oracle: norms and gaps from FnTable algebra and ``inner`` under the
+    measure itself, table by table."""
+    f, windows, mu = case
+    tables = cl.build_chain(f, windows, mu).tables
+    report = cl.martingale_chain_report(f, windows, mu)
+    assert report.norms_sq == tuple(cl.inner(t, t, mu) for t in tables)
+    diffs = [big - small.embed(w)
+             for small, big, w in zip(tables, tables[1:], windows[1:])]
+    assert report.gaps_sq == tuple(cl.inner(d, d, mu) for d in diffs)
+    assert report.pythagoras and report.monotone
+
+
+def test_pythagoras_fails_on_a_chain_that_is_not_compatible(mu_half,
+                                                           monkeypatch):
+    """The gaps are read off the tables, not off the norms: a chain whose
+    smallest table is shifted by a constant is not compatible, and the
+    report must say that ||f_1||^2 = ||f_0||^2 + ||f_1 - f_0||^2 fails."""
+    sites = cl.siteset([0, 1])
+    f = cl.site_occupation(sites, 2, 0) * cl.site_occupation(sites, 2, 1)
+    windows = [cl.siteset([0]), sites]
+    build_chain = l2.build_chain
+
+    def perturbed(*args):
+        chain = build_chain(*args)
+        return cl.CoLocalChain(chain.windows,
+                               (chain.tables[0].shift(F(1)),
+                                *chain.tables[1:]), chain.mu)
+    monkeypatch.setattr(l2, "build_chain", perturbed)
+    report = cl.martingale_chain_report(f, windows, mu_half)
+    # f_0 = eta_0 / 2 + 1: ||f_0||^2 = 13/8, ||f - f_0||^2 = 9/8, ||f||^2 = 1/4
+    assert report.norms_sq == (F(13, 8), F(1, 4))
+    assert report.gaps_sq == (F(9, 8),)
+    assert not report.pythagoras and not report.monotone

@@ -1,5 +1,5 @@
-"""Cap-scale sweep of window-mode ``varadhan``, of ``expand`` and of
-``iq``: raw wall time and peak RSS.
+"""Cap-scale sweep of window-mode ``varadhan``, of ``expand``, of ``iq``
+and of ``dims``: raw wall time and peak RSS.
 
 Each case is one CLI run through ``colocal.cli.main``, in a fresh
 interpreter so that its peak RSS is its own.  State-cap cases decompose a
@@ -9,11 +9,13 @@ nu = (1/2, 1/3, 1/6), cocycle (3/7, -2/5), radius 4 and 5 (up to 3^11
 configurations).  Subset-cap cases expand a seeded function on a path of
 10, 12, 13 and 14 two-state sites under nu = (3/5, 2/5); its entries are
 p/q with |p| <= 4 and q <= 3, so they repeat, as in the benchmark's
-tables.  The transition-graph case checks irreducible quantification of
-two-state exclusion on a path of 16 sites (2^16 configurations).  Per run
-the child reports the wall time of the CLI call, the time inside
-``solve_potential``, its peak RSS, and the sha256 of the output bytes.  Each case runs
-``REPEATS`` times per tree; the report keeps every run and the medians.
+tables.  The transition-graph cases check irreducible quantification of
+two-state exclusion on a path of 16 sites (2^16 configurations), and run
+``dims`` on paths of 14 and 16 two-state sites.  Per run the child
+reports the wall time of the CLI call, the time inside
+``solve_potential``, its peak RSS, and the sha256 of the output bytes.
+Each case runs ``REPEATS`` times per tree; the report keeps every run and
+the medians.
 
 With ``--baseline REV`` the same cases also run on the ``src/`` tree of
 that git revision (exported with ``git archive`` to a temporary
@@ -63,34 +65,44 @@ def varadhan_case(name: str, spec: dict, radius: int) -> dict:
                                                "radius": radius}}}}
 
 
+def path_locale(n_sites: int) -> dict:
+    sites = list(range(n_sites))
+    edges = [[a, a + 1] for a in sites[:-1]] + [[a + 1, a]
+                                                for a in sites[:-1]]
+    return {"sites": sites, "edges": edges}
+
+
 def expand_case(n_sites: int) -> dict:
     rng = random.Random(f"cap-sweep:expand:{n_sites}")
     values = [f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
               for _ in range(2 ** n_sites)]
-    sites = list(range(n_sites))
-    edges = [[a, a + 1] for a in sites[:-1]] + [[a + 1, a]
-                                                for a in sites[:-1]]
     return {"case": f"expand-n2-s{n_sites}", "subcommand": "expand",
             "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
             "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
-                        "locale": {"sites": sites, "edges": edges},
-                        "fn": {"siteset": sites, "values": values}}}
+                        "locale": path_locale(n_sites),
+                        "fn": {"siteset": list(range(n_sites)),
+                               "values": values}}}
 
 
 def iq_case(n_sites: int) -> dict:
-    sites = list(range(n_sites))
-    edges = [[a, a + 1] for a in sites[:-1]] + [[a + 1, a]
-                                                for a in sites[:-1]]
     return {"case": f"iq-n2-path{n_sites}", "subcommand": "iq",
             "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
             "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
-                        "locales": [{"sites": sites, "edges": edges}]}}
+                        "locales": [path_locale(n_sites)]}}
+
+
+def dims_case(n_sites: int) -> dict:
+    return {"case": f"dims-n2-path{n_sites}", "subcommand": "dims",
+            "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
+            "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
+                        "locale": path_locale(n_sites)}}
 
 
 CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [varadhan_case("n3-r%d" % r, THREE, r) for r in (4, 5)]
          + [expand_case(n) for n in (10, 12, 13, 14)]
-         + [iq_case(16)])
+         + [iq_case(16)]
+         + [dims_case(n) for n in (14, 16)])
 
 
 def child(subcommand: str, input_path: str, output_path: str) -> None:
@@ -198,8 +210,8 @@ def main(argv=None) -> int:
             })
 
     report = {
-        "what": "window-mode varadhan, expand and iq at cap scale: raw "
-                "wall time and peak RSS per fresh interpreter, medians "
+        "what": "window-mode varadhan, expand, iq and dims at cap scale: "
+                "raw wall time and peak RSS per fresh interpreter, medians "
                 "over repeats",
         "baseline": args.baseline,
         "repeats": REPEATS,

@@ -16,12 +16,7 @@ import sys
 
 from . import jsonio
 from .errors import ColocalError, NotClosed
-from .forms import (
-    closed_form_space_dimension,
-    kernel_basis,
-    project_form,
-    solve_potential,
-)
+from .forms import project_form, solve_potential
 from .functions import (
     check_iq,
     conserved_quantities,
@@ -31,7 +26,12 @@ from .functions import (
 from .jsonio import SCHEMA_VERSION, jsonify
 from .l2 import martingale_chain_report
 from .measure import ProductMeasure, conditional_expectation
-from .statespace import DEFAULT_STATE_CAP, DEFAULT_SUBSET_CAP, siteset
+from .statespace import (
+    DEFAULT_STATE_CAP,
+    DEFAULT_SUBSET_CAP,
+    siteset,
+    transition_graph,
+)
 from .varadhan import (
     decompose_invariant_form,
     interior_edges,
@@ -126,22 +126,20 @@ def _run_closed(payload: dict, args: argparse.Namespace) -> dict:
 
 def _run_dims(payload: dict, args: argparse.Namespace) -> dict:
     """Kernel components and closed-form dimensions."""
-    interaction, nu = _load_common(payload, args)
+    interaction, _ = _load_common(payload, args)   # nu is read and checked
     locale = jsonio.locale_from_json(payload["locale"])
     sites = siteset(payload.get("siteset", locale.sites))
-    mu = ProductMeasure(nu)
-    kb = kernel_basis(sites, interaction, locale, mu, args.state_cap)
-    size = interaction.n_states ** len(sites)
-    dim_c0 = size - 1
-    dim_ker_meanzero = kb.n_components - 1
+    graph = transition_graph(sites, interaction, locale, args.state_cap)
+    size, components = graph.space.size, graph.n_components
+    # closed forms are exact on a finite graph: dim Z1 is the rank of the
+    # differential, configurations minus components
     return {
-        "components": kb.n_components,
-        "dim_C0": dim_c0,
-        "dim_ker": kb.n_components,
-        "dim_ker_meanzero": dim_ker_meanzero,
-        "dim_Z1": dim_c0 - dim_ker_meanzero,
-        "dim_Z1_bruteforce": closed_form_space_dimension(
-            sites, interaction, locale, args.state_cap),
+        "components": components,
+        "dim_C0": size - 1,
+        "dim_ker": components,
+        "dim_ker_meanzero": components - 1,
+        "dim_Z1": size - components,
+        "dim_Z1_bruteforce": size - components,
     }
 
 

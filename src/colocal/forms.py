@@ -367,6 +367,10 @@ def path_integral(form: Form, path: Path) -> Scalar:
     if path.start.sites != form.sites:
         raise InvalidPath("path configurations live outside the form's window")
     configs = path_configs(path, form.interaction)
+    for k, e in enumerate(path.edges):
+        if canonical_edge(e) not in form.tables:
+            raise InvalidPath(f"step {k} edge {e} is not an edge of the form",
+                              step=k, edge=e)
     total = Fraction(0)
     for eta, e in zip(configs, path.edges):
         total = total + form.edge_value(e, eta.assignment)
@@ -593,39 +597,19 @@ def kernel_basis(sites: SiteSet, interaction: Interaction, locale: Locale,
     return KernelBasis(sites, m, labels, indicators, mean_zero)
 
 
-#: prime modulus of the rank computation in closed_form_space_dimension
-_RANK_PRIME = (1 << 61) - 1
-
-
 def closed_form_space_dimension(sites: SiteSet, interaction: Interaction,
                                 locale: Locale,
                                 state_cap: int = DEFAULT_STATE_CAP) -> int:
-    """Dimension of the space of closed forms, computed as the rank of the
-    differential: one row e_dst - e_src per transition pair, reduced by
-    sparse elimination modulo the prime 2^61 - 1.  The matrix is an
-    incidence matrix, hence totally unimodular, so its rank modulo p is its
-    rational rank.  Every closed form on a finite graph is exact, so the
-    rank is the dimension; it does not use the component count."""
+    """Dimension of the space of closed forms: configurations minus
+    components of the transition graph.  Every closed form on a finite
+    graph is exact, so the closed forms are the image of the differential,
+    and the dimension is its rank.  The differential is the incidence
+    matrix of the graph on configurations (one row e_dst - e_src per
+    transition pair), and the rank of an incidence matrix is the edge count
+    of a spanning forest: one edge per configuration that is not the root
+    of its component."""
     graph = transition_graph(sites, interaction, locale, state_cap)
-    p = _RANK_PRIME
-    pivots: dict[int, dict[int, int]] = {}   # leading column -> monic row
-    for src, dst in sorted({(min(s, d), max(s, d)) for s, d in graph.pairs}):
-        row = {src: p - 1, dst: 1}
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = pow(row[col], -1, p)
-                pivots[col] = {c: v * inv % p for c, v in row.items()}
-                break
-            factor = row[col]
-            for c, v in pivot.items():
-                w = (row.get(c, 0) - factor * v) % p
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
-    return len(pivots)
+    return graph.space.size - graph.n_components
 
 
 # ---------------------------------------------------------------------------

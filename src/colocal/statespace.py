@@ -580,7 +580,11 @@ class TransitionGraph:
     ``records`` lists one (src index, edge, dst index) triple per
     (configuration, edge) pair, even when several edges produce the same
     target, in index order and then edge order; it is built when read.
-    ``pairs`` deduplicates to the underlying graph on configurations.
+    ``pairs`` deduplicates to the underlying graph on configurations; the
+    tests eliminate over it as an independent check of the rank.  The
+    space size minus ``n_components`` (union-find over the runs) is the
+    edge count of a spanning forest: the rank of the differential, and so
+    the closed-form dimension ``dims`` reports.
     """
 
     space: ConfigSpace

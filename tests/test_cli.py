@@ -148,6 +148,43 @@ def test_dims(tmp_path):
     assert result["dim_Z1_bruteforce"] == 1
 
 
+def path_locale(n_sites):
+    sites = list(range(n_sites))
+    return {"sites": sites,
+            "edges": [[a, a + 1] for a in sites[:-1]]
+            + [[a + 1, a] for a in sites[:-1]]}
+
+
+def test_dims_on_a_14_site_path(tmp_path):
+    """2^14 configurations; one component per particle count."""
+    payload = {"interaction": EXCLUSION, "nu": HALF,
+               "locale": path_locale(14)}
+    code, report = run(tmp_path, "dims", payload)
+    assert code == 0
+    assert report["result"] == {
+        "components": 15, "dim_C0": 16383, "dim_ker": 15,
+        "dim_ker_meanzero": 14, "dim_Z1": 16369,
+        "dim_Z1_bruteforce": 16369}
+
+
+def test_dims_builds_one_transition_graph(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cl.transition_graph(*args, **kwargs)
+
+    # a graph built inside forms (kernel_basis, closed_form_space_dimension)
+    # counts too
+    monkeypatch.setattr("colocal.cli.transition_graph", counted,
+                        raising=False)
+    monkeypatch.setattr("colocal.forms.transition_graph", counted)
+    payload = {"interaction": EXCLUSION, "nu": HALF, "locale": path_locale(4)}
+    code, report = run(tmp_path, "dims", payload)
+    assert code == 0 and report["result"]["components"] == 5
+    assert len(calls) == 1
+
+
 def test_varadhan_round_trip(tmp_path):
     payload = {"interaction": EXCLUSION, "nu": HALF, "dim": 1,
                "window": {"lattice": {"dim": 1, "radius": 4}},

@@ -121,7 +121,7 @@ def test_path_integral_single_step(exclusion, single_edge):
     assert cl.path_integral(form, gamma) == F(-1)
 
 
-def test_invalid_paths(exclusion, single_edge):
+def test_invalid_paths(exclusion, single_edge, path3):
     sites = cl.siteset([0, 1])
     form = cl.differential(cl.site_occupation(sites, 2, 0), exclusion,
                            single_edge)
@@ -131,6 +131,16 @@ def test_invalid_paths(exclusion, single_edge):
     outside = cl.Path(cl.Config(sites, (1, 0)), ((0, 7),))
     with pytest.raises(cl.InvalidPath):
         cl.path_integral(form, outside)
+    # both endpoints lie in the window, but (-1, 1) is no edge of path3
+    sites3 = cl.siteset(path3.sites)
+    form3 = cl.differential(cl.site_occupation(sites3, 2, -1), exclusion,
+                            path3)
+    for steps in (((-1, 1),), ((-1, 0), (-1, 0), (-1, 1))):
+        jump = cl.Path(cl.Config(sites3, (1, 0, 0)), steps)
+        with pytest.raises(cl.InvalidPath) as info:
+            cl.path_integral(form3, jump)
+        assert info.value.details == {"step": len(steps) - 1,
+                                      "edge": (-1, 1)}
 
 
 # -- potentials --------------------------------------------------------------

@@ -3,8 +3,9 @@
 The index maps are checked against ``apply_transition``, the
 per-configuration definition, and the passes built on them (differential,
 form validation, potential solving, the closed-form dimension) against
-round trips, component counts and a breadth-first search written on the
-per-configuration definition.
+round trips, component counts, a breadth-first search written on the
+per-configuration definition and the rank of the differential by
+elimination modulo a prime.
 """
 
 import random
@@ -149,14 +150,45 @@ def test_solve_potential_inverts_differential(case, seed):
     assert all(len(v) == 1 for v in offsets.values())
 
 
+#: prime modulus of the rank computation in differential_rank
+RANK_PRIME = (1 << 61) - 1
+
+
+def differential_rank(graph):
+    """Rank of the differential: one row e_dst - e_src per transition pair,
+    reduced by sparse elimination modulo the prime 2^61 - 1.  The matrix is
+    an incidence matrix, hence totally unimodular, so its rank modulo p is
+    its rational rank.  It does not use the component count."""
+    p = RANK_PRIME
+    pivots: dict[int, dict[int, int]] = {}   # leading column -> monic row
+    for src, dst in sorted({(min(s, d), max(s, d)) for s, d in graph.pairs}):
+        row = {src: p - 1, dst: 1}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                w = (row.get(c, 0) - factor * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return len(pivots)
+
+
 @given(kernel_cases())
 def test_closed_form_dimension_is_vertices_minus_components(case):
-    """The rank of the differential (modulo a prime) against the count from
-    the connected components, on any rule, reversible or not."""
+    """The closed-form dimension, configurations minus components, against
+    the rank of the differential by elimination modulo a prime, on any
+    rule, reversible or not."""
     interaction, locale, sites = case
     graph = cl.transition_graph(sites, interaction, locale)
     assert cl.closed_form_space_dimension(sites, interaction, locale) == \
-        graph.space.size - graph.n_components
+        differential_rank(graph)
 
 
 def hopping(n):

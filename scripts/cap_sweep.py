@@ -1,5 +1,5 @@
-"""Cap-scale sweep of window-mode ``varadhan``, of ``expand``, of ``iq``
-and of ``dims``: raw wall time and peak RSS.
+"""Cap-scale sweep of window-mode ``varadhan``, of ``expand``, of ``iq``,
+of ``dims`` and of ``closed``: raw wall time and peak RSS.
 
 Each case is one CLI run through ``colocal.cli.main``, in a fresh
 interpreter so that its peak RSS is its own.  State-cap cases decompose a
@@ -11,7 +11,10 @@ configurations).  Subset-cap cases expand a seeded function on a path of
 p/q with |p| <= 4 and q <= 3, so they repeat, as in the benchmark's
 tables.  The transition-graph cases check irreducible quantification of
 two-state exclusion on a path of 16 sites (2^16 configurations), and run
-``dims`` on paths of 14 and 16 two-state sites.  Per run the child
+``dims`` on paths of 14 and 16 two-state sites.  The ``closed`` cases
+solve a form on two-state exclusion boxes of 4x4 and 4x5 sites (2^16 and
+2^20 configurations, the state cap): a cocycle form plus d of a seeded
+local core, given edge by edge on small supports.  Per run the child
 reports the wall time of the CLI call, the time inside
 ``solve_potential``, its peak RSS, and the sha256 of the output bytes.
 Each case runs ``REPEATS`` times per tree; the report keeps every run and
@@ -39,6 +42,8 @@ import sys
 import tarfile
 import tempfile
 import time
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,11 +103,54 @@ def dims_case(n_sites: int) -> dict:
                         "locale": path_locale(n_sites)}}
 
 
+def box_form(width: int, height: int, seed: str) -> dict:
+    """The form JSON of a cocycle form plus d of a seeded local core on a
+    width x height box of two-state exclusion, site y * width + x at
+    (x, y).  The cocycle form is 3/7 (eta_o - eta_t) on every edge (o, t),
+    o < t: d of 3/7 sum (x + y) eta.  The core is g(eta_s, eta_{s+1}) on
+    every horizontal site pair, with seeded values p/q, |p| <= 4, q <= 3;
+    d of its sum changes only the terms that meet an edge, so each edge
+    table lives on those terms' sites (at most six)."""
+    rng = random.Random(seed)
+    core = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(4)]
+    terms = [(s, s + 1) for s in range(width * height) if (s + 1) % width]
+    pairs = sorted([(s, s + 1) for s, _ in terms]
+                   + [(s, s + width) for s in range(width * (height - 1))])
+    edges = []
+    for o, t in pairs:
+        near = [(a, b) for a, b in terms if {a, b} & {o, t}]
+        support = sorted({o, t, *(s for term in near for s in term)})
+        values = []
+        # the smallest site is the least significant digit of the index
+        for digits in product((0, 1), repeat=len(support)):
+            eta = dict(zip(reversed(support), digits))
+            moved = {**eta, o: eta[t], t: eta[o]}
+            value = Fraction(0) if eta[o] == eta[t] else (
+                Fraction(3, 7) * (eta[o] - eta[t])
+                + sum(core[2 * moved[b] + moved[a]]
+                      - core[2 * eta[b] + eta[a]] for a, b in near))
+            values.append(f"{value.numerator}/{value.denominator}")
+        edges.append({"edge": [o, t], "support": support, "values": values})
+    return {"siteset": list(range(width * height)), "edges": edges}
+
+
+def closed_case(width: int, height: int) -> dict:
+    return {"case": f"closed-n2-box{width}x{height}", "subcommand": "closed",
+            "states": 2, "sites": width * height,
+            "configurations": 2 ** (width * height),
+            "payload": {"interaction": exclusion([0, 1]),
+                        "form": box_form(width, height,
+                                         f"cap-sweep:closed:{width}x"
+                                         f"{height}")}}
+
+
 CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [varadhan_case("n3-r%d" % r, THREE, r) for r in (4, 5)]
          + [expand_case(n) for n in (10, 12, 13, 14)]
          + [iq_case(16)]
-         + [dims_case(n) for n in (14, 16)])
+         + [dims_case(n) for n in (14, 16)]
+         + [closed_case(4, 4), closed_case(4, 5)])
 
 
 def child(subcommand: str, input_path: str, output_path: str) -> None:
@@ -122,7 +170,7 @@ def child(subcommand: str, input_path: str, output_path: str) -> None:
         finally:
             spent += time.perf_counter() - start
 
-    varadhan.solve_potential = timed
+    varadhan.solve_potential = cli.solve_potential = timed
     start = time.perf_counter()
     code = cli.main([subcommand, "--input", input_path,
                      "--output", output_path])
@@ -210,9 +258,9 @@ def main(argv=None) -> int:
             })
 
     report = {
-        "what": "window-mode varadhan, expand, iq and dims at cap scale: "
-                "raw wall time and peak RSS per fresh interpreter, medians "
-                "over repeats",
+        "what": "window-mode varadhan, expand, iq, dims and closed at cap "
+                "scale: raw wall time and peak RSS per fresh interpreter, "
+                "medians over repeats",
         "baseline": args.baseline,
         "repeats": REPEATS,
         "python": platform.python_version(),

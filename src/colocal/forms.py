@@ -16,7 +16,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import eq, neg, sub
+from itertools import compress, count, islice
+from operator import add, eq, indexOf, neg, sub
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -233,26 +234,81 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
 def validate_form(form: Form, state_cap: int = DEFAULT_STATE_CAP):
     """Enumerate the window and check: every stored table is zero where its
     transition fixes the configuration, and directed edges with a common
-    target agree there."""
+    target agree there.  The second check runs on the transitions that
+    can share a target (``_first_disagreement``); the first configuration
+    where it fails is replayed one directed edge at a time to name the
+    edges."""
     space = form.space
     guard_space(space.size, state_cap)
     for e in form.edges:
         _check_zero_on_fixed(form.tables[e], e, form.interaction)
-    directed = _directed(form, _dense_tables(form)[0])
-    for idx in range(space.size):
-        by_target: dict[int, tuple[Edge, Scalar]] = {}
-        for e, moves, values in directed:
-            dst = moves[idx]
-            if dst < 0:
+    dense = _dense_tables(form)[0]
+    idx = _first_disagreement(form, dense)
+    if idx is None:
+        return
+    eta = space.config(idx)
+    by_target: dict[int, tuple[Edge, Scalar]] = {}
+    for pair, values in zip(form.edges, dense):
+        for e in (pair, (pair[1], pair[0])):
+            moved = apply_transition(eta, e, form.interaction)
+            if moved == eta:
                 continue
-            if dst in by_target:
-                other_edge, other_value = by_target[dst]
-                if values[idx] != other_value:
-                    raise MalformedForm(
-                        f"omega_{e} and omega_{other_edge} disagree on a "
-                        "shared transition", assignment=space.decode(idx))
-            else:
-                by_target[dst] = (e, values[idx])
+            dst = space.encode(moved.assignment)
+            value = values[idx] if e == pair else -values[dst]
+            if dst not in by_target:
+                by_target[dst] = (e, value)
+            elif value != by_target[dst][1]:
+                raise MalformedForm(
+                    f"omega_{e} and omega_{by_target[dst][0]} disagree on "
+                    "a shared transition", assignment=eta.assignment)
+
+
+def _first_disagreement(form: Form, dense: list) -> Optional[int]:
+    """The least configuration index at which two directed edges move to
+    the same target with different values, or None.
+
+    Two moves from one configuration reach the same target exactly when
+    they change the same sites to the same states.  A move that changes
+    both endpoints of its edge shares that change only with the reversed
+    edge, over the same runs, where the two values are omega_pair(eta) and
+    -omega_pair(eta^e): their sum must vanish.  A move that changes one
+    endpoint may share it with edges at that site; those are compared one
+    configuration at a time."""
+    space = form.space
+    changed = tuple(form.interaction.changed_pairs())
+    classes: dict[tuple, list] = {}
+    for pair, values in zip(form.edges, dense):
+        for e in (pair, (pair[1], pair[0])):
+            for (a, b), (a2, b2) in changed:
+                change = tuple(sorted(
+                    (s, old, new) for s, old, new in ((e[0], a, a2),
+                                                      (e[1], b, b2))
+                    if old != new))
+                classes.setdefault(change, []).append(
+                    (e, ((a, b), (a2, b2)), values, e == pair))
+    firsts = []   # the first disagreement of each run or class
+    for change, members in classes.items():
+        if len(members) < 2:
+            continue
+        if len(change) == 2:
+            # the pair (stored values) and the reversed pair, in that order
+            pair, moved, values, _ = members[0]
+            for start, stop, step, delta in transition_runs(space, pair,
+                                                             [moved]):
+                firsts += islice(compress(
+                    count(start, step),
+                    map(add, values[start:stop:step],
+                        values[start + delta:stop + delta:step])), 1)
+            continue
+        seen: dict[int, int] = {}
+        for e, moved, values, stored in members:
+            for start, stop, step, delta in transition_runs(space, e,
+                                                             [moved]):
+                for idx in range(start, stop, step):
+                    value = values[idx] if stored else -values[idx + delta]
+                    if seen.setdefault(idx, value) != value:
+                        firsts.append(idx)
+    return min(firsts, default=None)
 
 
 def _check_zero_on_fixed(table: FnTable, edge: Edge,
@@ -387,37 +443,34 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     NotClosed with a witness cycle of nonzero integral.
 
     The potential is 0 at the lexicographically smallest configuration of
-    each connected component.  For a reversible phi a scan in lexicographic
-    order gives each configuration the value implied by its first
-    lexicographically smaller neighbour (0 if it has none), and one pass
-    over the transitions of every pair's stored orientation certifies it:
-    the reversed orientation's transitions are their inverses.  df = omega
-    fixes f up to a constant per component, and a component's smallest
-    configuration has no smaller neighbour, so a certified scan is the
-    answer.  Only when the pass fails (the form is not closed, or a
-    component has a local minimum that is not its smallest configuration),
-    and always for a non-reversible phi, does a breadth-first search
-    propagate values from each component's smallest configuration along a
-    spanning forest and check every directed transition; on a failure its
-    tree gives the witness.  The scan saves work only where every
-    component's one local minimum is its smallest configuration, as on
-    d=1 paths.  On a d=2 box other local minima are the rule (two
-    particles at sites 5 and 8 of the 3x3 box have no smaller neighbour,
-    but the component starts at 7 and 8), so d=2 windows usually pay the
-    scan and a failing pass on top of the search.  If ``mu`` is given the
-    result is shifted to zero mean.
+    each connected component; df = omega fixes it up to that constant per
+    component.  For a reversible phi a scan in lexicographic order gives
+    each configuration the value implied by its first lexicographically
+    smaller neighbour, or 0 if it has none: a spanning forest with one tree
+    per local minimum.  One pass over the transitions of every pair's
+    stored orientation certifies a potential (the reversed orientation's
+    transitions are their inverses).  On d=1 paths each component has one
+    local minimum, its smallest configuration, and the scan is certified
+    as it stands.  Otherwise (on a d=2 box other local minima are the
+    rule: two particles at sites 5 and 8 of the 3x3 box have no smaller
+    neighbour, but their component starts at 7 and 8) the trees are
+    joined: every transition between two trees says how their constants
+    differ, a weighted union-find over those links shifts each tree onto
+    the first tree of its component in lexicographic order, and the same
+    pass certifies the result.  The join decides nothing: only when the
+    pass fails (the form is not closed), and always for a non-reversible
+    phi, does a breadth-first search from each component's smallest
+    configuration check every directed transition; its tree gives the
+    witness.  If ``mu`` is given the result is shifted to zero mean.
     """
-    space = form.space
-    guard_space(space.size, state_cap)
+    guard_space(form.space.size, state_cap)
     dense, den = _dense_tables(form)
     # a non-reversible phi moves only one way along some transitions: the
     # search from a component's smallest configuration may then not reach
     # all of it and raise where the scan would certify a potential
-    potential = (_scan(form, dense) if form.interaction.is_reversible
+    potential = (_scan_and_join(form, dense) if form.interaction.is_reversible
                  else None)
-    if potential is None or not all(
-            _consistent(potential, space, form.interaction, pair, values)
-            for pair, values in zip(form.edges, dense)):
+    if potential is None:
         potential = _search(form, _directed(form, dense), den)
     table = FnTable.from_numerators(form.sites, form.n_states, potential,
                                     den)
@@ -426,11 +479,35 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     return table
 
 
-def _scan(form: Form, dense: list) -> list:
+def _scan_and_join(form: Form, dense: list) -> Optional[list]:
+    """The scan's potential numerators if the pass certifies them, else
+    the joined ones if the pass certifies those, else None."""
+    changed = tuple(form.interaction.changed_pairs())
+    runs = [transition_runs(form.space, pair, changed) for pair in form.edges]
+    potential, offset = _scan(form, dense)
+    if _certified(potential, runs, dense):
+        return potential
+    potential = _join_roots(form.space, runs, dense, potential, offset)
+    if potential is not None and _certified(potential, runs, dense):
+        return potential
+    return None
+
+
+def _certified(potential: list, runs: list, dense: list) -> bool:
+    """potential(eta^e) - potential(eta) == omega_e(eta) on every
+    transition of every pair's stored orientation (``runs`` and ``dense``
+    per pair)."""
+    return all(_consistent(potential, pair_runs, values)
+               for pair_runs, values in zip(runs, dense))
+
+
+def _scan(form: Form, dense: list) -> tuple[list, array]:
     """Potential numerators visited in lexicographic order: each takes the
     value implied by its first lexicographically smaller neighbour across
-    the directed edges, or 0 where there is none.  Under a symmetric phi
-    the reversed orientation moves like the stored one and is skipped."""
+    the directed edges, or 0 where there is none.  Also returns, per
+    configuration, the index offset to that neighbour (0: none), the
+    parent links of the scan's spanning forest.  Under a symmetric phi the
+    reversed orientation moves like the stored one and is skipped."""
     space, interaction = form.space, form.interaction
     # per configuration, the index offset of the chosen smaller neighbour
     # (0: none) and omega along the move; the edges are written in reverse
@@ -456,7 +533,72 @@ def _scan(form: Form, dense: list) -> list:
     for idx in _lexicographic(space):
         if d := offset[idx]:
             potential[idx] = potential[idx + d] - omega[idx]
-    return potential
+    return potential, offset
+
+
+def _join_roots(space: ConfigSpace, runs: list, dense: list, potential: list,
+                offset: array) -> Optional[list]:
+    """The scan's potential with each tree of its spanning forest shifted
+    so that the trees of a component agree across the transitions between
+    them, and the first tree of each component in lexicographic order
+    keeps its values; None where no tree moves (the scan stands as it
+    was).
+
+    Trees are numbered by their roots in lexicographic order.  A
+    transition eta -> eta^e from tree a to tree b asks s_b - s_a =
+    p(eta) + omega_e(eta) - p(eta^e) of the shifts; one such link per pair
+    of trees feeds a weighted union-find whose class representative is
+    the class's first tree.  Links that disagree are not reported here:
+    the certifying pass fails on them."""
+    # a parent comes before its children in lexicographic order
+    tree = [0] * space.size
+    n_trees = 0
+    for idx in _lexicographic(space):
+        if d := offset[idx]:
+            tree[idx] = tree[idx + d]
+        else:
+            tree[idx], n_trees = n_trees, n_trees + 1
+    # one link per pair of trees that a transition joins
+    links, seen = [], set()
+    for pair_runs, values in zip(runs, dense):
+        for start, stop, step, delta in pair_runs:
+            src = tree[start:stop:step]
+            dst = tree[start + delta:stop + delta:step]
+            if src == dst:
+                continue
+            new = set(zip(src, dst)) - seen
+            seen |= new
+            for a, b in new:
+                if a != b:
+                    i = start + indexOf(zip(src, dst), (a, b)) * step
+                    links.append((a, b, potential[i] + values[i]
+                                  - potential[i + delta]))
+    # parent[t] <= t, and weight[t] = s_t - s_parent[t]
+    parent = list(range(n_trees))
+    weight = [0] * n_trees
+
+    def find(t):
+        """(representative, s_t - s_representative), halving the path."""
+        w = 0
+        while parent[t] != t:
+            p = parent[t]
+            weight[t] += weight[p]
+            parent[t] = parent[p]
+            w += weight[t]
+            t = parent[t]
+        return t, w
+    for a, b, need in links:
+        ra, wa = find(a)
+        rb, wb = find(b)
+        # s_b - s_a = need, with s_a = s_ra + wa and s_b = s_rb + wb
+        if ra < rb:
+            parent[rb], weight[rb] = ra, need + wa - wb
+        elif rb < ra:
+            parent[ra], weight[ra] = rb, wb - wa - need
+    shifts = [find(t)[1] for t in range(n_trees)]
+    if not any(shifts):
+        return None
+    return list(map(add, potential, map(shifts.__getitem__, tree)))
 
 
 def _in_site_order(edge: Edge, states: tuple[int, int]) -> tuple[int, int]:
@@ -492,7 +634,8 @@ def _search(form: Form, directed: list, den: int) -> list:
 
     # consistency over every remaining transition, edge by edge; on a
     # failure the first one in index order gives the witness
-    if all(_consistent(potential, space, form.interaction, e, values)
+    changed = tuple(form.interaction.changed_pairs())
+    if all(_consistent(potential, transition_runs(space, e, changed), values)
            for e, _, values in directed):
         directed = ()
     for idx in range(space.size):
@@ -505,13 +648,11 @@ def _search(form: Form, directed: list, den: int) -> list:
     return potential
 
 
-def _consistent(potential, space: ConfigSpace, interaction: Interaction,
-                edge: Edge, values) -> bool:
+def _consistent(potential, runs, values) -> bool:
     """potential(eta^e) - potential(eta) == omega_e(eta) wherever e moves
-    eta (numerators; ``values`` dense for e), compared run by run on
-    slices."""
-    for start, stop, step, delta in transition_runs(
-            space, edge, interaction.changed_pairs()):
+    eta (numerators; ``runs`` the transition runs of e, ``values`` dense
+    for e), compared run by run on slices."""
+    for start, stop, step, delta in runs:
         diffs = map(sub, potential[start + delta:stop + delta:step],
                     potential[start:stop:step])
         if not all(map(eq, diffs, values[start:stop:step])):

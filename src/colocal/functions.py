@@ -38,6 +38,7 @@ from .statespace import (
     Interaction,
     Locale,
     SiteSet,
+    check_state_cap,
     interleave,
     kron,
     siteset,
@@ -283,6 +284,7 @@ def conserved_quantities(interaction: Interaction,
 def conserved_colocal(xi: ConservedQuantity, sites: SiteSet,
                       state_cap: int = DEFAULT_STATE_CAP) -> FnTable:
     """The window sum: eta -> sum over sites of xi(eta_x)."""
+    check_state_cap(state_cap)
     size = xi.n_states ** len(sites)
     if size > state_cap:
         raise TooManySubsets(f"window of {len(sites)} sites exceeds cap",

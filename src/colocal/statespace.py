@@ -429,7 +429,17 @@ def enumerate_configs(sites: SiteSet, interaction: Interaction,
     return space
 
 
+def check_state_cap(state_cap) -> None:
+    """Raise ValueError unless the cap is a positive int (not a bool)."""
+    if (isinstance(state_cap, bool) or not isinstance(state_cap, int)
+            or state_cap < 1):
+        raise ValueError(
+            f"state_cap must be a positive int, got {state_cap!r}")
+
+
 def guard_space(size: int, state_cap: int, what: str = "configuration space"):
+    """Raise SpaceTooLarge where ``size`` configurations exceed the cap."""
+    check_state_cap(state_cap)
     if size > state_cap:
         raise SpaceTooLarge(f"{what} has {size} configurations (cap {state_cap})",
                             size=size, cap=state_cap)

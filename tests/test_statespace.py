@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 
 import colocal as cl
-from colocal.statespace import LatticeMeta
+from colocal.statespace import LatticeMeta, guard_space
 
 
 # -- locales ------------------------------------------------------------
@@ -134,6 +135,31 @@ def test_enumerate_three_states():
 def test_enumerate_cap(exclusion):
     with pytest.raises(cl.SpaceTooLarge):
         cl.enumerate_configs(cl.siteset(range(30)), exclusion)
+
+
+@pytest.mark.parametrize("cap", ["x", True, False, 0, -4, 2.0, None],
+                         ids=["string", "true", "false", "zero", "negative",
+                              "float", "none"])
+def test_state_cap_must_be_a_positive_int(exclusion, cap):
+    """A cap that is not a positive int is a ValueError at every entry
+    point that takes one, not a raw TypeError, and True is not a cap of 1."""
+    message = f"state_cap must be a positive int, got {cap!r}"
+    path = cl.lattice_window(1, radius=1)
+    sites = cl.siteset(path.sites)
+    form = cl.differential(cl.site_occupation(sites, 2, 0), exclusion, path)
+    nu = cl.bernoulli(F(1, 2))
+    rho = cl.cocycle_from_coefficients(
+        cl.conserved_quantities(exclusion, nu), [[F(1)]])
+    spec = cl.invariant_form_from_cocycle(rho, exclusion, 1)
+    calls = [lambda: guard_space(1, cap),
+             lambda: cl.enumerate_configs(sites, exclusion, cap),
+             lambda: cl.solve_potential(form, state_cap=cap),
+             lambda: cl.decompose_invariant_form(
+                 spec, cl.lattice_window(1, radius=3), nu, state_cap=cap)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_mixed_radix_roundtrip(exclusion):

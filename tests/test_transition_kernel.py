@@ -3,9 +3,9 @@
 The index maps are checked against ``apply_transition``, the
 per-configuration definition, and the passes built on them (differential,
 form validation, potential solving, the closed-form dimension) against
-round trips, component counts, a breadth-first search written on the
-per-configuration definition and the rank of the differential by
-elimination modulo a prime.
+round trips, component counts, a breadth-first search and a shared-target
+check written on the per-configuration definition, and the rank of the
+differential by elimination modulo a prime.
 """
 
 import random
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import colocal as cl
+from colocal import forms
 from colocal.statespace import edge_moves
 
 BOX = cl.lattice_window(2, radius=1)
@@ -305,3 +306,204 @@ def test_solve_potential_matches_search_oracle(case, seed, broken):
     for idx in sorted(range(g.space.size), key=g.space.decode):
         first.setdefault(labels[idx], idx)
     assert all(g.values[idx] == 0 for idx in first.values())
+
+
+def no_search(*args, **kwargs):
+    raise AssertionError("the breadth-first search ran")
+
+
+@given(potential_cases().filter(lambda case: case[0].is_reversible),
+       st.integers(0, 2 ** 32))
+# the scan leaves several trees per component: the roots must be joined
+@example((cl.exclusion_interaction(2), BOX, cl.siteset(BOX.sites)), 21)
+@example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites)), 22)
+def test_closed_forms_of_reversible_rules_never_search(case, seed):
+    """On a closed form of a reversible rule the potential comes from the
+    scan, with its trees joined where a component has several, and never
+    from the breadth-first search: it is f minus f at the lexicographically
+    first configuration of each component."""
+    interaction, locale, sites = case
+    n = interaction.n_states
+    rng = random.Random(seed)
+    f = cl.FnTable(sites, n, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                                   for _ in range(n ** len(sites))))
+    form = cl.differential(f, interaction, locale)
+    labels = cl.transition_graph(sites, interaction, locale).component_labels
+    first = {}
+    for idx in sorted(range(f.space.size), key=f.space.decode):
+        first.setdefault(labels[idx], idx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_search", no_search)
+        g = cl.solve_potential(form)
+    assert list(g.values) == [f.values[idx] - f.values[first[label]]
+                              for idx, label in enumerate(labels)]
+
+
+def scan_forest(form):
+    """Offset of each configuration to its parent in the scan's spanning
+    forest (0 at a root), and the root of each configuration's tree,
+    followed one step at a time."""
+    _, offset = forms._scan(form, forms._dense_tables(form)[0])
+    roots = []
+    for idx in range(form.space.size):
+        while offset[idx]:
+            idx += offset[idx]
+        roots.append(idx)
+    return offset, roots
+
+
+def box_exclusion_form(n, seed):
+    """d of a random potential for n-state exclusion on the 3x3 box."""
+    rng = random.Random(seed)
+    sites = cl.siteset(BOX.sites)
+    f = cl.FnTable(sites, n, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                                   for _ in range(n ** len(sites))))
+    return cl.differential(f, cl.exclusion_interaction(n), BOX)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_exclusion_joins_the_scan_trees(n):
+    """The scan's forest has more trees than the transition graph has
+    components, and the join, not the search, makes the potential."""
+    form = box_exclusion_form(n, 31 + n)
+    _, roots = scan_forest(form)
+    graph = cl.transition_graph(form.sites, form.interaction, BOX)
+    assert len(set(roots)) > graph.n_components
+    joined = []
+    join_roots = forms._join_roots
+
+    def recorded(*args):
+        joined.append(join_roots(*args))
+        return joined[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_search", no_search)
+        mp.setattr(forms, "_join_roots", recorded)
+        g = cl.solve_potential(form)
+    assert len(joined) == 1 and joined[0] is not None
+    assert cl.differential(g, form.interaction, BOX).tables == form.tables
+
+
+def with_one_more_unit(form, pair, idx):
+    """The form with one more unit on the transition from configuration
+    idx across ``pair`` and one less on its reverse: still alternating
+    (exclusion moves both ways across one map), but not closed."""
+    dst = edge_moves(form.space, form.interaction, pair)[idx]
+    values = list(form.dense_table(pair).values)
+    values[idx] += 1
+    values[dst] -= 1
+    tables = dict(form.tables)
+    tables[pair] = cl.FnTable(form.sites, form.n_states, tuple(values))
+    return cl.make_form(form.sites, form.interaction, form.edges, tables)
+
+
+def assert_search_witness(form):
+    """solve_potential raises NotClosed with the witness and integral of
+    the breadth-first search, which the per-configuration oracle also
+    finds not closed."""
+    assert search_oracle(form) is None
+    with pytest.raises(cl.NotClosed) as info:
+        cl.solve_potential(form)
+    dense, den = forms._dense_tables(form)
+    with pytest.raises(cl.NotClosed) as searched:
+        forms._search(form, forms._directed(form, dense), den)
+    assert info.value.witness == searched.value.witness
+    assert info.value.integral == searched.value.integral != 0
+    assert info.value.details == searched.value.details
+    assert cl.is_closed_path(info.value.witness, form.interaction)
+    assert cl.path_integral(form, info.value.witness) == info.value.integral
+
+
+def box_transitions(form):
+    """(pair, src, dst) for every transition of every stored pair."""
+    return [(pair, idx, dst) for pair in form.edges
+            for idx, dst in enumerate(edge_moves(form.space,
+                                                 form.interaction, pair))
+            if dst >= 0]
+
+
+def test_disagreeing_links_between_two_trees_are_not_closed():
+    """Two transitions join the same two scan trees; one carries a unit
+    more, so the links between the trees disagree."""
+    form = box_exclusion_form(2, 41)
+    _, roots = scan_forest(form)
+    between = {}
+    for pair, idx, dst in box_transitions(form):
+        if roots[idx] != roots[dst]:
+            between.setdefault(frozenset((roots[idx], roots[dst])),
+                               []).append((pair, idx))
+    pair, idx = next(links[0] for links in between.values()
+                     if len(links) > 1)
+    assert_search_witness(with_one_more_unit(form, pair, idx))
+
+
+def test_a_failing_transition_inside_one_tree_is_not_closed():
+    """A transition between two configurations of one scan tree that is
+    not a parent link carries a unit more."""
+    form = box_exclusion_form(2, 43)
+    offset, roots = scan_forest(form)
+    pair, idx = next((pair, idx) for pair, idx, dst in box_transitions(form)
+                     if roots[idx] == roots[dst]
+                     and offset[idx] != dst - idx
+                     and offset[dst] != idx - dst)
+    assert_search_witness(with_one_more_unit(form, pair, idx))
+
+
+def shared_target_oracle(form):
+    """The first disagreement of two directed edges with a common target,
+    configuration by configuration on the per-configuration definition
+    (``apply_transition``, ``Form.edge_value``), each pair then its
+    reverse: (message, assignment), or None."""
+    space = form.space
+    for idx in range(space.size):
+        eta = space.config(idx)
+        by_target = {}
+        for pair in form.edges:
+            for e in (pair, pair[::-1]):
+                moved = cl.apply_transition(eta, e, form.interaction)
+                if moved == eta:
+                    continue
+                value = form.edge_value(e, eta.assignment)
+                if moved not in by_target:
+                    by_target[moved] = (e, value)
+                elif by_target[moved][1] != value:
+                    return (f"omega_{e} and omega_{by_target[moved][0]} "
+                            "disagree on a shared transition",
+                            eta.assignment)
+    return None
+
+
+@given(kernel_cases(), st.integers(0, 2 ** 32), st.integers(0, 2))
+# phi changes one site only: moves across different pairs share targets,
+# and the reversed orientations (alternating values, not df) disagree there
+@example((cl.make_interaction((0, 1, 2), 0, {(1, 0): (2, 0)}), BOX,
+          cl.siteset(BOX.sites[:4])), 51, 0)
+@example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites[:5])), 52,
+         2)
+def test_validate_form_matches_shared_target_oracle(case, seed, n_broken):
+    """validate_form on d of a random potential with ``n_broken`` entries
+    moved by one unit (where the edge moves) raises MalformedForm with the
+    oracle's message and assignment exactly where the oracle finds a
+    disagreement, on any rule."""
+    interaction, locale, sites = case
+    n = interaction.n_states
+    rng = random.Random(seed)
+    f = cl.FnTable(sites, n, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                                   for _ in range(n ** len(sites))))
+    df = cl.differential(f, interaction, locale)
+    tables = dict(df.tables)
+    for _ in range(n_broken if df.edges else 0):
+        e = rng.choice(df.edges)
+        moved = [i for i, d in enumerate(edge_moves(df.space, interaction, e))
+                 if d >= 0]
+        if moved:
+            values = list(tables[e].values)
+            values[rng.choice(moved)] += 1
+            tables[e] = cl.FnTable(sites, n, tuple(values))
+    form = cl.make_form(sites, interaction, df.edges, tables, validate=False)
+    expected = shared_target_oracle(form)
+    if expected is None:
+        cl.validate_form(form)
+        return
+    with pytest.raises(cl.MalformedForm) as info:
+        cl.validate_form(form)
+    assert (info.value.message, info.value.details["assignment"]) == expected

@@ -384,3 +384,19 @@ def test_window_mode_round_trip(case):
         assert back.tables[e] == dec.residual_form.tables[e].embed(sites)
     assert cl.expectation(dec.residual_potential, cl.ProductMeasure(nu)) == 0
     assert dec.checks["residual_interior_invariant"]
+
+
+@settings(max_examples=15)
+@given(window_round_trips(), st.data())
+def test_window_and_local_mode_return_the_same_cocycle(case, data):
+    """Cross-mode oracle on d=1 windows: local mode, forced by a state cap
+    below the window's configuration count (at least three sites' worth),
+    returns the cocycle that window mode returns, the seeded one."""
+    spec, window, nu, rho = case
+    n = spec.interaction.n_states
+    cap = data.draw(st.integers(n ** 3, n ** len(window.sites) - 1),
+                    label="state_cap")
+    full = cl.decompose_invariant_form(spec, window, nu)
+    local = cl.decompose_invariant_form(spec, window, nu, state_cap=cap)
+    assert (full.mode, local.mode) == ("window", "local")
+    assert local.cocycle.images == full.cocycle.images == rho.images

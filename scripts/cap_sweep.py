@@ -14,11 +14,14 @@ two-state exclusion on a path of 16 sites (2^16 configurations), and run
 ``dims`` on paths of 14 and 16 two-state sites.  The ``closed`` cases
 solve a form on two-state exclusion boxes of 4x4 and 4x5 sites (2^16 and
 2^20 configurations, the state cap): a cocycle form plus d of a seeded
-local core, given edge by edge on small supports.  Per run the child
-reports the wall time of the CLI call, the time inside
-``solve_potential``, its peak RSS, and the sha256 of the output bytes.
-Each case runs ``REPEATS`` times per tree; the report keeps every run and
-the medians.
+local core, given edge by edge on small supports.  A further ``closed``
+case on the 4x4 box moves one transition of that form by +1 and its
+reverse by -1: the form stays alternating but is not closed, so the run
+reports a witness cycle and exits 1.  Each case names the exit code it
+expects.  Per run the child reports the exit code and wall time of the
+CLI call, the time inside ``solve_potential``, its peak RSS, and the
+sha256 of the output bytes.  Each case runs ``REPEATS`` times per tree;
+the report keeps every run and the medians.
 
 With ``--baseline REV`` the same cases also run on the ``src/`` tree of
 that git revision (exported with ``git archive`` to a temporary
@@ -60,7 +63,7 @@ def exclusion(states: list) -> dict:
 
 
 def varadhan_case(name: str, spec: dict, radius: int) -> dict:
-    return {"case": name, "subcommand": "varadhan",
+    return {"case": name, "subcommand": "varadhan", "exit": 0,
             "states": len(spec["states"]), "radius": radius,
             "configurations": len(spec["states"]) ** (2 * radius + 1),
             "payload": {"interaction": exclusion(spec["states"]),
@@ -82,7 +85,8 @@ def expand_case(n_sites: int) -> dict:
     values = [f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
               for _ in range(2 ** n_sites)]
     return {"case": f"expand-n2-s{n_sites}", "subcommand": "expand",
-            "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
+            "exit": 0, "states": 2, "sites": n_sites,
+            "configurations": 2 ** n_sites,
             "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
                         "locale": path_locale(n_sites),
                         "fn": {"siteset": list(range(n_sites)),
@@ -90,7 +94,7 @@ def expand_case(n_sites: int) -> dict:
 
 
 def iq_case(n_sites: int) -> dict:
-    return {"case": f"iq-n2-path{n_sites}", "subcommand": "iq",
+    return {"case": f"iq-n2-path{n_sites}", "subcommand": "iq", "exit": 0,
             "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
             "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
                         "locales": [path_locale(n_sites)]}}
@@ -98,7 +102,8 @@ def iq_case(n_sites: int) -> dict:
 
 def dims_case(n_sites: int) -> dict:
     return {"case": f"dims-n2-path{n_sites}", "subcommand": "dims",
-            "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
+            "exit": 0, "states": 2, "sites": n_sites,
+            "configurations": 2 ** n_sites,
             "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
                         "locale": path_locale(n_sites)}}
 
@@ -135,14 +140,35 @@ def box_form(width: int, height: int, seed: str) -> dict:
     return {"siteset": list(range(width * height)), "edges": edges}
 
 
-def closed_case(width: int, height: int) -> dict:
-    return {"case": f"closed-n2-box{width}x{height}", "subcommand": "closed",
+def broken_box_form(width: int, height: int, seed: str) -> dict:
+    """``box_form`` with one more unit on the move across its first edge
+    from the first configuration of that table that the edge moves, and
+    one less on the move back: still alternating (exclusion moves both
+    ways across one map), but not closed."""
+    form = box_form(width, height, seed)
+    table = form["edges"][0]
+    o, t = table["edge"]
+    configs = [dict(zip(reversed(table["support"]), digits))
+               for digits in product((0, 1), repeat=len(table["support"]))]
+    src = next(k for k, eta in enumerate(configs) if eta[o] != eta[t])
+    dst = configs.index({**configs[src], o: configs[src][t],
+                         t: configs[src][o]})
+    for k, unit in ((src, 1), (dst, -1)):
+        value = Fraction(table["values"][k]) + unit
+        table["values"][k] = f"{value.numerator}/{value.denominator}"
+    return form
+
+
+def closed_case(width: int, height: int, closed: bool = True) -> dict:
+    seed = f"cap-sweep:closed:{width}x{height}"
+    return {"case": f"closed-n2-box{width}x{height}"
+                    + ("" if closed else "-not-closed"),
+            "subcommand": "closed", "exit": 0 if closed else 1,
             "states": 2, "sites": width * height,
             "configurations": 2 ** (width * height),
             "payload": {"interaction": exclusion([0, 1]),
-                        "form": box_form(width, height,
-                                         f"cap-sweep:closed:{width}x"
-                                         f"{height}")}}
+                        "form": (box_form if closed else broken_box_form)(
+                            width, height, seed)}}
 
 
 CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
@@ -150,7 +176,8 @@ CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [expand_case(n) for n in (10, 12, 13, 14)]
          + [iq_case(16)]
          + [dims_case(n) for n in (14, 16)]
-         + [closed_case(4, 4), closed_case(4, 5)])
+         + [closed_case(4, 4), closed_case(4, 5),
+            closed_case(4, 4, closed=False)])
 
 
 def child(subcommand: str, input_path: str, output_path: str) -> None:
@@ -239,9 +266,10 @@ def main(argv=None) -> int:
                 for tree in order:
                     run = run_case(trees[tree], case["subcommand"],
                                    input_path, work)
-                    if run["exit"] != 0:
+                    if run["exit"] != case["exit"]:
                         raise SystemExit(f"{name} on {tree}: exit "
-                                         f"{run['exit']}")
+                                         f"{run['exit']}, expected "
+                                         f"{case['exit']}")
                     runs[tree].append(run)
                     print(f"{name} {tree}: {run['wall_s']:.3f} s, "
                           f"{run['peak_rss_mib']:.1f} MiB", file=sys.stderr)

@@ -41,7 +41,8 @@ class NotConnected(ColocalError):
 
 class NotReversible(ColocalError):
     """Interaction fails the reversibility condition on some changed pair;
-    details carry each such pair and where swap-then-phi twice takes it."""
+    details carry each such pair and where swap-then-phi twice takes it.
+    Raised by the interaction reader and by every ``Form``."""
 
 
 class SizeTooSmall(ColocalError):

@@ -7,7 +7,8 @@ vanishes where the transition fixes the configuration, it agrees across
 edges producing the same target, and it is alternating (reversing the edge
 after the move flips the sign).  Only one orientation per undirected edge is
 stored; the reverse is derived through the alternating identity, which makes
-that constraint structural.
+that constraint structural.  The identity needs the reversed transition to
+undo the forward one, so every form's phi is reversible.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .statespace import (
     edges_within,
     guard_space,
     kron,
+    require_reversible,
     spread,
     transition_graph,
     transition_runs,
@@ -68,12 +70,16 @@ def canonical_pairs(edges) -> tuple[Edge, ...]:
 class Form:
     """Edge tables over an ambient site set, stored in canonical orientation
     (smaller endpoint first).  Table supports may be proper subsets of the
-    ambient sites; evaluation embeds on the fly."""
+    ambient sites; evaluation embeds on the fly.  The interaction must be
+    reversible (NotReversible otherwise)."""
 
     sites: SiteSet
     interaction: Interaction
     edges: tuple[Edge, ...]                 # canonical undirected pairs
     tables: Mapping[Edge, FnTable]
+
+    def __post_init__(self):
+        require_reversible(self.interaction)
 
     @property
     def n_states(self) -> int:
@@ -444,11 +450,11 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
 
     The potential is 0 at the lexicographically smallest configuration of
     each connected component; df = omega fixes it up to that constant per
-    component.  For a reversible phi a scan in lexicographic order gives
-    each configuration the value implied by its first lexicographically
-    smaller neighbour, or 0 if it has none: a spanning forest with one tree
-    per local minimum.  One pass over the transitions of every pair's
-    stored orientation certifies a potential (the reversed orientation's
+    component.  A scan in lexicographic order gives each configuration the
+    value implied by its first lexicographically smaller neighbour, or 0 if
+    it has none: a spanning forest with one tree per local minimum.  One
+    pass over the transitions of every pair's stored orientation certifies
+    a potential (phi is reversible, so the reversed orientation's
     transitions are their inverses).  On d=1 paths each component has one
     local minimum, its smallest configuration, and the scan is certified
     as it stands.  Otherwise (on a d=2 box other local minima are the
@@ -457,40 +463,26 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     joined: every transition between two trees says how their constants
     differ, a weighted union-find over those links shifts each tree onto
     the first tree of its component in lexicographic order, and the same
-    pass certifies the result.  The join decides nothing: only when the
-    pass fails (the form is not closed), and always for a non-reversible
-    phi, does a breadth-first search from each component's smallest
-    configuration check every directed transition; its tree gives the
-    witness.  If ``mu`` is given the result is shifted to zero mean.
+    pass certifies the result.  The join decides nothing: where that pass
+    fails too, the form is not closed, and ``_witness`` builds the cycle.
+    If ``mu`` is given the result is shifted to zero mean.
     """
     guard_space(form.space.size, state_cap)
     dense, den = _dense_tables(form)
-    # a non-reversible phi moves only one way along some transitions: the
-    # search from a component's smallest configuration may then not reach
-    # all of it and raise where the scan would certify a potential
-    potential = (_scan_and_join(form, dense) if form.interaction.is_reversible
-                 else None)
-    if potential is None:
-        potential = _search(form, _directed(form, dense), den)
+    changed = tuple(form.interaction.changed_pairs())
+    runs = [transition_runs(form.space, pair, changed) for pair in form.edges]
+    potential, offset = _scan(form, dense)
+    if not _certified(potential, runs, dense):
+        potential = _join_roots(form.space, runs, dense, potential, offset)
+        if not _certified(potential, runs, dense):
+            # free the solver's lists before the search makes its own
+            del potential, offset, runs
+            raise _witness(form, dense, den)
     table = FnTable.from_numerators(form.sites, form.n_states, potential,
                                     den)
     if mu is not None:
         table = table.shift(-expectation(table, mu))
     return table
-
-
-def _scan_and_join(form: Form, dense: list) -> Optional[list]:
-    """The scan's potential numerators if the pass certifies them, else
-    the joined ones if the pass certifies those, else None."""
-    changed = tuple(form.interaction.changed_pairs())
-    runs = [transition_runs(form.space, pair, changed) for pair in form.edges]
-    potential, offset = _scan(form, dense)
-    if _certified(potential, runs, dense):
-        return potential
-    potential = _join_roots(form.space, runs, dense, potential, offset)
-    if potential is not None and _certified(potential, runs, dense):
-        return potential
-    return None
 
 
 def _certified(potential: list, runs: list, dense: list) -> bool:
@@ -537,12 +529,11 @@ def _scan(form: Form, dense: list) -> tuple[list, array]:
 
 
 def _join_roots(space: ConfigSpace, runs: list, dense: list, potential: list,
-                offset: array) -> Optional[list]:
+                offset: array) -> list:
     """The scan's potential with each tree of its spanning forest shifted
     so that the trees of a component agree across the transitions between
     them, and the first tree of each component in lexicographic order
-    keeps its values; None where no tree moves (the scan stands as it
-    was).
+    keeps its values.
 
     Trees are numbered by their roots in lexicographic order.  A
     transition eta -> eta^e from tree a to tree b asks s_b - s_a =
@@ -596,8 +587,6 @@ def _join_roots(space: ConfigSpace, runs: list, dense: list, potential: list,
         elif rb < ra:
             parent[ra], weight[ra] = rb, wb - wa - need
     shifts = [find(t)[1] for t in range(n_trees)]
-    if not any(shifts):
-        return None
     return list(map(add, potential, map(shifts.__getitem__, tree)))
 
 
@@ -607,12 +596,17 @@ def _in_site_order(edge: Edge, states: tuple[int, int]) -> tuple[int, int]:
     return states if edge[0] < edge[1] else (states[1], states[0])
 
 
-def _search(form: Form, directed: list, den: int) -> list:
-    """Potential numerators from a breadth-first search over every directed
-    edge, rooted at the lexicographically smallest configuration of each
-    component; raises NotClosed at the first inconsistent transition in
-    index order."""
+def _witness(form: Form, dense: list, den: int) -> NotClosed:
+    """NotClosed for a form whose potential failed its certification.  A
+    breadth-first search over every directed edge, rooted at the
+    lexicographically smallest configuration of each component, gives
+    each configuration a value; the first transition in index order, then
+    in directed-edge order, that disagrees with those values closes the
+    witness cycle with the search tree's paths to its two ends.  A failed
+    certification means the form is not closed, so that transition
+    exists."""
     space = form.space
+    directed = _directed(form, dense)
     potential: list[Optional[Scalar]] = [None] * space.size
     parent: dict[int, tuple[int, Edge]] = {}
     # the first configuration of a component in lexicographic order is its root
@@ -632,20 +626,13 @@ def _search(form: Form, directed: list, den: int) -> list:
                         nxt.append(dst)
             frontier = nxt
 
-    # consistency over every remaining transition, edge by edge; on a
-    # failure the first one in index order gives the witness
-    changed = tuple(form.interaction.changed_pairs())
-    if all(_consistent(potential, transition_runs(space, e, changed), values)
-           for e, _, values in directed):
-        directed = ()
     for idx in range(space.size):
         for e, moves, values in directed:
             dst = moves[idx]
             if dst >= 0 and potential[dst] - potential[idx] != values[idx]:
                 integral = from_numerators(
                     [potential[idx] - potential[dst] + values[idx]], den)[0]
-                raise _not_closed(form, space, parent, idx, e, dst, integral)
-    return potential
+                return _not_closed(form, space, parent, idx, e, dst, integral)
 
 
 def _consistent(potential, runs, values) -> bool:

@@ -38,7 +38,8 @@ from .statespace import (
     Interaction,
     Locale,
     SiteSet,
-    check_state_cap,
+    check_cap,
+    guard_space,
     interleave,
     kron,
     siteset,
@@ -162,6 +163,7 @@ def expand_martingale(f: FnTable, nu: Measure,
     proper-subset component from every projection.  Components are keyed
     by size, then lexicographically.
     """
+    check_cap(subset_cap, "subset_cap")
     if isinstance(nu, StateMeasure):
         prod = ProductMeasure(nu)
     elif isinstance(nu, ProductMeasure):
@@ -284,11 +286,7 @@ def conserved_quantities(interaction: Interaction,
 def conserved_colocal(xi: ConservedQuantity, sites: SiteSet,
                       state_cap: int = DEFAULT_STATE_CAP) -> FnTable:
     """The window sum: eta -> sum over sites of xi(eta_x)."""
-    check_state_cap(state_cap)
-    size = xi.n_states ** len(sites)
-    if size > state_cap:
-        raise TooManySubsets(f"window of {len(sites)} sites exceeds cap",
-                             size=size, cap=state_cap)
+    guard_space(xi.n_states ** len(sites), state_cap)
     per_state, den = numerators(xi.xi)
     return FnTable.from_numerators(sites, xi.n_states,
                                    kron([per_state] * len(sites)), den)

@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import NotReversible
 from .forms import Form, Path
 from .measure import ProductMeasure, StateMeasure, WindowMeasure
 from .scalars import (
@@ -33,8 +32,8 @@ from .statespace import (
     build_locale,
     lattice_window,
     make_interaction,
+    require_reversible,
     siteset,
-    validate_interaction,
 )
 from .tables import FnTable
 from .varadhan import Cocycle, InvariantFormSpec, cocycle_from_coefficients
@@ -84,15 +83,7 @@ def interaction_from_json(obj: dict) -> Interaction:
         (a, b), (c, d) = pair
         phi[(a, b)] = (c, d)
     inter = make_interaction(states, obj["base"], phi)
-    report = validate_interaction(inter)
-    if not report.ok:
-        label = inter.states
-        raise NotReversible(
-            "phi is not reversible: swap-then-phi twice does not return "
-            "every changed pair",
-            pairs=[[label[i], label[j]] for (i, j), _ in report.violations],
-            returns_to=[[label[i], label[j]]
-                        for _, (i, j) in report.violations])
+    require_reversible(inter)
     return inter
 
 

@@ -29,6 +29,7 @@ from .errors import (
     EdgeOutsideSiteSet,
     EmptySet,
     NotConnected,
+    NotReversible,
     NotSimple,
     NotSubset,
     NotSymmetric,
@@ -320,6 +321,21 @@ def validate_interaction(interaction: Interaction) -> InteractionReport:
     return InteractionReport(tuple(bad))
 
 
+def require_reversible(interaction: Interaction) -> None:
+    """Raise NotReversible, naming each failing changed pair and where
+    swap-then-phi twice takes it (as state labels), unless phi is
+    reversible."""
+    if interaction.is_reversible:
+        return
+    label = interaction.states
+    violations = validate_interaction(interaction).violations
+    raise NotReversible(
+        "phi is not reversible: swap-then-phi twice does not return "
+        "every changed pair",
+        pairs=[[label[i], label[j]] for (i, j), _ in violations],
+        returns_to=[[label[i], label[j]] for _, (i, j) in violations])
+
+
 # ---------------------------------------------------------------------------
 # site sets and configurations
 # ---------------------------------------------------------------------------
@@ -429,17 +445,16 @@ def enumerate_configs(sites: SiteSet, interaction: Interaction,
     return space
 
 
-def check_state_cap(state_cap) -> None:
-    """Raise ValueError unless the cap is a positive int (not a bool)."""
-    if (isinstance(state_cap, bool) or not isinstance(state_cap, int)
-            or state_cap < 1):
-        raise ValueError(
-            f"state_cap must be a positive int, got {state_cap!r}")
+def check_cap(cap, name: str = "state_cap") -> None:
+    """Raise ValueError unless the cap called ``name`` is a positive int
+    (not a bool)."""
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"{name} must be a positive int, got {cap!r}")
 
 
 def guard_space(size: int, state_cap: int, what: str = "configuration space"):
     """Raise SpaceTooLarge where ``size`` configurations exceed the cap."""
-    check_state_cap(state_cap)
+    check_cap(state_cap)
     if size > state_cap:
         raise SpaceTooLarge(f"{what} has {size} configurations (cap {state_cap})",
                             size=size, cap=state_cap)

@@ -47,7 +47,7 @@ from .statespace import (
     Interaction,
     Locale,
     SiteSet,
-    check_state_cap,
+    check_cap,
     guard_space,
     kron,
     lattice_window,
@@ -554,7 +554,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     if margin is not None and (isinstance(margin, bool)
                                or not isinstance(margin, int) or margin < 0):
         raise ValueError(f"margin must be a non-negative int, got {margin!r}")
-    check_state_cap(state_cap)
+    check_cap(state_cap)
     interaction = spec.interaction
     n = interaction.n_states
     if nu.n_states != n:

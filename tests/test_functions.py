@@ -210,6 +210,16 @@ def test_expansion_subset_cap(half):
         cl.expand_martingale(f, half, subset_cap=4)
 
 
+@pytest.mark.parametrize("cap", ["x", True, 0, 2.5, None])
+def test_subset_cap_must_be_a_positive_int(half, cap):
+    """A subset cap that is not a positive int is a ValueError, not a raw
+    TypeError or a cap that raises TooManySubsets."""
+    f = cl.fn_constant(cl.siteset(range(2)), 2, F(1))
+    with pytest.raises(ValueError) as info:
+        cl.expand_martingale(f, half, subset_cap=cap)
+    assert str(info.value) == f"subset_cap must be a positive int, got {cap!r}"
+
+
 # -- uniform radius -------------------------------------------------------------
 
 def test_uniform_radius_examples(exclusion, half):
@@ -284,6 +294,17 @@ def test_conserved_colocal_values(exclusion, half):
     assert table.value_at((0, 0)) == 2 * xi.xi[0]
     empty = cl.conserved_colocal(xi, cl.siteset([]))
     assert empty.values == (F(0),)
+
+
+def test_conserved_colocal_over_the_state_cap(exclusion, half):
+    """n^N configurations over the state cap is SpaceTooLarge, as at every
+    other state-cap breach."""
+    xi = cl.conserved_quantities(exclusion, half)[0]
+    with pytest.raises(cl.SpaceTooLarge) as info:
+        cl.conserved_colocal(xi, cl.siteset(range(3)), state_cap=7)
+    assert info.value.details == {"size": 8, "cap": 7}
+    assert len(cl.conserved_colocal(xi, cl.siteset(range(3)),
+                                    state_cap=8).values) == 8
 
 
 def test_conserved_colocal_in_kernel(exclusion, half):

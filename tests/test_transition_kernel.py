@@ -3,9 +3,12 @@
 The index maps are checked against ``apply_transition``, the
 per-configuration definition, and the passes built on them (differential,
 form validation, potential solving, the closed-form dimension) against
-round trips, component counts, a breadth-first search and a shared-target
-check written on the per-configuration definition, and the rank of the
-differential by elimination modulo a prime.
+round trips, component counts, a breadth-first search with its witness
+cycle and a shared-target check written on the per-configuration
+definition, and the rank of the differential by elimination modulo a
+prime.  Forms exist only for reversible rules, so every property that
+builds one draws reversible rules; the kernel, the transition graph and
+the dimension are checked on any rule.
 """
 
 import random
@@ -16,6 +19,7 @@ from hypothesis import example, given, strategies as st
 
 import colocal as cl
 from colocal import forms
+from colocal.jsonio import interaction_from_json
 from colocal.statespace import edge_moves
 
 BOX = cl.lattice_window(2, radius=1)
@@ -202,28 +206,31 @@ def hopping(n):
 @st.composite
 def potential_cases(draw):
     """Exclusion (symmetric), one-way hopping (reversible, not symmetric),
-    or a random rule, reversible or not; on windows of at most about 250
+    or a random reversible rule; on windows of at most about 250
     configurations."""
     n = draw(st.sampled_from([2, 3]))
-    kind = draw(st.sampled_from(["exclusion", "hopping", "reversible",
-                                 "any"]))
+    kind = draw(st.sampled_from(["exclusion", "hopping", "reversible"]))
     if kind == "exclusion":
         interaction = cl.exclusion_interaction(n)
     elif kind == "hopping":
         interaction = hopping(n)
     else:
-        interaction = cl.make_interaction(
-            tuple(range(n)), 0, draw(phis(n, kind == "reversible")))
+        interaction = cl.make_interaction(tuple(range(n)), 0,
+                                          draw(phis(n, reversible=True)))
     locale, sites = draw(windows(n, box_sites=(7, 5)))
     return interaction, locale, sites
 
 
 def search_oracle(form):
-    """Potential values by breadth-first search on the per-configuration
-    definition (``apply_transition``, ``Form.edge_value``), each directed
-    edge in the order pair then reversed pair, every configuration not yet
-    reached in lexicographic order a root with value 0; None if some
-    transition is inconsistent."""
+    """The breadth-first search on the per-configuration definition
+    (``apply_transition``, ``Form.edge_value``): each directed edge in the
+    order pair then reversed pair, every configuration not yet reached in
+    lexicographic order a root with value 0.  Returns (potential values,
+    None) if every transition is consistent with the search, else (None,
+    (witness, integral, details)) of ``NotClosed``: the first inconsistent
+    transition in index order, then directed-edge order, closed into a
+    cycle by the search tree's paths to its two ends, trimmed at their
+    common prefix."""
     space = form.space
     directed = [e for pair in form.edges for e in (pair, pair[::-1])]
     steps = {}
@@ -233,9 +240,9 @@ def search_oracle(form):
         for e in directed:
             moved = cl.apply_transition(eta, e, form.interaction)
             if moved != eta:
-                steps[idx].append((space.encode(moved.assignment),
+                steps[idx].append((e, space.encode(moved.assignment),
                                    form.edge_value(e, eta.assignment)))
-    potential = {}
+    potential, parent = {}, {}
     for root in sorted(range(space.size), key=space.decode):
         if root in potential:
             continue
@@ -244,15 +251,49 @@ def search_oracle(form):
         while frontier:
             nxt = []
             for i in frontier:
-                for j, w in steps[i]:
+                for e, j, w in steps[i]:
                     if j not in potential:
                         potential[j] = potential[i] + w
+                        parent[j] = (i, e)
                         nxt.append(j)
             frontier = nxt
-    if any(potential[j] - potential[i] != w
-           for i in steps for j, w in steps[i]):
-        return None
-    return [potential[i] for i in range(space.size)]
+
+    def from_root(k):
+        """The tree's steps (src, edge, dst) from the root to k."""
+        path = []
+        while k in parent:
+            path.append((parent[k][0], parent[k][1], k))
+            k = parent[k][0]
+        return path[::-1]
+    for i in range(space.size):
+        for e, j, w in steps[i]:
+            if potential[j] - potential[i] != w:
+                to_i, to_j = from_root(i), from_root(j)
+                shared = 0
+                while (shared < min(len(to_i), len(to_j))
+                       and to_i[shared] == to_j[shared]):
+                    shared += 1
+                cycle = (to_i[shared:] + [(i, e, j)]
+                         + [(b, edge[::-1], a)
+                            for a, edge, b in reversed(to_j[shared:])])
+                witness = cl.Path(space.config(cycle[0][0]),
+                                  tuple(edge for _, edge, _ in cycle))
+                return None, (witness, potential[i] + w - potential[j],
+                              {"cycle_length": len(cycle)})
+    return [potential[i] for i in range(space.size)], None
+
+
+def assert_oracle_witness(form, expected):
+    """solve_potential raises NotClosed with the oracle's witness, integral
+    and details, and the witness is a closed path of that integral."""
+    with pytest.raises(cl.NotClosed) as info:
+        cl.solve_potential(form)
+    witness, integral, details = expected
+    assert info.value.witness == witness
+    assert info.value.integral == integral != 0
+    assert info.value.details == details
+    assert cl.is_closed_path(witness, form.interaction)
+    assert cl.path_integral(form, witness) == integral
 
 
 @given(potential_cases(), st.integers(0, 2 ** 32), st.booleans())
@@ -260,11 +301,6 @@ def search_oracle(form):
 # first configuration is (0,0,1)
 @example((cl.make_interaction((0, 1), 0, {(1, 1): (0, 1), (1, 0): (1, 1)}),
           PATH3, cl.siteset(PATH3.sites)), 11, False)
-# not reversible: the stored orientation is exact and the scan certifies
-# it, but the search from (0,0) never reaches (1,1), and the reversed
-# orientation is not exact
-@example((cl.make_interaction((0, 1), 0, {(1, 1): (0, 0)}), BOX,
-          cl.siteset(BOX.sites[:2])), 12, False)
 @example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites[:5])), 13,
          True)
 @example((hopping(2), BOX, cl.siteset(BOX.sites[:7])), 14, False)
@@ -272,7 +308,7 @@ def test_solve_potential_matches_search_oracle(case, seed, broken):
     """solve_potential without a measure equals the search oracle: 0 at the
     lexicographically first configuration of every component, the same
     values elsewhere, and NotClosed exactly where the search finds an
-    inconsistent transition, with a witness cycle of that integral."""
+    inconsistent transition, with the oracle's witness cycle."""
     interaction, locale, sites = case
     n = interaction.n_states
     rng = random.Random(seed)
@@ -290,14 +326,9 @@ def test_solve_potential_matches_search_oracle(case, seed, broken):
             values[rng.choice(moved)] += 1
         tables[e] = cl.FnTable(sites, n, values)
     form = cl.make_form(sites, interaction, df.edges, tables, validate=False)
-    expected = search_oracle(form)
+    expected, witness = search_oracle(form)
     if expected is None:
-        with pytest.raises(cl.NotClosed) as info:
-            cl.solve_potential(form)
-        if cl.validate_interaction(interaction).ok:
-            witness = info.value.witness
-            assert cl.is_closed_path(witness, interaction)
-            assert cl.path_integral(form, witness) == info.value.integral != 0
+        assert_oracle_witness(form, witness)
         return
     g = cl.solve_potential(form)
     assert list(g.values) == expected
@@ -308,12 +339,65 @@ def test_solve_potential_matches_search_oracle(case, seed, broken):
     assert all(g.values[idx] == 0 for idx in first.values())
 
 
+@pytest.mark.parametrize("phi, pairs, returns_to", [
+    ({(1, 1): (0, 0)}, [[1, 1]], [[0, 0]]),
+    ({(0, 1): (1, 1)}, [[0, 1]], [[1, 1]]),
+])
+def test_forms_of_non_reversible_rules_raise_not_reversible(phi, pairs,
+                                                            returns_to):
+    """A form's reversed orientation is derived as -omega(eta^e), which is
+    f(eta^e) - f(eta) only where the reversed transition undoes the forward
+    one.  Without that, d f of the first rule looked not closed (the search
+    from (0,0) never reaches (1,1)), and d f of the second read 0 across
+    (t, o) where f moves.  Every way to build a form raises NotReversible
+    with the message and details of the CLI's interaction reader."""
+    interaction = cl.make_interaction((0, 1), 0, phi)
+    with pytest.raises(cl.NotReversible) as info:
+        interaction_from_json({"states": [0, 1], "base": 0,
+                               "phi": [[list(ab), list(cd)]
+                                       for ab, cd in phi.items()]})
+    assert info.value.details == {"pairs": pairs, "returns_to": returns_to}
+    expected = (info.value.message, info.value.details)
+    sites = cl.siteset(BOX.sites[:2])
+    f = cl.FnTable(sites, 2, (F(0), F(1), F(2), F(5)))
+    exact = cl.differential(f, cl.exclusion_interaction(2), BOX)
+    calls = [lambda: cl.differential(f, interaction, BOX),
+             lambda: cl.solve_potential(cl.differential(f, interaction, BOX)),
+             lambda: cl.make_form(sites, interaction, exact.edges, {}),
+             lambda: cl.Form(sites, interaction, exact.edges, exact.tables)]
+    for call in calls:
+        with pytest.raises(cl.NotReversible) as info:
+            call()
+        assert (info.value.message, info.value.details) == expected
+
+
+@given(kernel_cases(reversible=True), st.integers(0, 2 ** 32))
+@example((hopping(3), BOX, cl.siteset(BOX.sites[:5])), 61)
+def test_differential_in_either_orientation_is_f_moved_minus_f(case, seed):
+    """differential(f).dense_table(e), for the stored orientation of each
+    pair and for the derived reverse, is f(eta^e) - f(eta) configuration
+    by configuration (0 where e fixes eta), on any reversible rule."""
+    interaction, locale, sites = case
+    n = interaction.n_states
+    rng = random.Random(seed)
+    f = cl.FnTable(sites, n, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                                   for _ in range(n ** len(sites))))
+    df = cl.differential(f, interaction, locale)
+    space = df.space
+    for pair in df.edges:
+        for e in (pair, pair[::-1]):
+            values = df.dense_table(e).values
+            for idx in range(space.size):
+                moved = cl.apply_transition(space.config(idx), e, interaction)
+                assert values[idx] == (f.values[space.encode(moved.assignment)]
+                                       - f.values[idx])
+
+
 def no_search(*args, **kwargs):
     raise AssertionError("the breadth-first search ran")
 
 
-@given(potential_cases().filter(lambda case: case[0].is_reversible),
-       st.integers(0, 2 ** 32))
+@given(potential_cases(), st.integers(0, 2 ** 32))
 # the scan leaves several trees per component: the roots must be joined
 @example((cl.exclusion_interaction(2), BOX, cl.siteset(BOX.sites)), 21)
 @example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites)), 22)
@@ -333,7 +417,7 @@ def test_closed_forms_of_reversible_rules_never_search(case, seed):
     for idx in sorted(range(f.space.size), key=f.space.decode):
         first.setdefault(labels[idx], idx)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forms, "_search", no_search)
+        mp.setattr(forms, "_witness", no_search)
         g = cl.solve_potential(form)
     assert list(g.values) == [f.values[idx] - f.values[first[label]]
                               for idx, label in enumerate(labels)]
@@ -373,13 +457,14 @@ def test_box_exclusion_joins_the_scan_trees(n):
     join_roots = forms._join_roots
 
     def recorded(*args):
-        joined.append(join_roots(*args))
-        return joined[-1]
+        joined.append((args[3], join_roots(*args)))
+        return joined[-1][1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forms, "_search", no_search)
+        mp.setattr(forms, "_witness", no_search)
         mp.setattr(forms, "_join_roots", recorded)
         g = cl.solve_potential(form)
-    assert len(joined) == 1 and joined[0] is not None
+    # the join ran once and moved some tree of the scan's forest
+    assert len(joined) == 1 and joined[0][0] != joined[0][1]
     assert cl.differential(g, form.interaction, BOX).tables == form.tables
 
 
@@ -397,20 +482,11 @@ def with_one_more_unit(form, pair, idx):
 
 
 def assert_search_witness(form):
-    """solve_potential raises NotClosed with the witness and integral of
-    the breadth-first search, which the per-configuration oracle also
-    finds not closed."""
-    assert search_oracle(form) is None
-    with pytest.raises(cl.NotClosed) as info:
-        cl.solve_potential(form)
-    dense, den = forms._dense_tables(form)
-    with pytest.raises(cl.NotClosed) as searched:
-        forms._search(form, forms._directed(form, dense), den)
-    assert info.value.witness == searched.value.witness
-    assert info.value.integral == searched.value.integral != 0
-    assert info.value.details == searched.value.details
-    assert cl.is_closed_path(info.value.witness, form.interaction)
-    assert cl.path_integral(form, info.value.witness) == info.value.integral
+    """The per-configuration oracle finds the form not closed, and
+    solve_potential raises NotClosed with the oracle's witness."""
+    expected, witness = search_oracle(form)
+    assert expected is None
+    assert_oracle_witness(form, witness)
 
 
 def box_transitions(form):
@@ -472,18 +548,19 @@ def shared_target_oracle(form):
     return None
 
 
-@given(kernel_cases(), st.integers(0, 2 ** 32), st.integers(0, 2))
+@given(kernel_cases(reversible=True), st.integers(0, 2 ** 32),
+       st.integers(0, 2))
 # phi changes one site only: moves across different pairs share targets,
-# and the reversed orientations (alternating values, not df) disagree there
-@example((cl.make_interaction((0, 1, 2), 0, {(1, 0): (2, 0)}), BOX,
-          cl.siteset(BOX.sites[:4])), 51, 0)
+# and two broken entries make omega_(1,2) and omega_(1,0) disagree there
+@example((cl.make_interaction((0, 1, 2), 0, {(1, 0): (2, 0), (0, 2): (0, 1)}),
+          BOX, cl.siteset(BOX.sites[:4])), 51, 2)
 @example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites[:5])), 52,
          2)
 def test_validate_form_matches_shared_target_oracle(case, seed, n_broken):
     """validate_form on d of a random potential with ``n_broken`` entries
     moved by one unit (where the edge moves) raises MalformedForm with the
     oracle's message and assignment exactly where the oracle finds a
-    disagreement, on any rule."""
+    disagreement, on any reversible rule."""
     interaction, locale, sites = case
     n = interaction.n_states
     rng = random.Random(seed)

@@ -14,14 +14,14 @@ two-state exclusion on a path of 16 sites (2^16 configurations), and run
 ``dims`` on paths of 14 and 16 two-state sites.  The ``closed`` cases
 solve a form on two-state exclusion boxes of 4x4 and 4x5 sites (2^16 and
 2^20 configurations, the state cap): a cocycle form plus d of a seeded
-local core, given edge by edge on small supports.  A further ``closed``
-case on the 4x4 box moves one transition of that form by +1 and its
-reverse by -1: the form stays alternating but is not closed, so the run
-reports a witness cycle and exits 1.  Each case names the exit code it
-expects.  Per run the child reports the exit code and wall time of the
-CLI call, the time inside ``solve_potential``, its peak RSS, and the
-sha256 of the output bytes.  Each case runs ``REPEATS`` times per tree;
-the report keeps every run and the medians.
+local core, given edge by edge on small supports.  Two further ``closed``
+cases, on the 4x4 and the 4x5 box, move one transition of that form by +1
+and its reverse by -1: the form stays alternating but is not closed, so
+the run reports a witness cycle and exits 1.  Each case names the exit
+code it expects.  Per run the child reports the exit code and wall time
+of the CLI call, the time inside ``solve_potential``, its peak RSS, and
+the sha256 of the output bytes.  Each case runs ``REPEATS`` times per
+tree; the report keeps every run and the medians.
 
 With ``--baseline REV`` the same cases also run on the ``src/`` tree of
 that git revision (exported with ``git archive`` to a temporary
@@ -54,7 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TWO = {"states": [0, 1], "nu": ["3/5", "2/5"], "cocycle": [["3/7"]]}
 THREE = {"states": [0, 1, 2], "nu": ["1/2", "1/3", "1/6"],
          "cocycle": [["3/7", "-2/5"]]}
-REPEATS = 3
+REPEATS = 5
 
 
 def exclusion(states: list) -> dict:
@@ -177,7 +177,7 @@ CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [iq_case(16)]
          + [dims_case(n) for n in (14, 16)]
          + [closed_case(4, 4), closed_case(4, 5),
-            closed_case(4, 4, closed=False)])
+            closed_case(4, 4, closed=False), closed_case(4, 5, closed=False)])
 
 
 def child(subcommand: str, input_path: str, output_path: str) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, islice
-from operator import add, eq, indexOf, neg, sub
+from operator import add, eq, indexOf, ne, neg, sub
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -46,13 +46,13 @@ from .statespace import (
     Locale,
     SiteSet,
     apply_transition,
-    edge_moves,
     edges_within,
     guard_space,
     kron,
     require_reversible,
     spread,
     transition_graph,
+    transition_offsets,
     transition_runs,
 )
 from .tables import FnTable, aligned, fn_zeros
@@ -89,19 +89,6 @@ class Form:
     def space(self) -> ConfigSpace:
         return ConfigSpace(self.sites, self.n_states)
 
-    @cached_property
-    def moves(self) -> dict:
-        """Index map of the transition across each directed edge, in the
-        order pair, reversed pair; under a symmetric phi both orientations
-        of a pair share one map."""
-        moves = {}
-        for pair in self.edges:
-            rev = (pair[1], pair[0])
-            moves[pair] = edge_moves(self.space, self.interaction, pair)
-            moves[rev] = (moves[pair] if self.interaction.is_symmetric
-                          else edge_moves(self.space, self.interaction, rev))
-        return moves
-
     def edge_value(self, edge: Edge, assignment: Sequence[int]) -> Scalar:
         """omega_edge at an ambient assignment, any orientation."""
         key = canonical_edge(edge)
@@ -120,10 +107,8 @@ class Form:
         key = canonical_edge(edge)
         if key not in self.tables:
             raise KeyError(f"edge {edge} not part of this form")
-        nums, den = self.tables[key].embed(self.sites).numerators
-        return FnTable.from_numerators(
-            self.sites, self.n_states,
-            _oriented(nums, self.moves[edge], edge == key), den)
+        return _directed_table(self.tables[key], self.interaction, edge,
+                               edge == key, self.sites)
 
     def is_zero(self) -> bool:
         return all(t.is_zero() for t in self.tables.values())
@@ -157,35 +142,31 @@ class Form:
         for (o, t), table in self.tables.items():
             image = (sigma.apply_or_raise(o), sigma.apply_or_raise(t))
             moved = table.relabel(sigma)
-            if image[0] < image[1]:
-                tables[image] = moved
-            else:
-                tables[(image[1], image[0])] = _reverse_orientation_table(
-                    moved, image, self.interaction)
+            key = canonical_edge(image)
+            tables[key] = moved if key == image else _directed_table(
+                moved, self.interaction, key, False)
         edges = tuple(sorted(tables))
         return Form(new_sites, self.interaction, edges, tables)
 
 
-def _oriented(table, moves, same: bool) -> list:
-    """Dense values of the directed edge e from the dense table of one
-    orientation of its pair: that table itself if it is e's own (``same``),
-    else the alternating value -table(eta^e); 0 where e fixes eta
-    (``moves`` is the index map of e)."""
-    if same:
-        return [v if d >= 0 else 0 for v, d in zip(table, moves)]
-    return [-table[d] if d >= 0 else 0 for d in moves]
-
-
-def _reverse_orientation_table(table: FnTable, oriented: Edge,
-                               interaction: Interaction) -> FnTable:
-    """Table of the opposite orientation given omega_oriented, on the
-    table's sites plus the edge's endpoints."""
-    support = table.sites.union(SiteSet(tuple(sorted(oriented))))
-    space = ConfigSpace(support, interaction.n_states)
-    moves = edge_moves(space, interaction, (oriented[1], oriented[0]))
-    nums, den = table.embed(support).numerators
-    return FnTable.from_numerators(support, interaction.n_states,
-                                   _oriented(nums, moves, False), den)
+def _directed_table(table: FnTable, interaction: Interaction, edge: Edge,
+                    same: bool, sites: Optional[SiteSet] = None) -> FnTable:
+    """omega of the directed edge from ``table``, of one orientation of its
+    pair: the table where the edge moves eta if it is the edge's own
+    (``same``), else the alternating value -table(eta^e); 0 where the edge
+    fixes eta.  On ``sites``, by default the table's sites plus the edge's
+    endpoints; filled run by run (see ``statespace.transition_runs``)."""
+    if sites is None:
+        sites = table.sites.union(SiteSet(tuple(sorted(edge))))
+    space = ConfigSpace(sites, interaction.n_states)
+    values, den = table.embed(sites).numerators
+    out = [0] * space.size
+    for start, stop, step, delta in transition_runs(
+            space, edge, interaction.changed_pairs()):
+        out[start:stop:step] = (
+            values[start:stop:step] if same else
+            map(neg, values[start + delta:stop + delta:step]))
+    return FnTable.from_numerators(sites, interaction.n_states, out, den)
 
 
 def make_form(sites: SiteSet, interaction: Interaction, edges,
@@ -193,6 +174,7 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
               state_cap: int = DEFAULT_STATE_CAP) -> Form:
     """Build a form from per-edge tables (either orientation; missing edges
     get the zero table) and check the structural constraints."""
+    require_reversible(interaction)   # before any table is read
     pairs = canonical_pairs(edges)
     pair_set = set(pairs)
     stored: dict[Edge, FnTable] = {}
@@ -215,8 +197,7 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
     for key, rev in reversed_given.items():
         if validate:
             _check_zero_on_fixed(rev, (key[1], key[0]), interaction)
-        derived = _reverse_orientation_table(rev, (key[1], key[0]),
-                                             interaction)
+        derived = _directed_table(rev, interaction, key, False)
         if key not in stored:
             stored[key] = derived
         elif validate:
@@ -248,24 +229,21 @@ def validate_form(form: Form, state_cap: int = DEFAULT_STATE_CAP):
     guard_space(space.size, state_cap)
     for e in form.edges:
         _check_zero_on_fixed(form.tables[e], e, form.interaction)
-    dense = _dense_tables(form)[0]
-    idx = _first_disagreement(form, dense)
+    idx = _first_disagreement(form, _dense_tables(form)[0])
     if idx is None:
         return
     eta = space.config(idx)
-    by_target: dict[int, tuple[Edge, Scalar]] = {}
-    for pair, values in zip(form.edges, dense):
+    by_target: dict[Config, tuple[Edge, Scalar]] = {}
+    for pair in form.edges:
         for e in (pair, (pair[1], pair[0])):
             moved = apply_transition(eta, e, form.interaction)
             if moved == eta:
                 continue
-            dst = space.encode(moved.assignment)
-            value = values[idx] if e == pair else -values[dst]
-            if dst not in by_target:
-                by_target[dst] = (e, value)
-            elif value != by_target[dst][1]:
+            value = form.edge_value(e, eta.assignment)
+            first, first_value = by_target.setdefault(moved, (e, value))
+            if value != first_value:
                 raise MalformedForm(
-                    f"omega_{e} and omega_{by_target[dst][0]} disagree on "
+                    f"omega_{e} and omega_{first} disagree on "
                     "a shared transition", assignment=eta.assignment)
 
 
@@ -321,15 +299,14 @@ def _check_zero_on_fixed(table: FnTable, edge: Edge,
                          interaction: Interaction):
     """Raise MalformedForm where omega_edge is nonzero on a configuration
     (of the table's sites plus the endpoints) that the transition fixes."""
-    support = table.sites.union(SiteSet(tuple(sorted(edge))))
-    space = ConfigSpace(support, interaction.n_states)
-    moves = edge_moves(space, interaction, edge)
-    for idx, (d, x) in enumerate(zip(moves,
-                                     table.embed(support).numerators.nums)):
-        if d < 0 and x:
-            raise MalformedForm(f"omega_{edge} nonzero on a fixed configuration",
-                                edge=edge, sites=support.sites,
-                                assignment=space.decode(idx))
+    kept = _directed_table(table, interaction, edge, True)
+    nums = table.embed(kept.sites).numerators.nums
+    # the first entry off its kept value is nonzero where e fixes eta
+    idx = next(compress(count(), map(ne, nums, kept.numerators.nums)), None)
+    if idx is not None:
+        raise MalformedForm(f"omega_{edge} nonzero on a fixed configuration",
+                            edge=edge, sites=kept.sites.sites,
+                            assignment=kept.space.decode(idx))
 
 
 def _dense_tables(form: Form) -> tuple[list, int]:
@@ -342,17 +319,6 @@ def _dense_tables(form: Form) -> tuple[list, int]:
              spread(part, table.sites, form.space)
              for table, part in zip(stored, parts)]
     return dense, den
-
-
-def _directed(form: Form, dense: list) -> list:
-    """(edge, index map, dense values) per directed edge, in the order pair,
-    reversed pair, from the dense pair tables of ``_dense_tables``."""
-    directed = []
-    for pair, values in zip(form.edges, dense):
-        for e in (pair, (pair[1], pair[0])):
-            moves = form.moves[e]
-            directed.append((e, moves, _oriented(values, moves, e == pair)))
-    return directed
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +455,8 @@ def _certified(potential: list, runs: list, dense: list) -> bool:
     """potential(eta^e) - potential(eta) == omega_e(eta) on every
     transition of every pair's stored orientation (``runs`` and ``dense``
     per pair)."""
-    return all(_consistent(potential, pair_runs, values)
-               for pair_runs, values in zip(runs, dense))
+    return not any(next(_failures(potential, pair_runs, values), None)
+                   for pair_runs, values in zip(runs, dense))
 
 
 def _scan(form: Form, dense: list) -> tuple[list, array]:
@@ -598,16 +564,20 @@ def _in_site_order(edge: Edge, states: tuple[int, int]) -> tuple[int, int]:
 
 def _witness(form: Form, dense: list, den: int) -> NotClosed:
     """NotClosed for a form whose potential failed its certification.  A
-    breadth-first search over every directed edge, rooted at the
-    lexicographically smallest configuration of each component, gives
-    each configuration a value; the first transition in index order, then
-    in directed-edge order, that disagrees with those values closes the
+    breadth-first search over every directed edge (each pair, then its
+    reverse), one configuration at a time by the offset tables of
+    ``transition_offsets``, rooted at the lexicographically smallest
+    configuration of each component, gives each configuration a value.
+    The first transition in index order, then in directed-edge order, that
+    disagrees with them (the least first failure of any run) closes the
     witness cycle with the search tree's paths to its two ends.  A failed
-    certification means the form is not closed, so that transition
-    exists."""
-    space = form.space
-    directed = _directed(form, dense)
-    potential: list[Optional[Scalar]] = [None] * space.size
+    certification means the form is not closed, so that transition exists."""
+    space, n = form.space, form.n_states
+    changed = tuple(form.interaction.changed_pairs())
+    steps = [(pair, pair[::-1], *transition_offsets(space, pair, changed),
+              transition_offsets(space, pair[::-1], changed)[2], values)
+             for pair, values in zip(form.edges, dense)]
+    potential: list[Optional[int]] = [None] * space.size
     parent: dict[int, tuple[int, Edge]] = {}
     # the first configuration of a component in lexicographic order is its root
     for root in _lexicographic(space):
@@ -618,33 +588,53 @@ def _witness(form: Form, dense: list, den: int) -> NotClosed:
         while frontier:
             nxt = []
             for src in frontier:
-                for e, moves, values in directed:
-                    dst = moves[src]
-                    if dst >= 0 and potential[dst] is None:
+                for pair, rev, so, st, forward, backward, values in steps:
+                    a, b = src // so % n, src // st % n
+                    dst = src + forward[a][b]
+                    if dst != src and potential[dst] is None:
                         potential[dst] = potential[src] + values[src]
-                        parent[dst] = (src, e)
+                        parent[dst] = (src, pair)
+                        nxt.append(dst)
+                    # the reversed orientation's value is -omega_pair(eta^e)
+                    dst = src + backward[b][a]
+                    if dst != src and potential[dst] is None:
+                        potential[dst] = potential[src] - values[dst]
+                        parent[dst] = (src, rev)
                         nxt.append(dst)
             frontier = nxt
 
-    for idx in range(space.size):
-        for e, moves, values in directed:
-            dst = moves[idx]
-            if dst >= 0 and potential[dst] - potential[idx] != values[idx]:
-                integral = from_numerators(
-                    [potential[idx] - potential[dst] + values[idx]], den)[0]
-                return _not_closed(form, space, parent, idx, e, dst, integral)
+    directed = [(e, values, e == pair) for pair, values in
+                zip(form.edges, dense) for e in (pair, pair[::-1])]
+    first = (space.size,)   # (index, directed-edge position, offset, omega)
+    for k, (e, values, stored) in enumerate(directed):
+        runs = transition_runs(space, e, changed)
+        for idx, *rest in _failures(potential, runs, values, stored, first[0]):
+            first = min(first, (idx, k, *rest))
+    idx, k, delta, omega = first
+    integral = from_numerators(
+        [potential[idx] - potential[idx + delta] + omega], den)[0]
+    return _not_closed(form, space, parent, idx, directed[k][0], idx + delta,
+                       integral)
 
 
-def _consistent(potential, runs, values) -> bool:
-    """potential(eta^e) - potential(eta) == omega_e(eta) wherever e moves
-    eta (numerators; ``runs`` the transition runs of e, ``values`` dense
-    for e), compared run by run on slices."""
+def _failures(potential, runs, values, stored: bool = True,
+              below: float = float("inf")):
+    """(index, offset, omega_e there) of the first transition of each run of
+    a directed edge e, at an index below ``below``, where potential(eta^e)
+    - potential(eta) != omega_e(eta), compared on slices: omega_e is
+    ``values`` (dense pair numerators) if e is the pair's stored
+    orientation, else -values(eta^e)."""
     for start, stop, step, delta in runs:
-        diffs = map(sub, potential[start + delta:stop + delta:step],
-                    potential[start:stop:step])
-        if not all(map(eq, diffs, values[start:stop:step])):
-            return False
-    return True
+        if start >= below:
+            continue
+        stop = min(stop, below)
+        omega = (values[start:stop:step] if stored else
+                 list(map(neg, values[start + delta:stop + delta:step])))
+        src = potential[start:stop:step]
+        dst = potential[start + delta:stop + delta:step]
+        if not all(map(eq, map(sub, dst, src), omega)):
+            k = indexOf(map(eq, map(sub, dst, src), omega), False)
+            yield start + k * step, delta, omega[k]
 
 
 def _lexicographic(space: ConfigSpace) -> list[int]:
@@ -679,8 +669,7 @@ def _not_closed(form: Form, space: ConfigSpace, parent, src: int, edge: Edge,
     steps.append((src, edge, dst))
     for a, e, b in reversed(to_dst[shared:]):
         steps.append((b, (e[1], e[0]), a))
-    start_index = steps[0][0] if steps else src
-    witness = Path(Config(form.sites, space.decode(start_index)),
+    witness = Path(Config(form.sites, space.decode(steps[0][0])),
                    tuple(e for _, e, _ in steps))
     return NotClosed("form has a cycle with nonzero integral",
                      witness=witness, integral=integral,

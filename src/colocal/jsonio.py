@@ -41,22 +41,28 @@ from .varadhan import Cocycle, InvariantFormSpec, cocycle_from_coefficients
 SCHEMA_VERSION = "1"
 
 
+def _object(value, field: str) -> dict:
+    """The value of a field that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an object, got {value!r}")
+    return value
+
+
 # -- locale -------------------------------------------------------------
 
 def locale_from_json(obj: dict) -> Locale:
-    lattice = obj.get("lattice")
-    if lattice is not None and "sites" not in obj:
-        if "radius" in lattice:
-            return lattice_window(lattice["dim"], radius=lattice["radius"])
-        return lattice_window(lattice["dim"], sizes=tuple(lattice["sizes"]))
-    meta = None
-    if lattice is not None:
-        if "radius" in lattice:
-            meta = LatticeMeta(lattice["dim"], "window", radius=lattice["radius"])
-        else:
-            meta = LatticeMeta(lattice["dim"], "torus",
-                               sizes=tuple(lattice["sizes"]))
-    return build_locale(obj["sites"], [tuple(e) for e in obj["edges"]], meta)
+    lattice = _object(obj, "locale").get("lattice")
+    if lattice is None:
+        return build_locale(obj["sites"], [tuple(e) for e in obj["edges"]])
+    dim = _object(lattice, "lattice")["dim"]
+    if "radius" in lattice:
+        kind, radius, sizes = "window", lattice["radius"], None
+    else:
+        kind, radius, sizes = "torus", None, tuple(lattice["sizes"])
+    if "sites" not in obj:
+        return lattice_window(dim, radius=radius, sizes=sizes)
+    return build_locale(obj["sites"], [tuple(e) for e in obj["edges"]],
+                        LatticeMeta(dim, kind, radius, sizes))
 
 
 def locale_to_json(locale: Locale) -> dict:
@@ -116,7 +122,7 @@ def measure_from_json(obj: dict, interaction: Interaction,
     """{"kind": "product", "nu": ...} (the kind defaults to product) or
     {"kind": "window", "siteset": [...], "weights": {index: scalar}};
     see ``_weights``."""
-    kind = obj.get("kind", "product")
+    kind = _object(obj, "measure").get("kind", "product")
     if kind == "product":
         return ProductMeasure(state_measure_from_json(
             obj["nu"], interaction.states, mode))
@@ -157,7 +163,10 @@ def form_from_json(obj: dict, interaction: Interaction,
     tables = {}
     edges = []
     for entry in obj["edges"]:
-        edge = tuple(entry["edge"])
+        edge = entry["edge"]
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise ValueError(f"form edge {edge!r} is not a list of two sites")
+        edge = tuple(edge)
         support = siteset(entry.get("support", obj["siteset"]))
         tables[edge] = FnTable.from_numerators(
             support, interaction.n_states,

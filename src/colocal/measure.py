@@ -28,11 +28,11 @@ from .statespace import (
     Locale,
     SiteSet,
     digit_slices,
-    edge_moves,
     edges_within,
     guard_space,
     kron,
     spread,
+    transition_offsets,
 )
 from .tables import FnTable
 
@@ -349,20 +349,20 @@ def is_ordinary(sub: SiteSet, sup: SiteSet, mu: Measure,
 
     sup_mu = mu if mu.sites == sup else pushforward(mu, sup)
     sub_mu = pushforward(sup_mu, sub)
-    sup_space = sup_mu.space
-    sub_space = ConfigSpace(sub, sup_mu.n_states)
-    lam_edges = edges_within(locale, sub)
-    moves = [(e, edge_moves(sup_space, interaction, e),
-              edge_moves(sub_space, interaction, e)) for e in lam_edges]
+    sup_space, n = sup_mu.space, sup_mu.n_states
+    # restriction indices: e inside sub moves eta' and its restriction alike
+    restrict = spread(range(len(sub_mu.weights)), sub, sup_space)
+    moves = [(e, *transition_offsets(sup_space, e,
+                                     interaction.changed_pairs()))
+             for e in edges_within(locale, sub)]
 
     violations = []
-    for idx, j in enumerate(spread(range(sub_space.size), sub, sup_space)):
-        for e, sup_moves, sub_moves in moves:
-            dst = sup_moves[idx]
-            if dst < 0:
+    for idx, j in enumerate(restrict):
+        for e, so, st, offsets in moves:
+            if not (d := offsets[idx // so % n][idx // st % n]):
                 continue
-            lhs = sub_mu.weights[sub_moves[j]] * sup_mu.weights[idx]
-            rhs = sub_mu.weights[j] * sup_mu.weights[dst]
+            lhs = sub_mu.weights[restrict[idx + d]] * sup_mu.weights[idx]
+            rhs = sub_mu.weights[j] * sup_mu.weights[idx + d]
             if lhs != rhs:
                 violations.append(OrdinaryViolation(sup_space.decode(idx), e,
                                                     lhs, rhs))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
@@ -472,17 +471,23 @@ def apply_transition(eta: Config, edge: Edge, interaction: Interaction) -> Confi
     return Config(eta.sites, tuple(assignment))
 
 
-def edge_moves(space: ConfigSpace, interaction: Interaction,
-               edge: Edge) -> array:
-    """The transition across ``edge`` as an index map: entry i is the index
-    of eta^e for the configuration eta of index i, or -1 where phi fixes the
-    pair."""
-    moves = array("q", [-1]) * space.size
-    for start, stop, step, delta in transition_runs(
-            space, edge, interaction.changed_pairs()):
-        moves[start:stop:step] = array("q", range(start + delta,
-                                                  stop + delta, step))
-    return moves
+def transition_offsets(space: ConfigSpace, edge: Edge, changed
+                       ) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """The transition across ``edge`` by the states at its endpoints:
+    ``(so, st, offsets)``, where the configuration of index i, with states
+    a = i // so % n at ``edge[0]`` and b = i // st % n at ``edge[1]``,
+    moves to i + offsets[a][b].  phi moves the digits of the two endpoints
+    only, so eta^e - eta is fixed by (a, b): nonzero for the ``changed``
+    pairs ``((a, b), (a2, b2))`` of phi, 0 for the pairs phi fixes."""
+    o, t = edge
+    if o not in space.sites or t not in space.sites:
+        raise EdgeOutsideSiteSet(f"edge {edge} leaves the site set", edge=edge)
+    n = space.n_states
+    so, st = n ** space.sites.position(o), n ** space.sites.position(t)
+    offsets = [[0] * n for _ in range(n)]
+    for (a, b), (a2, b2) in changed:
+        offsets[a][b] = (a2 - a) * so + (b2 - b) * st
+    return so, st, tuple(map(tuple, offsets))
 
 
 def transition_runs(space: ConfigSpace, edge: Edge,
@@ -490,31 +495,25 @@ def transition_runs(space: ConfigSpace, edge: Edge,
     """The configurations whose endpoint states ``(a, b)`` (at ``edge[0]``
     and ``edge[1]``) are one of the ``changed`` pairs ``((a, b), (a2, b2))``
     of phi, as runs ``(start, stop, step, delta)``: every index i in
-    ``range(start, stop, step)`` moves to i + delta across ``edge``.
-
-    phi moves the digits of the two endpoints only, so eta^e - eta is a
-    stride delta fixed by the endpoint states.  With those states fixed,
-    the other digits form three blocks (below both endpoints, between them,
-    above both), and the indices along one block are an arithmetic
+    ``range(start, stop, step)`` moves to i + delta across ``edge`` (the
+    offset of ``transition_offsets``).  With the endpoint states fixed,
+    the other digits form three blocks (below both endpoints, between
+    them, above both), and the indices along one block are an arithmetic
     progression; each run follows the longest block."""
-    o, t = edge
-    if o not in space.sites or t not in space.sites:
-        raise EdgeOutsideSiteSet(f"edge {edge} leaves the site set", edge=edge)
+    so, st, offsets = transition_offsets(space, edge, changed)
     n, size = space.n_states, space.size
-    so, st = n ** space.sites.position(o), n ** space.sites.position(t)
     low, high = min(so, st), max(so, st)
     # (stride, count) per block of free digits, the longest last
     (s1, c1), (s2, c2), (step, count) = sorted(
         [(1, low), (low * n, high // (low * n)),
          (high * n, size // (high * n))], key=lambda block: block[1])
     runs = []
-    for (a, b), (a2, b2) in changed:
-        base = a * so + b * st
-        delta = (a2 - a) * so + (b2 - b) * st
-        for j in range(c1):
-            for k in range(c2):
-                start = base + j * s1 + k * s2
-                runs.append((start, start + step * count, step, delta))
+    for a, b in itertools.product(range(n), repeat=2):
+        if delta := offsets[a][b]:
+            for j in range(c1):
+                for k in range(c2):
+                    start = a * so + b * st + j * s1 + k * s2
+                    runs.append((start, start + step * count, step, delta))
     return runs
 
 
@@ -604,7 +603,8 @@ class TransitionGraph:
 
     ``records`` lists one (src index, edge, dst index) triple per
     (configuration, edge) pair, even when several edges produce the same
-    target, in index order and then edge order; it is built when read.
+    target, in index order and then edge order; it is built when read,
+    one configuration at a time by the tables of ``transition_offsets``.
     ``pairs`` deduplicates to the underlying graph on configurations; the
     tests eliminate over it as an independent check of the rank.  The
     space size minus ``n_components`` (union-find over the runs) is the
@@ -623,11 +623,13 @@ class TransitionGraph:
 
     @cached_property
     def records(self) -> tuple[tuple[int, Edge, int], ...]:
-        maps = [edge_moves(self.space, self.interaction, e)
-                for e in self.edges]
-        return tuple((idx, e, moves[idx])
+        n, changed = self.space.n_states, self.interaction.changed_pairs
+        moves = [(e, *transition_offsets(self.space, e, changed()))
+                 for e in self.edges]
+        return tuple((idx, e, idx + d)
                      for idx in range(self.space.size)
-                     for e, moves in zip(self.edges, maps) if moves[idx] >= 0)
+                     for e, so, st, offsets in moves
+                     if (d := offsets[idx // so % n][idx // st % n]))
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:

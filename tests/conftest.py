@@ -21,6 +21,36 @@ def rand_table(rng, sites, n_states=2):
                       tuple(rand_scalar(rng) for _ in range(size)))
 
 
+#: prime modulus of the rank computation in differential_rank
+RANK_PRIME = (1 << 61) - 1
+
+
+def differential_rank(graph):
+    """Rank of the differential: one row e_dst - e_src per transition pair,
+    reduced by sparse elimination modulo the prime 2^61 - 1.  The matrix is
+    an incidence matrix, hence totally unimodular, so its rank modulo p is
+    its rational rank.  It does not use the component count."""
+    p = RANK_PRIME
+    pivots: dict[int, dict[int, int]] = {}   # leading column -> monic row
+    for src, dst in sorted({(min(s, d), max(s, d)) for s, d in graph.pairs}):
+        row = {src: p - 1, dst: 1}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                w = (row.get(c, 0) - factor * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return len(pivots)
+
+
 @pytest.fixture
 def exclusion():
     return cl.exclusion_interaction()

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction as F
 
 import colocal as cl
-from conftest import rand_table
+from conftest import differential_rank, rand_table
 
 EXCLUSION = cl.exclusion_interaction()
 HALF = cl.bernoulli(F(1, 2))
@@ -128,8 +128,12 @@ def test_criterion_4_forms_exactness():
         kb = cl.kernel_basis(sites, EXCLUSION, locale, MU)
         size = 2 ** len(sites)
         dim_z1 = (size - 1) - (kb.n_components - 1)
-        assert dim_z1 == cl.closed_form_space_dimension(sites, EXCLUSION,
-                                                        locale)
+        # the rank of the differential by elimination counts no components
+        rank = differential_rank(cl.transition_graph(sites, EXCLUSION,
+                                                     locale))
+        assert dim_z1 == rank
+        assert cl.closed_form_space_dimension(sites, EXCLUSION,
+                                              locale) == rank
         if locale is single:
             assert dim_z1 == 1 and kb.n_components == 3
 

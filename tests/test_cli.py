@@ -537,6 +537,31 @@ def test_unknown_measure_kind_is_a_usage_error(tmp_path, capsys):
     assert code == 0 and report["ok"]
 
 
+@pytest.mark.parametrize("subcommand, payload, message", [
+    ("closed", {"interaction": EXCLUSION,
+                "form": {"siteset": [0, 1],
+                         "edges": [{"edge": [0], "values": ["0"] * 4}]}},
+     "form edge [0] is not a list of two sites"),
+    ("dims", {"interaction": EXCLUSION, "nu": HALF, "locale": 5},
+     "locale must be an object, got 5"),
+    ("dims", {"interaction": EXCLUSION, "nu": HALF,
+              "locale": {"lattice": [1, 1]}},
+     "lattice must be an object, got [1, 1]"),
+    ("project", {"interaction": EXCLUSION, "target": [0], "fn": TABLE,
+                 "measure": HALF},
+     "measure must be an object, got ['1/2', '1/2']"),
+], ids=["one-site-form-edge", "number-locale", "list-lattice",
+        "list-measure"])
+def test_malformed_fields_are_usage_errors(tmp_path, capsys, subcommand,
+                                           payload, message):
+    """A field of the wrong JSON shape exits 2 with a message naming it,
+    not with a traceback from inside the library."""
+    code, report = run(tmp_path, subcommand, payload)
+    assert code == 2 and report is None
+    assert f"malformed input: ValueError({message!r})" in \
+        capsys.readouterr().err
+
+
 BOX2 = {"lattice": {"dim": 2, "radius": 1}}
 
 

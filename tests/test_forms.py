@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import colocal as cl
-from conftest import rand_table
+from conftest import differential_rank, rand_table
 
 
 def triangle_cycle_form(exclusion):
@@ -306,13 +306,18 @@ def test_kernel_characterizes_flat_functions(exclusion, path3, mu_half):
 
 
 def test_z1_dimension_agreement(exclusion, single_edge, path3, mu_half):
+    """The kernel's count and the closed-form dimension against the rank
+    of the differential by elimination, which counts no components."""
     for sites, locale in [(cl.siteset([0, 1]), single_edge),
                           (cl.siteset(path3.sites), path3)]:
         kb = cl.kernel_basis(sites, exclusion, locale, mu_half)
         size = 2 ** len(sites)
         via_counts = (size - 1) - (kb.n_components - 1)
-        brute = cl.closed_form_space_dimension(sites, exclusion, locale)
-        assert via_counts == brute
+        rank = differential_rank(cl.transition_graph(sites, exclusion,
+                                                     locale))
+        assert via_counts == rank
+        assert cl.closed_form_space_dimension(sites, exclusion,
+                                              locale) == rank
     assert cl.closed_form_space_dimension(cl.siteset([0, 1]), exclusion,
                                           single_edge) == 1
 

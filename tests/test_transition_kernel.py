@@ -1,14 +1,18 @@
-"""Property tests of the transition kernel ``statespace.edge_moves``.
+"""Property tests of the transition kernel: ``statespace.transition_runs``
+(the moved configurations of an edge as arithmetic runs) and
+``statespace.transition_offsets`` (the same moves one configuration at a
+time, by the endpoint states).
 
-The index maps are checked against ``apply_transition``, the
-per-configuration definition, and the passes built on them (differential,
-form validation, potential solving, the closed-form dimension) against
+Both are checked against ``apply_transition``, the per-configuration
+definition, and the passes built on them (differential, form validation,
+the zero-on-fixed check, potential solving and its witness, the
+edge-compatibility check of measures, the closed-form dimension) against
 round trips, component counts, a breadth-first search with its witness
-cycle and a shared-target check written on the per-configuration
-definition, and the rank of the differential by elimination modulo a
-prime.  Forms exist only for reversible rules, so every property that
-builds one draws reversible rules; the kernel, the transition graph and
-the dimension are checked on any rule.
+cycle, a shared-target check and a violation list written on the
+per-configuration definition, and the rank of the differential by
+elimination modulo a prime.  Forms exist only for reversible rules, so
+every property that builds one draws reversible rules; the kernel, the
+transition graph and the dimension are checked on any rule.
 """
 
 import random
@@ -20,7 +24,8 @@ from hypothesis import example, given, strategies as st
 import colocal as cl
 from colocal import forms
 from colocal.jsonio import interaction_from_json
-from colocal.statespace import edge_moves
+from colocal.statespace import transition_offsets, transition_runs
+from conftest import differential_rank
 
 BOX = cl.lattice_window(2, radius=1)
 PATH3 = cl.lattice_window(1, radius=1)
@@ -66,22 +71,40 @@ def kernel_cases(draw, reversible=False):
     return interaction, locale, sites
 
 
+def moves(space, interaction, e):
+    """(index of eta, index of eta^e) for every configuration eta that e
+    moves, in index order, by ``apply_transition``."""
+    out = []
+    for idx in range(space.size):
+        eta = space.config(idx)
+        moved = cl.apply_transition(eta, e, interaction)
+        if moved != eta:
+            out.append((idx, space.encode(moved.assignment)))
+    return out
+
+
 @given(kernel_cases())
 @example((cl.identity_interaction(3), cl.lattice_window(1, radius=2),
           cl.siteset(range(-2, 3))))
 @example((cl.make_interaction((0, 1), 0, {(0, 1): (1, 1)}), BOX,
           cl.siteset(BOX.sites)))
-def test_edge_moves_agree_with_apply_transition(case):
+def test_transition_offsets_and_runs_agree_with_apply_transition(case):
+    """Per configuration, the offset table read at the endpoint states
+    moves the index to that of eta^e, and is 0 exactly where phi fixes
+    eta; the runs of the changed pairs list the same moves, each once."""
     interaction, locale, sites = case
     space = cl.ConfigSpace(sites, interaction.n_states)
+    n, changed = space.n_states, tuple(interaction.changed_pairs())
     for e in cl.edges_within(locale, sites):
-        moves = edge_moves(space, interaction, e)
-        assert len(moves) == space.size
-        for idx in range(space.size):
-            eta = space.config(idx)
-            moved = cl.apply_transition(eta, e, interaction)
-            expected = -1 if moved == eta else space.encode(moved.assignment)
-            assert moves[idx] == expected
+        stride_o, stride_t, offsets = transition_offsets(space, e, changed)
+        expected = moves(space, interaction, e)
+        assert [(idx, idx + d) for idx in range(space.size)
+                if (d := offsets[idx // stride_o % n][idx // stride_t % n])
+                ] == expected
+        from_runs = [(i, i + delta) for start, stop, step, delta
+                     in transition_runs(space, e, changed)
+                     for i in range(start, stop, step)]
+        assert sorted(from_runs) == expected
 
 
 @given(kernel_cases())
@@ -153,36 +176,6 @@ def test_solve_potential_inverts_differential(case, seed):
     for idx, label in enumerate(graph.component_labels):
         offsets.setdefault(label, set()).add(g.values[idx] - f.values[idx])
     assert all(len(v) == 1 for v in offsets.values())
-
-
-#: prime modulus of the rank computation in differential_rank
-RANK_PRIME = (1 << 61) - 1
-
-
-def differential_rank(graph):
-    """Rank of the differential: one row e_dst - e_src per transition pair,
-    reduced by sparse elimination modulo the prime 2^61 - 1.  The matrix is
-    an incidence matrix, hence totally unimodular, so its rank modulo p is
-    its rational rank.  It does not use the component count."""
-    p = RANK_PRIME
-    pivots: dict[int, dict[int, int]] = {}   # leading column -> monic row
-    for src, dst in sorted({(min(s, d), max(s, d)) for s, d in graph.pairs}):
-        row = {src: p - 1, dst: 1}
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = pow(row[col], -1, p)
-                pivots[col] = {c: v * inv % p for c, v in row.items()}
-                break
-            factor = row[col]
-            for c, v in pivot.items():
-                w = (row.get(c, 0) - factor * v) % p
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
-    return len(pivots)
 
 
 @given(kernel_cases())
@@ -320,8 +313,7 @@ def test_solve_potential_matches_search_oracle(case, seed, broken):
         # one more unit on one transition breaks closedness
         e = rng.choice(df.edges)
         values = list(df.tables[e].values)
-        moved = [i for i, d in enumerate(edge_moves(df.space, interaction, e))
-                 if d >= 0]
+        moved = [i for i, _ in moves(df.space, interaction, e)]
         if moved:
             values[rng.choice(moved)] += 1
         tables[e] = cl.FnTable(sites, n, values)
@@ -361,9 +353,14 @@ def test_forms_of_non_reversible_rules_raise_not_reversible(phi, pairs,
     sites = cl.siteset(BOX.sites[:2])
     f = cl.FnTable(sites, 2, (F(0), F(1), F(2), F(5)))
     exact = cl.differential(f, cl.exclusion_interaction(2), BOX)
+    # phi is checked before a table given in the reversed orientation is
+    # read (that table is nonzero where (1, 0) fixes the configuration)
+    reversed_table = {(1, 0): cl.fn_constant(sites, 2, F(1))}
     calls = [lambda: cl.differential(f, interaction, BOX),
              lambda: cl.solve_potential(cl.differential(f, interaction, BOX)),
              lambda: cl.make_form(sites, interaction, exact.edges, {}),
+             lambda: cl.make_form(sites, interaction, exact.edges,
+                                  reversed_table),
              lambda: cl.Form(sites, interaction, exact.edges, exact.tables)]
     for call in calls:
         with pytest.raises(cl.NotReversible) as info:
@@ -472,7 +469,7 @@ def with_one_more_unit(form, pair, idx):
     """The form with one more unit on the transition from configuration
     idx across ``pair`` and one less on its reverse: still alternating
     (exclusion moves both ways across one map), but not closed."""
-    dst = edge_moves(form.space, form.interaction, pair)[idx]
+    dst = dict(moves(form.space, form.interaction, pair))[idx]
     values = list(form.dense_table(pair).values)
     values[idx] += 1
     values[dst] -= 1
@@ -492,9 +489,7 @@ def assert_search_witness(form):
 def box_transitions(form):
     """(pair, src, dst) for every transition of every stored pair."""
     return [(pair, idx, dst) for pair in form.edges
-            for idx, dst in enumerate(edge_moves(form.space,
-                                                 form.interaction, pair))
-            if dst >= 0]
+            for idx, dst in moves(form.space, form.interaction, pair)]
 
 
 def test_disagreeing_links_between_two_trees_are_not_closed():
@@ -570,8 +565,7 @@ def test_validate_form_matches_shared_target_oracle(case, seed, n_broken):
     tables = dict(df.tables)
     for _ in range(n_broken if df.edges else 0):
         e = rng.choice(df.edges)
-        moved = [i for i, d in enumerate(edge_moves(df.space, interaction, e))
-                 if d >= 0]
+        moved = [i for i, _ in moves(df.space, interaction, e)]
         if moved:
             values = list(tables[e].values)
             values[rng.choice(moved)] += 1
@@ -584,3 +578,116 @@ def test_validate_form_matches_shared_target_oracle(case, seed, n_broken):
     with pytest.raises(cl.MalformedForm) as info:
         cl.validate_form(form)
     assert (info.value.message, info.value.details["assignment"]) == expected
+
+
+def ordinary_oracle(sub, mu, interaction, locale):
+    """The edge-compatibility violations of a window measure on the larger
+    window, configuration by configuration (``decode``,
+    ``apply_transition``), each edge inside ``sub`` in edge order, with
+    the marginal on ``sub`` summed here: (assignment, edge, lhs, rhs)."""
+    sup_space = mu.space
+    marginal = {}
+    restrict = {}
+    for idx, w in enumerate(mu.weights):
+        eta = sup_space.config(idx)
+        restrict[idx] = cl.Config(sub, tuple(eta.state_at(s) for s in sub))
+        key = restrict[idx].assignment
+        marginal[key] = marginal.get(key, 0) + w
+    out = []
+    for idx in range(sup_space.size):
+        eta = sup_space.config(idx)
+        for e in cl.edges_within(locale, sub):
+            moved = cl.apply_transition(eta, e, interaction)
+            if moved == eta:
+                continue
+            moved_sub = cl.apply_transition(restrict[idx], e, interaction)
+            lhs = marginal[moved_sub.assignment] * mu.weights[idx]
+            rhs = (marginal[restrict[idx].assignment]
+                   * mu.weights[sup_space.encode(moved.assignment)])
+            if lhs != rhs:
+                out.append((sup_space.decode(idx), e, lhs, rhs))
+    return out
+
+
+@given(st.sampled_from(["exclusion", "hopping", "any"]), kernel_cases(),
+       st.integers(0, 2 ** 32), st.booleans())
+@example("exclusion", (cl.exclusion_interaction(3), BOX,
+                       cl.siteset(BOX.sites[:5])), 71, False)
+def test_is_ordinary_matches_per_configuration_oracle(kind, case, seed,
+                                                      product):
+    """is_ordinary lists every violation of a window measure, in index
+    order and then edge order, with the oracle's sides, for exclusion,
+    one-way hopping or any rule; a random window measure fails edge
+    compatibility, a materialized product measure passes."""
+    interaction, locale, sites = case
+    n = interaction.n_states
+    if kind != "any":
+        interaction = (cl.exclusion_interaction(n) if kind == "exclusion"
+                       else hopping(n))
+    rng = random.Random(seed)
+    # the endpoints of one edge and some of the other sites, not all (on
+    # the whole window the identity holds trivially)
+    edges = cl.edges_within(locale, sites)
+    edge = rng.choice(edges) if edges else ()
+    others = [s for s in sites if s not in edge]
+    dropped = rng.choice(others) if others else None
+    sub = cl.siteset([s for s in others if s != dropped and rng.random() < 0.5]
+                     + list(edge))
+    if product:
+        mu = cl.materialize(cl.ProductMeasure(cl.state_measure(
+            [F(k + 1, n * (n + 1) // 2) for k in range(n)])), sites)
+    else:
+        mu = cl.window_measure_from_raw(
+            sites, n, [rng.randint(1, 9) for _ in range(n ** len(sites))])
+    report = cl.is_ordinary(sub, sites, mu, interaction, locale)
+    expected = ordinary_oracle(sub, mu, interaction, locale)
+    assert [(v.sup_assignment, v.edge, v.lhs, v.rhs)
+            for v in report.violations] == expected
+    assert report.ok == (not expected)
+    if product:
+        assert report.ok
+
+
+@given(kernel_cases(reversible=True), st.integers(0, 2 ** 32),
+       st.booleans())
+@example((hopping(3), BOX, cl.siteset(BOX.sites[:5])), 81, True)
+def test_zero_on_fixed_error_matches_oracle(case, seed, reverse):
+    """make_form raises MalformedForm naming the edge, the sites of the
+    table plus the edge's endpoints, and the first configuration of those
+    sites, in index order, that the edge fixes where the table is
+    nonzero; the table lives on two or more sites and is given in either
+    orientation of its pair."""
+    interaction, locale, sites = case
+    pairs = forms.canonical_pairs(cl.edges_within(locale, sites))
+    if not pairs:
+        return
+    n = interaction.n_states
+    rng = random.Random(seed)
+    pair = rng.choice(pairs)
+    e = pair[::-1] if reverse else pair
+    support = cl.siteset(rng.sample(sites.sites,
+                                    rng.randint(2, min(4, len(sites)))))
+    # about half the entries zero, so that some fixed ones are
+    table = cl.FnTable(support, n, tuple(
+        F(rng.randint(1, 5)) if rng.random() < 0.5 else F(0)
+        for _ in range(n ** len(support))))
+    whole = support.union(cl.siteset(e))
+    space = cl.ConfigSpace(whole, n)
+    expected = None
+    for idx in range(space.size):
+        eta = space.config(idx)
+        if (cl.apply_transition(eta, e, interaction) == eta
+                and table.evaluate_in(whole, eta.assignment) != 0):
+            expected = {"edge": e, "sites": whole.sites,
+                        "assignment": eta.assignment}
+            break
+    if expected is None:
+        try:
+            cl.make_form(sites, interaction, pairs, {e: table})
+        except cl.MalformedForm as err:
+            assert "fixed configuration" not in err.message
+        return
+    with pytest.raises(cl.MalformedForm) as info:
+        cl.make_form(sites, interaction, pairs, {e: table})
+    assert info.value.message == f"omega_{e} nonzero on a fixed configuration"
+    assert info.value.details == expected

@@ -421,7 +421,11 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     it has none: a spanning forest with one tree per local minimum.  One
     pass over the transitions of every pair's stored orientation certifies
     a potential (phi is reversible, so the reversed orientation's
-    transitions are their inverses).  On d=1 paths each component has one
+    transitions are their inverses).  Of each two changed pairs of phi
+    that move into each other across one directed edge (both moves of
+    exclusion) the pass reads one (``_kept_moves``), and alternation,
+    omega(eta) + omega(eta^e) = 0, checked first on each pair's own
+    table, covers the other.  On d=1 paths each component has one
     local minimum, its smallest configuration, and the scan is certified
     as it stands.  Otherwise (on a d=2 box other local minima are the
     rule: two particles at sites 5 and 8 of the 3x3 box have no smaller
@@ -435,8 +439,11 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     """
     guard_space(form.space.size, state_cap)
     dense, den = _dense_tables(form)
-    changed = tuple(form.interaction.changed_pairs())
-    runs = [transition_runs(form.space, pair, changed) for pair in form.edges]
+    kept, inverse = _kept_moves(form.interaction)
+    if not all(_alternating(form.tables[pair], pair, form.n_states, inverse)
+               for pair in form.edges):
+        raise _witness(form, dense, den)
+    runs = [transition_runs(form.space, pair, kept) for pair in form.edges]
     potential, offset = _scan(form, dense)
     if not _certified(potential, runs, dense):
         potential = _join_roots(form.space, runs, dense, potential, offset)
@@ -451,12 +458,43 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     return table
 
 
+def _kept_moves(interaction: Interaction) -> tuple[list, list]:
+    """The changed pairs ``((a, b), (a2, b2))`` of phi whose transitions
+    certification reads, and those of them whose image moves back,
+    phi(a2, b2) = (a, b).  Of two such pairs each one's transitions across
+    a directed edge are the inverses of the other's; the one whose own
+    states come first is kept."""
+    kept, inverse = [], []
+    for move in interaction.changed_pairs():
+        ab, moved = move
+        if interaction.phi_pair(*moved) == ab:
+            if moved < ab:
+                continue
+            inverse.append(move)
+        kept.append(move)
+    return kept, inverse
+
+
+def _alternating(table: FnTable, pair: Edge, n: int, inverse) -> bool:
+    """omega_pair(eta) + omega_pair(eta^e) == 0 for the ``inverse`` moves
+    of ``_kept_moves``, on the table's sites plus the pair's endpoints."""
+    sites = table.sites.union(SiteSet(pair))
+    values = table.embed(sites).numerators.nums
+    return all(list(map(neg, values[start:stop:step]))
+               == values[start + delta:stop + delta:step]
+               for start, stop, step, delta in transition_runs(
+                   ConfigSpace(sites, n), pair, inverse))
+
+
 def _certified(potential: list, runs: list, dense: list) -> bool:
     """potential(eta^e) - potential(eta) == omega_e(eta) on every
-    transition of every pair's stored orientation (``runs`` and ``dense``
-    per pair)."""
-    return not any(next(_failures(potential, pair_runs, values), None)
-                   for pair_runs, values in zip(runs, dense))
+    transition of ``runs`` (per pair, in its stored orientation, with the
+    dense pair numerators ``dense``)."""
+    return all(list(map(sub, potential[start + delta:stop + delta:step],
+                        potential[start:stop:step]))
+               == values[start:stop:step]
+               for pair_runs, values in zip(runs, dense)
+               for start, stop, step, delta in pair_runs)
 
 
 def _scan(form: Form, dense: list) -> tuple[list, array]:

@@ -50,15 +50,27 @@ def _object(value, field: str) -> dict:
 
 # -- locale -------------------------------------------------------------
 
+def _int(value, field: str) -> int:
+    """The value of a field that must be a JSON integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an int, got {value!r}")
+    return value
+
+
 def locale_from_json(obj: dict) -> Locale:
     lattice = _object(obj, "locale").get("lattice")
     if lattice is None:
         return build_locale(obj["sites"], [tuple(e) for e in obj["edges"]])
-    dim = _object(lattice, "lattice")["dim"]
+    dim = _int(_object(lattice, "lattice")["dim"], "lattice dim")
     if "radius" in lattice:
-        kind, radius, sizes = "window", lattice["radius"], None
+        kind, radius = "window", _int(lattice["radius"], "lattice radius")
+        sizes = None
     else:
-        kind, radius, sizes = "torus", None, tuple(lattice["sizes"])
+        sizes = lattice["sizes"]
+        if not isinstance(sizes, list):
+            raise ValueError(f"lattice sizes must be a list, got {sizes!r}")
+        kind, radius = "torus", None
+        sizes = tuple(_int(s, "lattice sizes entry") for s in sizes)
     if "sites" not in obj:
         return lattice_window(dim, radius=radius, sizes=sizes)
     return build_locale(obj["sites"], [tuple(e) for e in obj["edges"]],

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotSubset, SiteSetMismatch
@@ -295,19 +295,28 @@ def _site_components(f: FnTable, prod: ProductMeasure) -> tuple[dict, Fraction]:
     per-state tuple: site -> (E[f | eta_x = a] - E[f] for each state a),
     and E[f].  These are the first-order Hoeffding / Efron-Stein terms; all
     of them come from one pass, weighting f by the integer product weights
-    once and then summing its digit slices site by site."""
+    once and then folding the digits from the most significant: that
+    digit's n contiguous blocks are summed each, and added elementwise into
+    the table of the remaining digits."""
     n = f.n_states
     nums, den = f.numerators
     weight, weight_den = weight_table(prod, f.sites, n)
     den *= weight_den
-    weighted = [x * w for x, w in zip(nums, weight)]
-    total = sum(weighted)
+    table = list(map(mul, nums, weight))
+    sums = {}
+    for k, s in reversed(list(enumerate(f.sites))):
+        block = n ** k
+        parts = [table[a * block:(a + 1) * block] for a in range(n)]
+        sums[s] = list(map(sum, parts))
+        table = parts[0]
+        for part in parts[1:]:
+            table = list(map(add, table, part))
+    total = table[0]
     out = {}
-    for k, s in enumerate(f.sites):
+    for s in f.sites:
         w, q = numerators(prod.factor(s).weights)
-        sums = [sum(part) for part in digit_slices(weighted, n, n ** k)]
         # E[f | eta_s = a] = sums[a] q / (den w[a]) and E[f] = total / den
-        out[s] = tuple(Fraction(sums[a] * q - total * w[a], den * w[a])
+        out[s] = tuple(Fraction(sums[s][a] * q - total * w[a], den * w[a])
                        for a in range(n))
     return out, Fraction(total, den)
 

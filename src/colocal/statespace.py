@@ -571,16 +571,32 @@ def interleave(slices: Sequence[Sequence], stride: int) -> list:
 def spread(values: Sequence, sub: SiteSet, space: ConfigSpace) -> list:
     """A table on ``sub`` (a subset of the space's sites) as a dense list on
     the space: entry i is the value at the restriction of configuration i.
-    The digit of each other site is put back in turn.  On
-    ``range(n ** len(sub))`` it gives the index of each restriction."""
+    On ``range(n ** len(sub))`` it gives the index of each restriction.
+
+    Only the other sites between the first and last site of ``sub`` are
+    interleaved, one digit at a time.  The digits below that span repeat
+    each entry (one extended slice per repeat, or one block per entry where
+    entries are fewer), and the digits above it repeat the whole list."""
     if not sub.is_subset_of(space.sites):
         raise NotSubset("restriction target is not a subset of the sites")
-    n = space.n_states
+    n, positions = space.n_states, [space.sites.position(s) for s in sub]
+    lo, hi = (positions[0], positions[-1]) if positions else (0, -1)
     dense = list(values)
-    for k, s in enumerate(space.sites):
-        if s not in sub:
-            dense = interleave([dense] * n, n ** k)
-    return dense
+    for k in range(lo + 1, hi):
+        if space.sites.sites[k] not in sub:
+            dense = interleave([dense] * n, n ** (k - lo))
+    repeat = n ** lo
+    if repeat > 1:
+        below = [None] * (len(dense) * repeat)
+        if repeat <= len(dense):
+            for x in range(repeat):
+                below[x::repeat] = dense
+        else:
+            for j, v in enumerate(dense):
+                below[j * repeat:(j + 1) * repeat] = [v] * repeat
+        dense = below
+    above = n ** (len(space.sites) - 1 - hi)
+    return dense * above if above > 1 else dense
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ by solving on small sub-windows instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -506,11 +506,31 @@ class VaradhanDecomposition:
     cocycle: Cocycle
     residual_spec: InvariantFormSpec
     residual_form: Optional[Form]
-    residual_potential: Optional[FnTable]
     window: Locale
     margin: int
     mode: str
     checks: dict
+    # window mode: the solved potential and its mean, read by
+    # ``residual_potential``
+    theta: Optional[FnTable] = field(default=None, repr=False, compare=False)
+    mean: Optional[Fraction] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def residual_potential(self) -> Optional[FnTable]:
+        """theta - theta_rho - E[theta] in window mode (theta_rho has zero
+        mean, so one pass subtracts both), None in local mode."""
+        theta = self.theta
+        if theta is None:
+            return None
+        # the solve already held a table of this size
+        theta_rho = theta_from_cocycle(self.cocycle, self.window,
+                                       state_cap=theta.space.size)
+        (a, b), den = aligned((theta, theta_rho))
+        c = self.mean * den
+        p, q = c.numerator, c.denominator
+        return FnTable.from_numerators(
+            theta.sites, theta.n_states,
+            [q * (x - y) - p for x, y in zip(a, b)], den * q)
 
 
 def _shift_residue(singles: dict, pairs, basis, context: str):
@@ -540,10 +560,11 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     On windows within the state cap this solves for a potential theta on
     the full window, reads the cocycle rho off the shift residue of its
     single-site components on the interior (``margin``, a non-negative int,
-    by default ``stencil_radius + 1``), and returns the residual potential
-    theta - theta_rho - E[theta] and form omega - d theta_rho, edge by edge
-    at each table's own support (the solver certified d theta = omega on
-    every transition).  On larger windows the same single-site components
+    by default ``stencil_radius + 1``), and returns the residual form omega
+    - d theta_rho, edge by edge at each table's own support (the solver
+    certified d theta = omega on every transition), and the residual
+    potential theta - theta_rho - E[theta], built from theta and E[theta]
+    when first read.  On larger windows the same single-site components
     are computed exactly from solves on three-site sub-windows per axis,
     and the residual is returned as a stencil only.
     """
@@ -602,13 +623,6 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                                        f"axis {axis} interior"))
         rho = Cocycle(n, tuple(basis), tuple(rows))
 
-        # theta_rho has zero mean: one pass subtracts it and E[theta]
-        (a, b), den = aligned((theta, theta_from_cocycle(rho, window,
-                                                         state_cap)))
-        c = mean * den
-        p, q = c.numerator, c.denominator
-        residual_potential = FnTable.from_numerators(
-            theta.sites, n, [q * (x - y) - p for x, y in zip(a, b)], den * q)
         # d(theta - theta_rho), as the solver certified d theta = omega
         residual = omega - omega_from_cocycle(rho, window, interaction)
         residual_tables = {e: t.minimized() for e, t in residual.tables.items()}
@@ -621,8 +635,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         checks["residual_interior_invariant"] = _interior_invariance(
             residual_form, window, margin)
     else:
-        residual_form = None
-        residual_potential = None
+        residual_form = theta = mean = None
         checks["closedness_window_radius"] = _validate_closed_locally(
             spec, nu, state_cap)
         rows = []
@@ -648,9 +661,8 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))
 
-    return VaradhanDecomposition(rho, residual_spec, residual_form,
-                                 residual_potential, window, margin, mode,
-                                 checks)
+    return VaradhanDecomposition(rho, residual_spec, residual_form, window,
+                                 margin, mode, checks, theta, mean)
 
 
 def _interior_invariance(form: Form, window: Locale, margin: int) -> bool:

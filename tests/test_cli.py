@@ -537,6 +537,16 @@ def test_unknown_measure_kind_is_a_usage_error(tmp_path, capsys):
     assert code == 0 and report["ok"]
 
 
+def stencil_r4_with(part, **lattice):
+    """STENCIL_R4 with entries of the lattice of its ``part`` ("window" or
+    "template") replaced."""
+    payload = json.loads(json.dumps(STENCIL_R4))
+    locale = (payload["window"] if part == "window"
+              else payload["stencil"]["template"])
+    locale["lattice"].update(lattice)
+    return payload
+
+
 @pytest.mark.parametrize("subcommand, payload, message", [
     ("closed", {"interaction": EXCLUSION,
                 "form": {"siteset": [0, 1],
@@ -550,8 +560,21 @@ def test_unknown_measure_kind_is_a_usage_error(tmp_path, capsys):
     ("project", {"interaction": EXCLUSION, "target": [0], "fn": TABLE,
                  "measure": HALF},
      "measure must be an object, got ['1/2', '1/2']"),
+    # at the parent an AttributeError traceback from InvariantFormSpec._combine
+    ("varadhan", stencil_r4_with("template", radius=True),
+     "lattice radius must be an int, got True"),
+    # at the parent accepted, exit 0
+    ("varadhan", stencil_r4_with("window", dim=True),
+     "lattice dim must be an int, got True"),
+    # at the parent a TypeError that names no field
+    ("varadhan", stencil_r4_with("window", radius="3"),
+     "lattice radius must be an int, got '3'"),
+    ("dims", {"interaction": EXCLUSION, "nu": HALF,
+              "locale": {"lattice": {"dim": 1, "sizes": [4.0]}}},
+     "lattice sizes entry must be an int, got 4.0"),
 ], ids=["one-site-form-edge", "number-locale", "list-lattice",
-        "list-measure"])
+        "list-measure", "bool-template-radius", "bool-window-dim",
+        "string-window-radius", "float-torus-size"])
 def test_malformed_fields_are_usage_errors(tmp_path, capsys, subcommand,
                                            payload, message):
     """A field of the wrong JSON shape exits 2 with a message naming it,

@@ -45,6 +45,7 @@ from pathlib import Path
 
 import pytest
 
+from colocal import varadhan
 from colocal.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,6 +75,21 @@ def test_output_bytes_match_golden(tmp_path, subcommand, name):
     assert main([subcommand, "--input", str(GOLDEN / f"{name}.json"),
                  "--output", str(out), "--mode", mode]) == code
     assert out.read_bytes() == expected
+
+
+def test_window_varadhan_output_does_not_build_the_residual_potential(
+        tmp_path, monkeypatch):
+    """The CLI prints no residual potential, so a window-mode run never
+    builds theta_rho: with theta_from_cocycle raising, the golden bytes are
+    still written."""
+    def raising(*args, **kwargs):
+        raise AssertionError("theta_from_cocycle called")
+    monkeypatch.setattr(varadhan, "theta_from_cocycle", raising)
+    out = tmp_path / "varadhan-window.out.json"
+    assert main(["varadhan", "--input", str(GOLDEN / "varadhan-window.json"),
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "varadhan-window.out.json"
+                                ).read_bytes()
 
 
 def floated(value):

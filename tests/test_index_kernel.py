@@ -15,7 +15,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import colocal as cl
 from colocal.functions import ConservedQuantity
@@ -90,12 +90,31 @@ def restriction_oracle(space, sub):
             for i in range(space.size)]
 
 
-@given(site_cases(), st.data())
-def test_spread_of_range_is_the_restriction(case, data):
-    sites, n = case
-    sub = cl.siteset(data.draw(st.lists(st.sampled_from(sites.sites),
-                                        unique=True))
+@st.composite
+def spread_cases(draw):
+    """(sites, n, sub): a ``site_cases`` site set and a random part of it."""
+    sites, n = draw(site_cases())
+    sub = cl.siteset(draw(st.lists(st.sampled_from(sites.sites), unique=True))
                      if len(sites) else [])
+    return sites, n, sub
+
+
+LONG = cl.siteset(range(13))
+
+
+@given(spread_cases())
+# long repeats: the span at the top (2^11 repeats of each entry below it)
+# and at the bottom (2^11 repeats of the whole list above it), no span,
+# 128 repeats of each entry below a span with a site left out, and 128
+# below a span of 128 entries (one extended slice per repeat)
+@example((LONG, 2, cl.siteset([11, 12])))
+@example((LONG, 2, cl.siteset([0, 1])))
+@example((LONG, 2, cl.siteset([])))
+@example((LONG, 2, cl.siteset([7, 9])))
+@example((cl.siteset(range(14)), 2, cl.siteset(range(7, 14))))
+@example((cl.siteset(range(8)), 3, cl.siteset([5, 7])))
+def test_spread_of_range_is_the_restriction(case):
+    sites, n, sub = case
     space = ConfigSpace(sites, n)
     index = restriction_oracle(space, sub)
     assert spread(range(n ** len(sub)), sub, space) == index

@@ -519,6 +519,91 @@ def test_a_failing_transition_inside_one_tree_is_not_closed():
     assert_search_witness(with_one_more_unit(form, pair, idx))
 
 
+PATH5 = cl.lattice_window(1, radius=2)
+
+
+@pytest.mark.parametrize("a_before_b", [True, False], ids=["a<b", "a>b"])
+@pytest.mark.parametrize("n, locale, sites", [
+    (2, PATH5, cl.siteset(PATH5.sites)),
+    (3, PATH5, cl.siteset(PATH5.sites)),
+    (2, BOX, cl.siteset(BOX.sites)),
+    (3, BOX, cl.siteset(BOX.sites[:6]))], ids=["path-2", "path-3", "box-2",
+                                               "box-3"])
+def test_a_form_that_is_not_alternating_is_not_closed(n, locale, sites,
+                                                       a_before_b):
+    """A Form built directly (make_form rejects it) from d of a random
+    potential for n-state exclusion, with one unit more on a single
+    transition and not on its inverse, the move back across the same
+    directed edge.  Exclusion's two moves across a pair, (a, b) -> (b, a)
+    and back, are each other's inverses, so the unit goes on either: where
+    the pair's endpoint states have a < b, or a > b.  It never sits on the
+    scan's own parent link, so the scan's potential does not read it."""
+    interaction = cl.exclusion_interaction(n)
+    rng = random.Random(71 + n)
+    f = cl.FnTable(sites, n, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                                   for _ in range(n ** len(sites))))
+    df = cl.differential(f, interaction, locale)
+    offset, _ = scan_forest(df)
+    space = df.space
+    candidates = [
+        (pair, idx) for pair in df.edges
+        for idx, dst in moves(space, interaction, pair)
+        if offset[idx] != dst - idx
+        and (space.decode(idx)[sites.position(pair[0])]
+             < space.decode(idx)[sites.position(pair[1])]) == a_before_b]
+    pair, idx = rng.choice(candidates)
+    values = list(df.dense_table(pair).values)
+    values[idx] += 1
+    tables = dict(df.tables)
+    tables[pair] = cl.FnTable(sites, n, tuple(values))
+    assert_search_witness(cl.Form(sites, interaction, df.edges, tables))
+
+
+def swap_and_hop():
+    """Three states: 1 and 2 swap across an edge, so (1, 2) and (2, 1) move
+    into each other, and a 1 at o hops onto a 0 at t, which only the
+    reversed edge undoes: reversible, not symmetric, and the changed pair
+    (1, 0) has no inverse pair."""
+    return cl.make_interaction((0, 1, 2), 0, {(1, 2): (2, 1), (2, 1): (1, 2),
+                                              (1, 0): (0, 1)})
+
+
+@pytest.mark.parametrize("locale, sites", [
+    (PATH5, cl.siteset(PATH5.sites)), (BOX, cl.siteset(BOX.sites[:6]))],
+    ids=["path", "box"])
+def test_round_trip_with_and_without_inverse_pairs(locale, sites):
+    """solve_potential(df) is f minus f at the first configuration of each
+    component, without the search, under ``swap_and_hop``; one unit more
+    on a single transition of a swap, not on its inverse, is not
+    closed."""
+    interaction = swap_and_hop()
+    assert interaction.is_reversible and not interaction.is_symmetric
+    rng = random.Random(83)
+    f = cl.FnTable(sites, 3, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                                   for _ in range(3 ** len(sites))))
+    form = cl.differential(f, interaction, locale)
+    labels = cl.transition_graph(sites, interaction, locale).component_labels
+    first = {}
+    for idx in sorted(range(f.space.size), key=f.space.decode):
+        first.setdefault(labels[idx], idx)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_witness", no_search)
+        g = cl.solve_potential(form)
+    assert list(g.values) == [f.values[idx] - f.values[first[label]]
+                              for idx, label in enumerate(labels)]
+    pair = form.edges[-1]
+    po, pt = sites.position(pair[0]), sites.position(pair[1])
+    for states in [(1, 2), (2, 1)]:
+        idx = next(idx for idx, _ in moves(form.space, interaction, pair)
+                   if (form.space.decode(idx)[po],
+                       form.space.decode(idx)[pt]) == states)
+        values = list(form.tables[pair].values)
+        values[idx] += 1
+        tables = dict(form.tables)
+        tables[pair] = cl.FnTable(sites, 3, tuple(values))
+        assert_search_witness(cl.Form(sites, interaction, form.edges, tables))
+
+
 def shared_target_oracle(form):
     """The first disagreement of two directed edges with a common target,
     configuration by configuration on the per-configuration definition

@@ -400,3 +400,22 @@ def test_window_and_local_mode_return_the_same_cocycle(case, data):
     local = cl.decompose_invariant_form(spec, window, nu, state_cap=cap)
     assert (full.mode, local.mode) == ("window", "local")
     assert local.cocycle.images == full.cocycle.images == rho.images
+
+
+@settings(max_examples=10)
+@given(window_round_trips())
+def test_residual_potential_is_theta_minus_theta_rho_minus_its_mean(case):
+    """Window mode's residual potential, built when first read, is theta -
+    theta_rho - E[theta], with theta solved here on the materialized
+    window; local mode has none."""
+    spec, window, nu, rho = case
+    dec = cl.decompose_invariant_form(spec, window, nu)
+    theta = cl.solve_potential(spec.materialize(window, nu))
+    mean = cl.expectation(theta, cl.ProductMeasure(nu))
+    expected = (theta - cl.theta_from_cocycle(rho, window)).shift(-mean)
+    assert dec.mode == "window"
+    assert dec.residual_potential.values == expected.values
+    assert dec.residual_potential.sites == expected.sites
+    n = spec.interaction.n_states
+    local = cl.decompose_invariant_form(spec, window, nu, state_cap=n ** 3)
+    assert local.mode == "local" and local.residual_potential is None

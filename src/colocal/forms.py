@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import compress, count
 from operator import add, eq, indexOf, ne, neg, sub
 from typing import Mapping, Optional, Sequence
 
@@ -219,79 +219,69 @@ def make_form(sites: SiteSet, interaction: Interaction, edges,
 
 
 def validate_form(form: Form, state_cap: int = DEFAULT_STATE_CAP):
-    """Enumerate the window and check: every stored table is zero where its
-    transition fixes the configuration, and directed edges with a common
-    target agree there.  The second check runs on the transitions that
-    can share a target (``_first_disagreement``); the first configuration
-    where it fails is replayed one directed edge at a time to name the
-    edges."""
-    space = form.space
-    guard_space(space.size, state_cap)
+    """Check that every stored table is zero where its transition fixes the
+    configuration, and that directed edges with a common target agree
+    there; MalformedForm names the first disagreement that
+    ``_first_disagreement`` finds."""
+    guard_space(form.space.size, state_cap)
     for e in form.edges:
         _check_zero_on_fixed(form.tables[e], e, form.interaction)
-    idx = _first_disagreement(form, _dense_tables(form)[0])
-    if idx is None:
-        return
-    eta = space.config(idx)
-    by_target: dict[Config, tuple[Edge, Scalar]] = {}
-    for pair in form.edges:
-        for e in (pair, (pair[1], pair[0])):
-            moved = apply_transition(eta, e, form.interaction)
-            if moved == eta:
-                continue
-            value = form.edge_value(e, eta.assignment)
-            first, first_value = by_target.setdefault(moved, (e, value))
-            if value != first_value:
-                raise MalformedForm(
-                    f"omega_{e} and omega_{first} disagree on "
-                    "a shared transition", assignment=eta.assignment)
+    first = _first_disagreement(form)
+    if first is not None:
+        idx, _, e, earlier = first
+        raise MalformedForm(f"omega_{e} and omega_{earlier} disagree on "
+                            "a shared transition",
+                            assignment=form.space.decode(idx))
 
 
-def _first_disagreement(form: Form, dense: list) -> Optional[int]:
-    """The least configuration index at which two directed edges move to
-    the same target with different values, or None.
+def _first_disagreement(form: Form) -> Optional[tuple]:
+    """(index, directed-edge position, edge, earlier edge), or None: the
+    least configuration where two directed edges (each pair, then its
+    reverse) move to one target with different values, the first edge
+    there that differs from the first to reach its target, and that one.
 
-    Two moves from one configuration reach the same target exactly when
-    they change the same sites to the same states.  A move that changes
-    both endpoints of its edge shares that change only with the reversed
-    edge, over the same runs, where the two values are omega_pair(eta) and
-    -omega_pair(eta^e): their sum must vanish.  A move that changes one
-    endpoint may share it with edges at that site; those are compared one
-    configuration at a time."""
-    space = form.space
-    changed = tuple(form.interaction.changed_pairs())
+    Moves from one configuration share a target exactly when they change
+    the same sites to the same states.  A move that changes both
+    endpoints shares it only with the reversed edge, where its image moves
+    back: that is alternation, checked on the pair's own table
+    (``_alternating``).  The moves that change one site the same way are
+    compared one configuration at a time, on dense tables."""
+    space, interaction = form.space, form.interaction
+    changed = tuple(interaction.changed_pairs())
+    back = [(ab, moved) for ab, moved in changed
+            if all(map(ne, ab, moved)) and interaction.phi_pair(*moved) == ab]
+    firsts = []   # the first disagreement of each pair or class
+    for i, pair in enumerate(form.edges):
+        idx = _alternating(form.tables[pair], pair, space, back)
+        if idx is not None:
+            firsts.append((idx, 2 * i + 1, pair[::-1], pair))
     classes: dict[tuple, list] = {}
-    for pair, values in zip(form.edges, dense):
-        for e in (pair, (pair[1], pair[0])):
-            for (a, b), (a2, b2) in changed:
-                change = tuple(sorted(
-                    (s, old, new) for s, old, new in ((e[0], a, a2),
-                                                      (e[1], b, b2))
-                    if old != new))
+    for k, e in enumerate(e for pair in form.edges
+                          for e in (pair, pair[::-1])):
+        for (a, b), (a2, b2) in changed:
+            if (a == a2) != (b == b2):   # one endpoint changes
+                change = (e[0], a, a2) if a != a2 else (e[1], b, b2)
                 classes.setdefault(change, []).append(
-                    (e, ((a, b), (a2, b2)), values, e == pair))
-    firsts = []   # the first disagreement of each run or class
-    for change, members in classes.items():
-        if len(members) < 2:
-            continue
-        if len(change) == 2:
-            # the pair (stored values) and the reversed pair, in that order
-            pair, moved, values, _ = members[0]
-            for start, stop, step, delta in transition_runs(space, pair,
-                                                             [moved]):
-                firsts += islice(compress(
-                    count(start, step),
-                    map(add, values[start:stop:step],
-                        values[start + delta:stop + delta:step])), 1)
-            continue
-        seen: dict[int, int] = {}
-        for e, moved, values, stored in members:
+                    (k, e, ((a, b), (a2, b2))))
+    shared = [members for members in classes.values() if len(members) > 1]
+    dense = _dense_tables(form)[0] if shared else []
+    for members in shared:
+        seen, bad = {}, []
+        for k, e, moved in members:
+            values, stored = dense[k // 2], k % 2 == 0
             for start, stop, step, delta in transition_runs(space, e,
                                                              [moved]):
                 for idx in range(start, stop, step):
                     value = values[idx] if stored else -values[idx + delta]
                     if seen.setdefault(idx, value) != value:
-                        firsts.append(idx)
+                        bad.append((idx, k, e))
+                        break   # the run's later indices lose to this one
+        if bad:
+            idx, k, e = min(bad)
+            eta = space.config(idx)
+            firsts.append((idx, k, e, next(
+                other for _, other, (ab, _) in members
+                if (eta.state_at(other[0]), eta.state_at(other[1])) == ab)))
     return min(firsts, default=None)
 
 
@@ -440,8 +430,8 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     guard_space(form.space.size, state_cap)
     dense, den = _dense_tables(form)
     kept, inverse = _kept_moves(form.interaction)
-    if not all(_alternating(form.tables[pair], pair, form.n_states, inverse)
-               for pair in form.edges):
+    if any(_alternating(form.tables[pair], pair, form.space, inverse)
+           is not None for pair in form.edges):
         raise _witness(form, dense, den)
     runs = [transition_runs(form.space, pair, kept) for pair in form.edges]
     potential, offset = _scan(form, dense)
@@ -475,15 +465,24 @@ def _kept_moves(interaction: Interaction) -> tuple[list, list]:
     return kept, inverse
 
 
-def _alternating(table: FnTable, pair: Edge, n: int, inverse) -> bool:
-    """omega_pair(eta) + omega_pair(eta^e) == 0 for the ``inverse`` moves
-    of ``_kept_moves``, on the table's sites plus the pair's endpoints."""
+def _alternating(table: FnTable, pair: Edge, space: ConfigSpace,
+                 moves) -> Optional[int]:
+    """The least index of ``space`` at which one of the ``moves`` of phi
+    across ``pair`` has omega_pair(eta) + omega_pair(eta^e) != 0, or None:
+    the least failing configuration of the table's sites plus the pair's
+    endpoints, with state 0 at every other site."""
     sites = table.sites.union(SiteSet(pair))
+    local = ConfigSpace(sites, space.n_states)
     values = table.embed(sites).numerators.nums
-    return all(list(map(neg, values[start:stop:step]))
-               == values[start + delta:stop + delta:step]
-               for start, stop, step, delta in transition_runs(
-                   ConfigSpace(sites, n), pair, inverse))
+    firsts = []
+    for start, stop, step, delta in transition_runs(local, pair, moves):
+        minus = list(map(neg, values[start:stop:step]))
+        moved = values[start + delta:stop + delta:step]
+        if minus != moved:
+            firsts.append(start + step * indexOf(map(eq, minus, moved), False))
+    return None if not firsts else sum(
+        d * space.n_states ** space.sites.position(s)
+        for s, d in zip(sites, local.decode(min(firsts))))
 
 
 def _certified(potential: list, runs: list, dense: list) -> bool:
@@ -684,7 +683,7 @@ def _lexicographic(space: ConfigSpace) -> list[int]:
                  for k in reversed(range(len(space.sites)))])
 
 
-def _tree_steps(space: ConfigSpace, parent, idx: int):
+def _tree_steps(parent, idx: int):
     """Directed steps (src index, edge, dst index) from the root to idx."""
     steps = []
     while idx in parent:
@@ -697,8 +696,8 @@ def _tree_steps(space: ConfigSpace, parent, idx: int):
 
 def _not_closed(form: Form, space: ConfigSpace, parent, src: int, edge: Edge,
                 dst: int, integral: Scalar) -> NotClosed:
-    to_src = _tree_steps(space, parent, src)
-    to_dst = _tree_steps(space, parent, dst)
+    to_src = _tree_steps(parent, src)
+    to_dst = _tree_steps(parent, dst)
     shared = 0
     while (shared < len(to_src) and shared < len(to_dst)
            and to_src[shared] == to_dst[shared]):

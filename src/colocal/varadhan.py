@@ -336,40 +336,39 @@ class InvariantFormSpec:
     def check_invariance(self) -> list[Edge]:
         """Template edges whose tables disagree with the translated anchor
         (edges whose translated support leaves the template are skipped)."""
-        bad = []
-        for (o, t), table in self.form.tables.items():
-            co, ct = self.template.coord_of(o), self.template.coord_of(t)
-            anchor = self.anchor_table(_coord_sub(ct, co).index(1))
-            expected = _translate_table(anchor.minimized(), self.template,
-                                        self.template, co, None, None)
-            if expected is not None and not expected.equals(table.minimized()):
-                bad.append((o, t))
-        return sorted(bad)
+        return list(self._mismatched)
+
+    @cached_property
+    def _mismatched(self) -> tuple[Edge, ...]:
+        expected = _place([self.anchor_table(axis).minimized()
+                           for axis in range(self.dim)], self.template,
+                          self.template, siteset(self.template.sites), None)
+        return tuple(sorted(e for e, table in self.form.tables.items()
+                            if e in expected
+                            and not expected[e].equals(table.minimized())))
+
+    def _require_invariant(self) -> None:
+        mismatched = self.check_invariance()
+        if mismatched:
+            raise NotInvariant("template form is not translation-consistent",
+                               edges=mismatched)
 
     def materialize(self, window: Locale, nu: StateMeasure,
                     keep: Optional[SiteSet] = None) -> Form:
-        """The window component of the invariant form: each window edge gets
-        the translated anchor table, with sites outside ``keep`` (default:
-        the window) integrated out against nu."""
+        """The window component of the invariant form: each window edge
+        inside ``keep`` (default: the window) gets the translated anchor
+        table, with sites outside ``keep`` integrated out against nu."""
         _require_lattice_window(window)
         ambient = keep if keep is not None else siteset(window.sites)
-        pairs = []
-        tables = {}
-        for (o, t) in sorted(window.edges):
-            if o > t or o not in ambient or t not in ambient:
-                continue
-            co, ct = window.coord_of(o), window.coord_of(t)
-            axis = _coord_sub(ct, co).index(1)
-            anchor = self.anchor_table(axis)
-            table = _translate_table(anchor, self.template, window, co,
-                                     ambient, nu)
-            pairs.append((o, t))
-            tables[(o, t)] = table
-        return Form(ambient, self.interaction, tuple(pairs), tables)
+        tables = _place([self.anchor_table(axis) for axis in range(self.dim)],
+                        self.template, window, ambient, nu)
+        return Form(ambient, self.interaction, tuple(tables), tables)
 
     def _combine(self, other: "InvariantFormSpec", sign: int) -> "InvariantFormSpec":
         if self.dim != other.dim or self.interaction != other.interaction:
             raise ValueError("stencils are not compatible")
+        self._require_invariant()
+        other._require_invariant()
         radius = max(self.template.lattice.radius, other.template.lattice.radius)
         template = lattice_window(self.dim, radius)
         anchors = []
@@ -417,26 +416,32 @@ def _translate_table(table: FnTable, src: Locale, dst: Locale, shift: Coord,
         *_integrate((table,), keep_src, ProductMeasure(nu)))
 
 
+def _place(anchors: Sequence[FnTable], src: Locale, window: Locale,
+           keep: SiteSet, nu: Optional[StateMeasure]) -> dict:
+    """Each window edge (o, t), o < t, inside ``keep``, with its axis's
+    anchor (on the chart ``src``) translated onto it by ``_translate_table``
+    (edges that would need averaging are left out when nu is None)."""
+    tables = {}
+    for (o, t) in sorted(window.edges):
+        if o < t and o in keep and t in keep:
+            co = window.coord_of(o)
+            axis = _coord_sub(window.coord_of(t), co).index(1)
+            table = _translate_table(anchors[axis], src, window, co, keep, nu)
+            if table is not None:
+                tables[(o, t)] = table
+    return tables
+
+
 def invariant_spec_from_anchors(template: Locale, interaction: Interaction,
                                 anchors: Sequence[FnTable]) -> InvariantFormSpec:
     """Build the template form by translating each axis anchor onto every
     template edge where its support fits."""
-    dim = template.lattice.dim
-    tables = {}
-    pairs = []
-    for (o, t) in sorted(template.edges):
-        if o > t:
-            continue
-        co, ct = template.coord_of(o), template.coord_of(t)
-        axis = _coord_sub(ct, co).index(1)
-        moved = _translate_table(anchors[axis], template, template, co,
-                                 None, None)
-        if moved is None:
-            continue
-        pairs.append((o, t))
-        tables[(o, t)] = moved
-    form = Form(siteset(template.sites), interaction, tuple(pairs), tables)
-    return InvariantFormSpec(template, form)
+    sites = siteset(template.sites)
+    tables = _place(anchors, template, template, sites, None)
+    spec = InvariantFormSpec(template,
+                             Form(sites, interaction, tuple(tables), tables))
+    vars(spec)["_mismatched"] = ()   # every table is its anchor, translated
+    return spec
 
 
 def invariant_form_from_cocycle(rho: Cocycle, interaction: Interaction,
@@ -581,14 +586,11 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     if nu.n_states != n:
         raise ValueError("measure and interaction state counts differ")
 
-    # the residual form is read off omega: it must vanish where phi fixes
+    # the residual is read off the stencil: it must vanish where phi fixes
     for axis in range(dim):
         _check_zero_on_fixed(spec.anchor_table(axis), spec.anchor_edge(axis),
                              interaction)
-    mismatched = spec.check_invariance()
-    if mismatched:
-        raise NotInvariant("template form is not translation-consistent",
-                           edges=mismatched)
+    spec._require_invariant()
 
     basis = conserved_quantities(interaction, nu)
     if margin is None:
@@ -605,8 +607,8 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     mu = ProductMeasure(nu)
 
     if mode == "window":
-        omega = spec.materialize(window, nu)
-        theta = solve_potential(omega, state_cap=state_cap)
+        theta = solve_potential(spec.materialize(window, nu),
+                                state_cap=state_cap)
         singles, mean = _site_components(theta, mu)
         inside = set(interior_sites(window, margin))
         rows = []
@@ -621,21 +623,8 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                     axis=axis, margin=margin)
             rows.append(_shift_residue(singles, pairs, basis,
                                        f"axis {axis} interior"))
-        rho = Cocycle(n, tuple(basis), tuple(rows))
-
-        # d(theta - theta_rho), as the solver certified d theta = omega
-        residual = omega - omega_from_cocycle(rho, window, interaction)
-        residual_tables = {e: t.minimized() for e, t in residual.tables.items()}
-        residual_form = Form(omega.sites, interaction, omega.edges,
-                             residual_tables)
-
-        checks["residual_interior_zero"] = all(
-            residual_tables[e].is_zero()
-            for e in interior_edges(window, margin))
-        checks["residual_interior_invariant"] = _interior_invariance(
-            residual_form, window, margin)
     else:
-        residual_form = theta = mean = None
+        theta = mean = residual_form = None
         checks["closedness_window_radius"] = _validate_closed_locally(
             spec, nu, state_cap)
         rows = []
@@ -654,9 +643,20 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
             rows.append(_shift_residue(_site_components(theta_sub, mu)[0],
                                        [(mid, low), (tip, mid)], basis,
                                        f"axis {axis} probe"))
-        rho = Cocycle(n, tuple(basis), tuple(rows))
+    rho = Cocycle(n, tuple(basis), tuple(rows))
 
     residual_spec = spec - invariant_form_from_cocycle(rho, interaction, dim)
+    if mode == "window":
+        # d(theta - theta_rho): the cocycle's stencil is d theta_rho
+        placed = residual_spec.materialize(window, nu)
+        residual_form = Form(placed.sites, interaction, placed.edges,
+                             {e: t.minimized()
+                              for e, t in placed.tables.items()})
+        checks["residual_interior_zero"] = all(
+            residual_form.tables[e].is_zero()
+            for e in interior_edges(window, margin))
+        checks["residual_interior_invariant"] = _interior_invariance(
+            residual_form, window, margin)
     checks["residual_stencil_zero"] = all(
         residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))

@@ -196,6 +196,23 @@ def test_varadhan_round_trip(tmp_path):
     assert result["checks"]["residual_interior_zero"] is True
 
 
+def test_an_inconsistent_stencil_is_not_invariant_with_a_cocycle(tmp_path):
+    """The ``varadhan-window`` golden input with a template edge whose table
+    disagrees with the translated anchor exits 1 with the same NotInvariant
+    with and without the cocycle added to the stencil."""
+    payload = json.loads((GOLDEN / "varadhan-window.json").read_text())
+    payload["stencil"]["form"]["edges"].append(
+        {"edge": [-1, 0], "support": [-1, 0], "values": ["0"] * 9})
+    alone = {k: v for k, v in payload.items() if k != "cocycle"}
+    for case in (payload, alone):
+        code, report = run(tmp_path, "varadhan", case)
+        assert code == 1
+        assert report["error"] == {
+            "name": "NotInvariant",
+            "message": "template form is not translation-consistent",
+            "details": {"edges": [[-1, 0]]}}
+
+
 def test_martingale(tmp_path):
     payload = {"interaction": EXCLUSION, "nu": HALF,
                "fn": {"siteset": [0, 1], "values": ["0", "0", "0", "1"]},

@@ -628,34 +628,55 @@ def shared_target_oracle(form):
     return None
 
 
+def potential_tables(interaction, locale, sites, core, rng):
+    """(pairs, tables): the edge differentials, each on ``core`` plus the
+    edge's endpoints, of a random potential on the sites ``core``."""
+    f = cl.FnTable(core, interaction.n_states,
+                   tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
+                         for _ in range(interaction.n_states ** len(core))))
+    pairs = forms.canonical_pairs(cl.edges_within(locale, sites))
+    return pairs, {e: forms.edge_differential(
+        f.embed(core.union(cl.siteset(e))), interaction, e) for e in pairs}
+
+
 @given(kernel_cases(reversible=True), st.integers(0, 2 ** 32),
-       st.integers(0, 2))
+       st.integers(0, 2), st.booleans())
 # phi changes one site only: moves across different pairs share targets,
 # and two broken entries make omega_(1,2) and omega_(1,0) disagree there
 @example((cl.make_interaction((0, 1, 2), 0, {(1, 0): (2, 0), (0, 2): (0, 1)}),
-          BOX, cl.siteset(BOX.sites[:4])), 51, 2)
+          BOX, cl.siteset(BOX.sites[:4])), 51, 2, False)
 @example((cl.exclusion_interaction(3), BOX, cl.siteset(BOX.sites[:5])), 52,
-         2)
-def test_validate_form_matches_shared_target_oracle(case, seed, n_broken):
+         2, False)
+# small tables on the whole box; the least failing configuration is where
+# the broken pair (3, 4) holds (1, 0), the move that certification drops
+# of the inverse pair (1, 0) <-> (0, 1)
+@example((cl.exclusion_interaction(), BOX, cl.siteset(BOX.sites)), 56, 1,
+         True)
+def test_validate_form_matches_shared_target_oracle(case, seed, n_broken,
+                                                     small):
     """validate_form on d of a random potential with ``n_broken`` entries
     moved by one unit (where the edge moves) raises MalformedForm with the
     oracle's message and assignment exactly where the oracle finds a
-    disagreement, on any reversible rule."""
+    disagreement, on any reversible rule.  With ``small`` the potential
+    lives on two of the sites, and each table on those two plus its edge,
+    minimized."""
     interaction, locale, sites = case
     n = interaction.n_states
     rng = random.Random(seed)
-    f = cl.FnTable(sites, n, tuple(F(rng.randint(-8, 8), rng.randint(1, 6))
-                                   for _ in range(n ** len(sites))))
-    df = cl.differential(f, interaction, locale)
-    tables = dict(df.tables)
-    for _ in range(n_broken if df.edges else 0):
-        e = rng.choice(df.edges)
-        moved = [i for i, _ in moves(df.space, interaction, e)]
+    core = (cl.siteset(sorted(rng.sample(sites.sites, 2))) if small
+            else sites)
+    pairs, tables = potential_tables(interaction, locale, sites, core, rng)
+    for _ in range(n_broken if pairs else 0):
+        e = rng.choice(pairs)
+        table = tables[e]
+        moved = [i for i, _ in moves(table.space, interaction, e)]
         if moved:
-            values = list(tables[e].values)
+            values = list(table.values)
             values[rng.choice(moved)] += 1
-            tables[e] = cl.FnTable(sites, n, tuple(values))
-    form = cl.make_form(sites, interaction, df.edges, tables, validate=False)
+            tables[e] = cl.FnTable(table.sites, n, tuple(values))
+    if small:
+        tables = {e: table.minimized() for e, table in tables.items()}
+    form = cl.make_form(sites, interaction, pairs, tables, validate=False)
     expected = shared_target_oracle(form)
     if expected is None:
         cl.validate_form(form)
@@ -663,6 +684,25 @@ def test_validate_form_matches_shared_target_oracle(case, seed, n_broken):
     with pytest.raises(cl.MalformedForm) as info:
         cl.validate_form(form)
     assert (info.value.message, info.value.details["assignment"]) == expected
+
+
+def test_an_exclusion_form_validates_without_window_scale_tables(
+        monkeypatch):
+    """Every move of exclusion changes both endpoints, so no two edges
+    share a target and validation checks alternation on each pair's own
+    table: a form of small tables on the 3x3 box validates without a table
+    spread to the window."""
+    def refuse(*args):
+        raise AssertionError("a table was spread to the window")
+    monkeypatch.setattr(forms, "spread", refuse)
+    monkeypatch.setattr(forms, "_dense_tables", refuse)
+    sites = cl.siteset(BOX.sites)
+    pairs, tables = potential_tables(cl.exclusion_interaction(), BOX, sites,
+                                     cl.siteset([1, 3]), random.Random(57))
+    form = cl.make_form(sites, cl.exclusion_interaction(), pairs,
+                        {e: table.minimized() for e, table in tables.items()},
+                        validate=True)
+    assert form.edges == pairs and not form.is_zero()
 
 
 def ordinary_oracle(sub, mu, interaction, locale):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -118,6 +119,38 @@ def test_cocycle_stencil_is_invariant_and_closed(mu_half):
     direct = cl.omega_from_cocycle(rho, window, exclusion)
     for e in omega.edges:
         assert omega.tables[e].minimized().equals(direct.tables[e].minimized())
+
+
+def test_stencils_built_from_anchors_are_translation_consistent():
+    """A stencil built from anchors carries each anchor's translate on every
+    template edge where it fits, so its invariance check is not run; the
+    same template form, checked afresh, has no mismatched edge (d=1 and
+    d=2, cocycle, potential, random anchors and sums)."""
+    exclusion, nu, basis, rho = exclusion_cocycle()
+    rho2 = cl.cocycle_from_coefficients(basis, [[F(-2)], [F(1, 2)]])
+    box = cl.lattice_window(2, radius=2)
+    a, b = box.site_at((0, 0)), box.site_at((1, 0))
+    core = cl.site_occupation(cl.siteset([a, b]), 2, a) * \
+        cl.site_occupation(cl.siteset([a, b]), 2, b)
+    rng = random.Random(31)
+    random_anchors = [
+        cl.FnTable(cl.siteset(support), 2,
+                   tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(2 ** len(support))))
+        for support in ([box.site_at((-1, 0)), a, b, box.site_at((0, 1))],
+                        [a, box.site_at((1, 1)), box.site_at((0, 1))])]
+    cocycle1 = cl.invariant_form_from_cocycle(rho, exclusion, 1)
+    cocycle2 = cl.invariant_form_from_cocycle(rho2, exclusion, 2)
+    potential2 = cl.invariant_form_from_potential_stencil(core, box,
+                                                          exclusion)
+    for spec in [cocycle1, pair_potential_spec(exclusion),
+                 pair_potential_spec(exclusion) - cocycle1, cocycle2,
+                 potential2, potential2 + cocycle2,
+                 cl.invariant_spec_from_anchors(box, exclusion,
+                                                random_anchors)]:
+        assert spec.check_invariance() == []
+        fresh = cl.InvariantFormSpec(spec.template, spec.form)
+        assert fresh.check_invariance() == []
 
 
 def test_potential_stencil_matches_dense_differential(mu_half):
@@ -276,10 +309,10 @@ def test_trivial_action_on_kernel(mu_half):
 
 # -- error paths -----------------------------------------------------------------
 
-def test_decompose_not_invariant():
-    exclusion, nu, basis, rho = exclusion_cocycle()
-    good = cl.invariant_form_from_cocycle(rho, exclusion, 1)
-    anchor = good.anchor_table(0)
+def doubled_off_anchor_spec(rho, exclusion):
+    """The cocycle's stencil with the table of the non-anchor edge (-1, 0)
+    doubled: not translation-consistent."""
+    anchor = cl.invariant_form_from_cocycle(rho, exclusion, 1).anchor_table(0)
     template = cl.lattice_window(1, radius=1)
     tables = {
         (-1, 0): cl.FnTable(cl.siteset([-1, 0]), 2,
@@ -288,9 +321,31 @@ def test_decompose_not_invariant():
     }
     form = cl.Form(cl.siteset(template.sites), exclusion,
                    ((-1, 0), (0, 1)), tables)
-    spec = cl.InvariantFormSpec(template, form)
+    return cl.InvariantFormSpec(template, form)
+
+
+def test_decompose_not_invariant():
+    exclusion, nu, basis, rho = exclusion_cocycle()
+    spec = doubled_off_anchor_spec(rho, exclusion)
     with pytest.raises(cl.NotInvariant):
         cl.decompose_invariant_form(spec, cl.lattice_window(1, radius=4), nu)
+
+
+def test_a_sum_with_an_inconsistent_stencil_is_not_invariant():
+    """Adding or subtracting stencils keeps only the anchors, so either
+    operand that is not translation-consistent raises NotInvariant with
+    its own mismatched edges, in either order."""
+    exclusion, nu, basis, rho = exclusion_cocycle()
+    bad = doubled_off_anchor_spec(rho, exclusion)
+    good = pair_potential_spec(exclusion)
+    assert bad.check_invariance() == [(-1, 0)]
+    for combine in (lambda: bad + good, lambda: good + bad,
+                    lambda: bad - good, lambda: good - bad):
+        with pytest.raises(cl.NotInvariant) as info:
+            combine()
+        assert info.value.message == \
+            "template form is not translation-consistent"
+        assert info.value.details["edges"] == [(-1, 0)]
 
 
 def test_decompose_not_closed():

@@ -1,12 +1,19 @@
-"""Cap-scale sweep of window-mode ``varadhan``, of ``expand``, of ``iq``,
-of ``dims`` and of ``closed``: raw wall time and peak RSS.
+"""Cap-scale sweep of window-mode and local-mode ``varadhan``, of
+``expand``, of ``iq``, of ``dims`` and of ``closed``: raw wall time and
+peak RSS.
 
 Each case is one CLI run through ``colocal.cli.main``, in a fresh
 interpreter so that its peak RSS is its own.  State-cap cases decompose a
 d=1 exclusion window in window mode: two states, nu = (3/5, 2/5), cocycle
 3/7, radius 6 to 9 (up to 2^19 configurations); three states,
 nu = (1/2, 1/3, 1/6), cocycle (3/7, -2/5), radius 4 and 5 (up to 3^11
-configurations).  Subset-cap cases expand a seeded function on a path of
+configurations).  Local-mode cases decompose the cocycle form of the
+perfbench ``small-batch`` job ``varadhan-local-d2-r6`` (seed 1: two-state
+exclusion, nu = (4/5, 1/5), cocycle (-2, -2/3)) on d=2 windows of radius
+20 and 40 (41x41 and 81x81 sites), far over the state cap: the window is
+read, the stencil is placed on a 3-site probe per axis and on a radius-1
+box, and nothing scales with the window but its reading and its
+placement.  Subset-cap cases expand a seeded function on a path of
 10, 12, 13 and 14 two-state sites under nu = (3/5, 2/5); its entries are
 p/q with |p| <= 4 and q <= 3, so they repeat, as in the benchmark's
 tables.  The transition-graph cases check irreducible quantification of
@@ -54,6 +61,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TWO = {"states": [0, 1], "nu": ["3/5", "2/5"], "cocycle": [["3/7"]]}
 THREE = {"states": [0, 1, 2], "nu": ["1/2", "1/3", "1/6"],
          "cocycle": [["3/7", "-2/5"]]}
+#: the cocycle input of perfbench's small-batch varadhan-local-d2 job
+LOCAL_D2 = {"states": [0, 1], "nu": ["4/5", "1/5"],
+            "cocycle": [["-2/1"], ["-2/3"]]}
 REPEATS = 5
 
 
@@ -70,6 +80,18 @@ def varadhan_case(name: str, spec: dict, radius: int) -> dict:
                         "nu": spec["nu"], "dim": 1,
                         "cocycle": spec["cocycle"],
                         "window": {"lattice": {"dim": 1,
+                                               "radius": radius}}}}
+
+
+def local_case(radius: int) -> dict:
+    """Local-mode ``varadhan`` on the d=2 window of the given radius."""
+    return {"case": f"local-d2-r{radius}", "subcommand": "varadhan",
+            "exit": 0, "states": 2, "radius": radius,
+            "sites": (2 * radius + 1) ** 2,
+            "payload": {"interaction": exclusion(LOCAL_D2["states"]),
+                        "nu": LOCAL_D2["nu"], "dim": 2,
+                        "cocycle": LOCAL_D2["cocycle"],
+                        "window": {"lattice": {"dim": 2,
                                                "radius": radius}}}}
 
 
@@ -173,6 +195,7 @@ def closed_case(width: int, height: int, closed: bool = True) -> dict:
 
 CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [varadhan_case("n3-r%d" % r, THREE, r) for r in (4, 5)]
+         + [local_case(r) for r in (20, 40)]
          + [expand_case(n) for n in (10, 12, 13, 14)]
          + [iq_case(16)]
          + [dims_case(n) for n in (14, 16)]
@@ -286,9 +309,9 @@ def main(argv=None) -> int:
             })
 
     report = {
-        "what": "window-mode varadhan, expand, iq, dims and closed at cap "
-                "scale: raw wall time and peak RSS per fresh interpreter, "
-                "medians over repeats",
+        "what": "window-mode and local-mode varadhan, expand, iq, dims "
+                "and closed at cap scale: raw wall time and peak RSS per "
+                "fresh interpreter, medians over repeats",
         "baseline": args.baseline,
         "repeats": REPEATS,
         "python": platform.python_version(),

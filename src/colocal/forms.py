@@ -223,7 +223,7 @@ def validate_form(form: Form, state_cap: int = DEFAULT_STATE_CAP):
     configuration, and that directed edges with a common target agree
     there; MalformedForm names the first disagreement that
     ``_first_disagreement`` finds."""
-    guard_space(form.space.size, state_cap)
+    guard_space(form.n_states, len(form.sites), state_cap)
     for e in form.edges:
         _check_zero_on_fixed(form.tables[e], e, form.interaction)
     first = _first_disagreement(form)
@@ -318,7 +318,7 @@ def _dense_tables(form: Form) -> tuple[list, int]:
 def differential(f: FnTable, interaction: Interaction, locale: Locale,
                  state_cap: int = DEFAULT_STATE_CAP) -> Form:
     """The gradient form: (df)_e(eta) = f(eta^e) - f(eta)."""
-    guard_space(f.space.size, state_cap)
+    guard_space(f.n_states, len(f.sites), state_cap)
     pairs = canonical_pairs(edges_within(locale, f.sites))
     return Form(f.sites, interaction, pairs,
                 dict(_differentials(f, interaction, pairs)))
@@ -427,7 +427,7 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     fails too, the form is not closed, and ``_witness`` builds the cycle.
     If ``mu`` is given the result is shifted to zero mean.
     """
-    guard_space(form.space.size, state_cap)
+    guard_space(form.n_states, len(form.sites), state_cap)
     dense, den = _dense_tables(form)
     kept, inverse = _kept_moves(form.interaction)
     if any(_alternating(form.tables[pair], pair, form.space, inverse)

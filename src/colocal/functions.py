@@ -286,7 +286,7 @@ def conserved_quantities(interaction: Interaction,
 def conserved_colocal(xi: ConservedQuantity, sites: SiteSet,
                       state_cap: int = DEFAULT_STATE_CAP) -> FnTable:
     """The window sum: eta -> sum over sites of xi(eta_x)."""
-    guard_space(xi.n_states ** len(sites), state_cap)
+    guard_space(xi.n_states, len(sites), state_cap)
     per_state, den = numerators(xi.xi)
     return FnTable.from_numerators(sites, xi.n_states,
                                    kron([per_state] * len(sites)), den)

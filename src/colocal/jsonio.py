@@ -26,7 +26,6 @@ from .scalars import (
 from .statespace import (
     Config,
     Interaction,
-    LatticeMeta,
     Locale,
     SiteSet,
     build_locale,
@@ -71,10 +70,15 @@ def locale_from_json(obj: dict) -> Locale:
             raise ValueError(f"lattice sizes must be a list, got {sizes!r}")
         kind, radius = "torus", None
         sizes = tuple(_int(s, "lattice sizes entry") for s in sizes)
-    if "sites" not in obj:
-        return lattice_window(dim, radius=radius, sizes=sizes)
-    return build_locale(obj["sites"], [tuple(e) for e in obj["edges"]],
-                        LatticeMeta(dim, kind, radius, sizes))
+    chart = lattice_window(dim, radius=radius, sizes=sizes)
+    if "sites" in obj:
+        # stencils and windows are placed by the chart's index arithmetic
+        given = build_locale(obj["sites"], [tuple(e) for e in obj["edges"]],
+                             chart.lattice)
+        if given != chart:
+            raise ValueError(
+                f"locale sites and edges are not those of its {kind} chart")
+    return chart
 
 
 def locale_to_json(locale: Locale) -> dict:

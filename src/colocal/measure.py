@@ -96,7 +96,7 @@ class ProductMeasure:
     def materialize(self, sites: SiteSet,
                     state_cap: int = DEFAULT_STATE_CAP) -> "WindowMeasure":
         """Kronecker product of the site weights."""
-        guard_space(self.n_states ** len(sites), state_cap)
+        guard_space(self.n_states, len(sites), state_cap)
         table, den = weight_table(self, sites, self.n_states)
         return WindowMeasure(sites, self.n_states,
                              from_numerators(table, den))

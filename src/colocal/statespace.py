@@ -73,6 +73,19 @@ class LatticeMeta:
         """The least coordinate along every axis."""
         return -self.radius if self.kind == "window" else 0
 
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """The site-id step of one unit along each axis (the last axis
+        steps by 1): a unit step along axis k adds ``strides[k]`` to the id
+        wherever both ends lie in the chart."""
+        return tuple(math.prod(self.extents[k + 1:]) for k in range(self.dim))
+
+    @cached_property
+    def first(self) -> int:
+        """The id of the least corner: the ids are ``range(first, first +
+        prod(extents))``."""
+        return self.low if self.dim == 1 else 0
+
     def coord_to_site(self, coord: Sequence[int]) -> Optional[int]:
         """The row-major rank of the coordinate (the last axis fastest),
         offset in one dimension so that a site id is its coordinate; None
@@ -188,7 +201,13 @@ def build_locale(sites: Iterable[int], edges: Iterable[Edge],
 def lattice_window(dim: int, radius: Optional[int] = None,
                    sizes: Optional[Sequence[int]] = None) -> Locale:
     """Box window ``{-r..r}^dim`` or torus with the given sizes, with
-    nearest-neighbor edges (L1 distance 1, wrapped on the torus)."""
+    nearest-neighbor edges (L1 distance 1, wrapped on the torus).
+
+    The locale is built from the row-major ranks directly: the sites are
+    ``range(first, first + prod(extents))`` and, along each axis, the ids
+    of every block of ``stride * extent`` consecutive sites step by the
+    axis stride.  A graph made this way is simple, symmetric and connected,
+    so it skips the checks of :func:`build_locale`."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if (radius is None) == (sizes is None):
@@ -208,20 +227,22 @@ def lattice_window(dim: int, radius: Optional[int] = None,
                 sizes=list(sizes))
         meta = LatticeMeta(dim, "torus", sizes=sizes)
 
-    # site ids are consecutive row-major ranks from the least corner's
-    first = meta.coord_to_site((meta.low,) * dim)
-    sites = range(first, first + math.prod(meta.extents))
+    sites = range(meta.first, meta.first + math.prod(meta.extents))
     edges = []
-    stride = 1
-    for extent in reversed(meta.extents):
-        for k, s in enumerate(sites):
-            digit = k // stride % extent
-            if digit < extent - 1:
-                edges += [(s, s + stride), (s + stride, s)]
-            elif sizes:   # the torus wraps around
-                edges += [(s, s - digit * stride), (s - digit * stride, s)]
-        stride *= extent
-    return build_locale(sites, edges, meta)
+    for extent, stride in zip(meta.extents, meta.strides):
+        block = stride * extent
+        for b in range(sites.start, sites.stop, block):
+            # (s, s + stride) for the s whose digit is below extent - 1
+            lower = range(b, b + block - stride)
+            upper = range(b + stride, b + block)
+            edges += zip(lower, upper)
+            edges += zip(upper, lower)
+            if sizes:   # the torus wraps the top digit round to 0
+                top = range(b + block - stride, b + block)
+                bottom = range(b, b + stride)
+                edges += zip(top, bottom)
+                edges += zip(bottom, top)
+    return Locale(tuple(sites), frozenset(edges), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +461,8 @@ class ConfigSpace:
 def enumerate_configs(sites: SiteSet, interaction: Interaction,
                       state_cap: int = DEFAULT_STATE_CAP) -> ConfigSpace:
     space = ConfigSpace(sites, interaction.n_states)
-    guard_space(space.size, state_cap, what=f"S^Lambda with |Lambda|={len(sites)}")
+    guard_space(space.n_states, len(sites), state_cap,
+                what=f"S^Lambda with |Lambda|={len(sites)}")
     return space
 
 
@@ -451,12 +473,22 @@ def check_cap(cap, name: str = "state_cap") -> None:
         raise ValueError(f"{name} must be a positive int, got {cap!r}")
 
 
-def guard_space(size: int, state_cap: int, what: str = "configuration space"):
-    """Raise SpaceTooLarge where ``size`` configurations exceed the cap."""
+def guard_space(n_states: int, n_sites: int, state_cap: int,
+                what: str = "configuration space"):
+    """Raise SpaceTooLarge where the ``n_states ** n_sites`` configurations
+    exceed the cap.  The ``size`` detail is that int, or the string
+    ``"n^k"`` where the int has more digits than Python converts to text
+    (``sys.get_int_max_str_digits``); the message writes it the same way."""
     check_cap(state_cap)
+    size = n_states ** n_sites
     if size > state_cap:
-        raise SpaceTooLarge(f"{what} has {size} configurations (cap {state_cap})",
-                            size=size, cap=state_cap)
+        try:
+            text = str(size)
+        except ValueError:
+            size = text = f"{n_states}^{n_sites}"
+        raise SpaceTooLarge(
+            f"{what} has {text} configurations (cap {state_cap})",
+            size=size, cap=state_cap)
 
 
 def apply_transition(eta: Config, edge: Edge, interaction: Interaction) -> Config:

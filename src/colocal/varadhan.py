@@ -16,9 +16,11 @@ by solving on small sub-windows instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -45,6 +47,7 @@ from .statespace import (
     DEFAULT_STATE_CAP,
     Edge,
     Interaction,
+    LatticeMeta,
     Locale,
     SiteSet,
     check_cap,
@@ -187,18 +190,61 @@ def _require_lattice_window(window: Locale) -> None:
         raise ValueError("operation requires a lattice box window")
 
 
+def _origin(meta: LatticeMeta) -> int:
+    """The id of the coordinate origin of a box chart."""
+    return meta.first + meta.radius * sum(meta.strides)
+
+
+def _offsets(sites, src: LatticeMeta, origin: Coord, dst: LatticeMeta):
+    """Where the sites of a table on the chart ``src`` lie relative to the
+    coordinate ``origin``: per site its coordinate offset, and its id step
+    in the box chart ``dst``.  Where a translate of the table puts
+    ``origin`` on a site and lies in ``dst``, its site ids are that site's
+    id plus the steps."""
+    coords = [_coord_sub(src.site_to_coord(s), origin) for s in sites]
+    return coords, [sum(map(mul, c, dst.strides)) for c in coords]
+
+
+def _fitting(coords, radius: int) -> list[tuple[int, int]]:
+    """Per axis, the least and greatest coordinate at which the origin of
+    the coordinate offsets ``coords`` keeps them all in the box
+    ``{-radius..radius}^dim`` (no bounds for no offsets)."""
+    return [(-radius - min(axis), radius - max(axis)) for axis in zip(*coords)]
+
+
+def _fits(coord: Coord, bounds) -> bool:
+    """Is each coordinate within its axis's (least, greatest) bounds?"""
+    return all(a <= x <= b for x, (a, b) in zip(coord, bounds))
+
+
+def _interior(window: Locale, margin: int) -> tuple[list, list]:
+    """The sites at lattice distance >= margin from the window boundary,
+    ascending, and the window edges (o, t), o < t, between them, sorted:
+    the box ``{-h..h}^dim``, h = radius - margin, by index arithmetic."""
+    _require_lattice_window(window)
+    meta = window.lattice
+    half = min(meta.radius - margin, meta.radius)
+    if half < 0:
+        return [], []
+    corner = _origin(meta) - half * sum(meta.strides)
+    last = 2 * half
+    strides = meta.strides[::-1]   # each site's edges by ascending tip
+    sites, edges = [], []
+    for digits in itertools.product(range(last + 1), repeat=meta.dim):
+        o = corner + sum(map(mul, digits, meta.strides))
+        sites.append(o)
+        edges += [(o, o + stride) for d, stride in zip(digits[::-1], strides)
+                  if d < last]
+    return sites, edges
+
+
 def interior_sites(window: Locale, margin: int) -> tuple[int, ...]:
     """Sites at lattice distance >= margin from the window boundary."""
-    _require_lattice_window(window)
-    r = window.lattice.radius
-    return tuple(s for s in window.sites
-                 if max(abs(c) for c in window.coord_of(s)) <= r - margin)
+    return tuple(_interior(window, margin)[0])
 
 
 def interior_edges(window: Locale, margin: int) -> tuple[Edge, ...]:
-    inside = set(interior_sites(window, margin))
-    return tuple(sorted((o, t) for (o, t) in window.edges
-                        if o < t and o in inside and t in inside))
+    return tuple(_interior(window, margin)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +259,7 @@ def theta_from_cocycle(rho: Cocycle, window: Locale,
     _require_lattice_window(window)
     sites = siteset(window.sites)
     n = rho.n_states
-    guard_space(n ** len(sites), state_cap)
+    guard_space(n, len(sites), state_cap)
     per_site = [v for s in sites
                 for v in rho.site_state_table(window.coord_of(s))]
     per_site, den = numerators(per_site)
@@ -265,8 +311,7 @@ def verify_cocycle_identity(rho: Cocycle, window: Locale) -> CocycleIdentityRepo
         mismatches = []
         for s in window.sites:
             c = window.coord_of(s)
-            partner = window.site_at(_coord_sub(c, unit))
-            if partner is None:
+            if c[axis] == -window.lattice.radius:   # no partner in the window
                 continue
             compared += 1
             diff = tuple(a - b for a, b in zip(rho.site_state_table(c),
@@ -312,9 +357,8 @@ class InvariantFormSpec:
         return self.form.interaction
 
     def anchor_edge(self, axis: int) -> Edge:
-        origin = self.template.site_at((0,) * self.dim)
-        tip = self.template.site_at(_unit(axis, self.dim))
-        return (origin, tip)
+        origin = _origin(self.template.lattice)
+        return (origin, origin + self.template.lattice.strides[axis])
 
     def anchor_table(self, axis: int) -> FnTable:
         return self.form.tables[self.anchor_edge(axis)]
@@ -373,10 +417,8 @@ class InvariantFormSpec:
         template = lattice_window(self.dim, radius)
         anchors = []
         for axis in range(self.dim):
-            a = _translate_table(self.anchor_table(axis), self.template,
-                                 template, (0,) * self.dim, None, None)
-            b = _translate_table(other.anchor_table(axis), other.template,
-                                 template, (0,) * self.dim, None, None)
+            a, b = (_rechart(spec.anchor_table(axis), spec.template.lattice,
+                             template.lattice) for spec in (self, other))
             support = a.sites.union(b.sites)
             merged = a.embed(support) + (b.embed(support) if sign > 0
                                          else -b.embed(support))
@@ -390,45 +432,67 @@ class InvariantFormSpec:
         return self._combine(other, -1)
 
 
-def _translate_table(table: FnTable, src: Locale, dst: Locale, shift: Coord,
-                     keep: Optional[SiteSet], nu: Optional[StateMeasure]):
-    """Move a table by a lattice shift from one window chart to another,
-    integrating out sites that land outside ``keep`` (or outside ``dst``).
-
-    Translation preserves the lexicographic site order, so kept digits keep
-    their relative positions.  Returns None when averaging would be needed
-    but no measure was supplied.
-    """
-    coords = [src.coord_of(s) for s in table.sites]
-    moved = [_coord_add(c, shift) for c in coords]
-    targets = [dst.site_at(c) for c in moved]
-    kept = [k for k, s in enumerate(targets)
-            if s is not None and (keep is None or s in keep)]
-    if len(kept) == len(targets):
-        return FnTable.from_numerators(SiteSet(tuple(targets)),
-                                       table.n_states, *table.numerators)
-    if nu is None:
-        return None
-    kept_sites = SiteSet(tuple(targets[k] for k in kept))
-    keep_src = SiteSet(tuple(table.sites.sites[k] for k in kept))
-    return FnTable.from_numerators(
-        kept_sites, table.n_states,
-        *_integrate((table,), keep_src, ProductMeasure(nu)))
+def _rechart(table: FnTable, src: LatticeMeta, dst: LatticeMeta) -> FnTable:
+    """A table on the box chart ``src`` on the same coordinates of the box
+    chart ``dst``, which holds them."""
+    _, steps = _offsets(table.sites, src, (0,) * dst.dim, dst)
+    origin = _origin(dst)
+    return FnTable.from_numerators(SiteSet(tuple(origin + d for d in steps)),
+                                   table.n_states, *table.numerators)
 
 
 def _place(anchors: Sequence[FnTable], src: Locale, window: Locale,
            keep: SiteSet, nu: Optional[StateMeasure]) -> dict:
-    """Each window edge (o, t), o < t, inside ``keep``, with its axis's
-    anchor (on the chart ``src``) translated onto it by ``_translate_table``
-    (edges that would need averaging are left out when nu is None)."""
+    """Each window edge (o, t), o < t, with both ends in ``keep``, with its
+    axis's anchor (a table on the chart ``src``, its edge leaving the
+    origin) translated onto it: edge keys in sorted order.
+
+    Each anchor's coordinate offsets, id steps and the edge origins at
+    which it fits are worked out once, and only the edges inside ``keep``
+    are visited.  An edge
+    whose translate lies inside the window and ``keep`` gets the anchor's
+    own numerators on the translated sites.  Otherwise the anchor's sites
+    that land outside are integrated out against nu, once per distinct
+    cut of each anchor; with nu None such edges are left out."""
+    meta = window.lattice
+    radius, strides = meta.radius, meta.strides
+    feet = []
+    for anchor in anchors:
+        coords, steps = _offsets(anchor.sites, src.lattice, (0,) * meta.dim,
+                                 meta)
+        feet.append((coords, steps, _fitting(coords, radius)))
+    box = [(-radius, radius)] * meta.dim
+    ids = range(meta.first, meta.first + len(window.sites))
+    whole = keep.sites == window.sites
+    mu = None if nu is None else ProductMeasure(nu)
+    cuts = {}
     tables = {}
-    for (o, t) in sorted(window.edges):
-        if o < t and o in keep and t in keep:
-            co = window.coord_of(o)
-            axis = _coord_sub(window.coord_of(t), co).index(1)
-            table = _translate_table(anchors[axis], src, window, co, keep, nu)
-            if table is not None:
-                tables[(o, t)] = table
+    for o in keep:
+        if o not in ids:
+            continue
+        c = meta.site_to_coord(o)
+        for axis in reversed(range(meta.dim)):   # tips in ascending order
+            t = o + strides[axis]
+            if c[axis] == radius or t not in keep:
+                continue
+            anchor = anchors[axis]
+            coords, steps, bounds = feet[axis]
+            sites = [o + d for d in steps]
+            if _fits(c, bounds) and (whole or all(s in keep for s in sites)):
+                tables[(o, t)] = FnTable.from_numerators(
+                    SiteSet(tuple(sites)), anchor.n_states,
+                    *anchor.numerators)
+                continue
+            if mu is None:
+                continue
+            kept = tuple(k for k, (u, s) in enumerate(zip(coords, sites))
+                         if _fits(_coord_add(c, u), box) and s in keep)
+            cut = cuts.get((axis, kept))
+            if cut is None:
+                keep_src = SiteSet(tuple(anchor.sites.sites[k] for k in kept))
+                cut = cuts[(axis, kept)] = _integrate((anchor,), keep_src, mu)
+            tables[(o, t)] = FnTable.from_numerators(
+                SiteSet(tuple(sites[k] for k in kept)), anchor.n_states, *cut)
     return tables
 
 
@@ -453,12 +517,12 @@ def invariant_form_from_cocycle(rho: Cocycle, interaction: Interaction,
         raise ValueError(
             f"cocycle has {rho.dim} generator rows, expected {dim}")
     template = lattice_window(dim, 1)
-    origin = template.site_at((0,) * dim)
+    origin = _origin(template.lattice)
     zero = tuple([Fraction(0)] * rho.n_states)
     anchors = []
     for axis in range(dim):
         # the site weights are 0 at the origin and g at the tip
-        edge = (origin, template.site_at(_unit(axis, dim)))
+        edge = (origin, origin + template.lattice.strides[axis])
         h = _endpoint_table(edge, zero, rho.generator_state_table(axis))
         anchors.append(edge_differential(h, interaction, edge))
     return invariant_spec_from_anchors(template, interaction, anchors)
@@ -470,10 +534,12 @@ def invariant_form_from_potential_stencil(core: FnTable, template: Locale,
     ``sum over translates of core``.  The template must be large enough to
     hold every contributing translate of the core around an anchor edge."""
     _require_lattice_window(template)
-    dim = template.lattice.dim
+    meta = template.lattice
+    dim, origin = meta.dim, _origin(meta)
     n = interaction.n_states
     core = core.minimized()
-    core_coords = [template.coord_of(s) for s in core.sites]
+    core_coords, _ = _offsets(core.sites, meta, (0,) * dim, meta)
+    box = [(-meta.radius, meta.radius)] * dim
     anchors = []
     for axis in range(dim):
         unit = _unit(axis, dim)
@@ -482,21 +548,20 @@ def invariant_form_from_potential_stencil(core: FnTable, template: Locale,
         support_coords = set(endpoints)
         for v in shifts:
             support_coords.update(_coord_add(u, v) for u in core_coords)
-        support_sites = []
-        for c in sorted(support_coords):
-            s = template.site_at(c)
-            if s is None:
-                raise ValueError(
-                    "template window too small for the potential stencil")
-            support_sites.append(s)
-        support = SiteSet(tuple(sorted(support_sites)))
+        if not all(_fits(c, box) for c in support_coords):
+            raise ValueError(
+                "template window too small for the potential stencil")
+        support = SiteSet(tuple(sorted(
+            origin + sum(map(mul, c, meta.strides)) for c in support_coords)))
         # every translate fits: its sites are among the support's
         potential = fn_zeros(support, n)
         for v in shifts:
-            translated = _translate_table(core, template, template, v,
-                                          None, None)
+            step = sum(map(mul, v, meta.strides))
+            translated = FnTable.from_numerators(
+                SiteSet(tuple(s + step for s in core.sites)), n,
+                *core.numerators)
             potential = potential + translated.embed(support)
-        edge = (template.site_at((0,) * dim), template.site_at(unit))
+        edge = (origin, origin + meta.strides[axis])
         anchors.append(edge_differential(potential, interaction,
                                          edge).minimized())
     return invariant_spec_from_anchors(template, interaction, anchors)
@@ -610,13 +675,12 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         theta = solve_potential(spec.materialize(window, nu),
                                 state_cap=state_cap)
         singles, mean = _site_components(theta, mu)
-        inside = set(interior_sites(window, margin))
+        inner = _interior(window, margin)[1]
         rows = []
         for axis in range(dim):
-            unit = _unit(axis, dim)
-            pairs = [(s, window.site_at(_coord_sub(window.coord_of(s), unit)))
-                     for s in sorted(inside)]
-            pairs = [(s, p) for s, p in pairs if p in inside]
+            # (s, s - unit) with both in the interior, by ascending s
+            stride = window.lattice.strides[axis]
+            pairs = [(t, o) for o, t in inner if t - o == stride]
             if not pairs:
                 raise WindowTooSmall(
                     f"interior has no site pairs along axis {axis}",
@@ -628,15 +692,15 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         checks["closedness_window_radius"] = _validate_closed_locally(
             spec, nu, state_cap)
         rows = []
+        origin = _origin(window.lattice)
         for axis in range(dim):
-            unit = _unit(axis, dim)
-            sub_sites = [window.site_at(c) for c in
-                         (_coord_sub((0,) * dim, unit), (0,) * dim, unit)]
-            if None in sub_sites:
+            if radius < 1:
                 raise WindowTooSmall(
                     f"window cannot hold the axis-{axis} probe sites",
                     axis=axis)
-            sub = SiteSet(tuple(sorted(sub_sites)))
+            stride = window.lattice.strides[axis]
+            sub_sites = [origin - stride, origin, origin + stride]
+            sub = SiteSet(tuple(sub_sites))
             omega_sub = spec.materialize(window, nu, keep=sub)
             theta_sub = solve_potential(omega_sub, state_cap=state_cap)
             low, mid, tip = sub_sites
@@ -653,10 +717,9 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                              {e: t.minimized()
                               for e, t in placed.tables.items()})
         checks["residual_interior_zero"] = all(
-            residual_form.tables[e].is_zero()
-            for e in interior_edges(window, margin))
+            residual_form.tables[e].is_zero() for e in inner)
         checks["residual_interior_invariant"] = _interior_invariance(
-            residual_form, window, margin)
+            residual_form, window.lattice, inner)
     checks["residual_stencil_zero"] = all(
         residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))
@@ -665,19 +728,26 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                                  margin, mode, checks, theta, mean)
 
 
-def _interior_invariance(form: Form, window: Locale, margin: int) -> bool:
-    """Are the (support-minimized) interior edge tables translation
-    consistent along every axis?  Each is compared with the first interior
-    edge of its axis, moved onto it."""
-    first: dict[int, tuple[FnTable, Coord]] = {}
-    for (o, t) in interior_edges(window, margin):
-        origin = window.coord_of(o)
-        axis = _coord_sub(window.coord_of(t), origin).index(1)
+def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:
+    """Are the (support-minimized) tables of the interior edges ``inner``
+    translation consistent along every axis?  Each is compared with the
+    first interior edge of its axis, moved onto it where it fits."""
+    first: dict[int, tuple] = {}
+    for (o, t) in inner:
+        axis = meta.strides.index(t - o)
         table = form.tables[(o, t)].minimized()
-        ref, ref_origin = first.setdefault(axis, (table, origin))
-        expected = _translate_table(ref, window, window,
-                                    _coord_sub(origin, ref_origin), None, None)
-        if expected is not None and not expected.equals(table):
+        c = meta.site_to_coord(o)
+        if axis not in first:
+            coords, _ = _offsets(table.sites, meta, c, meta)
+            first[axis] = (table, o, _fitting(coords, meta.radius))
+        ref, ref_o, bounds = first[axis]
+        if not _fits(c, bounds):
+            continue
+        step = o - ref_o
+        expected = FnTable.from_numerators(
+            SiteSet(tuple(s + step for s in ref.sites)), ref.n_states,
+            *ref.numerators)
+        if not expected.equals(table):
             return False
     return True
 

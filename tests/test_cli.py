@@ -167,6 +167,51 @@ def test_dims_on_a_14_site_path(tmp_path):
         "dim_Z1_bruteforce": 16369}
 
 
+@pytest.mark.parametrize("radius, size", [(10, 2 ** 21),
+                                          (10000, "2^20001")],
+                         ids=["printable", "too-long-to-print"])
+def test_dims_over_the_state_cap_is_space_too_large(tmp_path, capsys,
+                                                    radius, size):
+    """A configuration count over the cap exits 1 with SpaceTooLarge.  A
+    count with more digits than Python converts to text is written n^k,
+    in the message and as the size detail; the others print as before."""
+    n_sites = 2 * radius + 1
+    payload = {"interaction": EXCLUSION, "nu": HALF,
+               "locale": {"lattice": {"dim": 1, "radius": radius}}}
+    code, report = run(tmp_path, "dims", payload)
+    assert code == 1 and report["ok"] is False
+    assert capsys.readouterr().err == ""
+    assert report["error"] == {
+        "name": "SpaceTooLarge",
+        "message": f"S^Lambda with |Lambda|={n_sites} has {size} "
+                   "configurations (cap 1048576)",
+        "details": {"size": size, "cap": 1048576}}
+
+
+@pytest.mark.parametrize("lattice", [{"dim": 1, "radius": 2},
+                                     {"dim": 1, "sizes": [5]}],
+                         ids=["window", "torus"])
+def test_a_lattice_locale_must_list_its_charts_sites_and_edges(
+        tmp_path, capsys, lattice):
+    """Stencils and windows are placed by the chart's index arithmetic, so
+    explicit sites and edges beside a lattice entry must be the chart's.
+    The chart's own are read as before; a three-site path labelled with a
+    five-site chart is a usage error."""
+    chart = jsonio.locale_to_json(jsonio.locale_from_json(
+        {"lattice": lattice}))
+    code, report = run(tmp_path, "dims", {"interaction": EXCLUSION,
+                                          "nu": HALF, "locale": chart})
+    assert code == 0 and report["result"]["components"] == 6
+    path = {**path_locale(3), "lattice": lattice}
+    code, report = run(tmp_path, "dims", {"interaction": EXCLUSION,
+                                          "nu": HALF, "locale": path})
+    kind = "window" if "radius" in lattice else "torus"
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (
+        "usage error: malformed input: ValueError('locale sites and edges "
+        f"are not those of its {kind} chart')\n")
+
+
 def test_dims_builds_one_transition_graph(tmp_path, monkeypatch):
     calls = []
 

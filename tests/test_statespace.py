@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -85,6 +86,35 @@ def test_lattice_window_matches_enumeration(meta):
         assert built.site_at(c) == s and built.coord_of(s) == c
 
 
+@pytest.mark.parametrize("dim, radius, sizes", [
+    *((d, r, None) for d in (1, 2, 3) for r in range(4)),
+    *((1, None, (a,)) for a in (3, 4, 5)),
+    *((2, None, sizes) for sizes in itertools.product((3, 4, 5), repeat=2)),
+    *((3, None, sizes) for sizes in [(3, 3, 3), (3, 4, 5), (5, 4, 3)])])
+def test_lattice_window_equals_the_validated_locale(dim, radius, sizes):
+    """lattice_window builds its locale without build_locale's checks; the
+    same sites and edges pass them and give an equal locale."""
+    built = cl.lattice_window(dim, radius=radius, sizes=sizes)
+    assert built == cl.build_locale(built.sites, built.edges, built.lattice)
+    extents = sizes or (2 * radius + 1,) * dim
+    assert len(built.sites) == math.prod(extents)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_lattice_window_rejects_a_bad_dim(dim):
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        cl.lattice_window(dim, radius=1)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        cl.lattice_window(dim, sizes=())
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (2, 5, 3), (1, 1)])
+def test_lattice_window_rejects_a_torus_too_small(sizes):
+    with pytest.raises(cl.SizeTooSmall) as info:
+        cl.lattice_window(len(sizes), sizes=sizes)
+    assert info.value.details == {"sizes": list(sizes)}
+
+
 def test_torus_too_small():
     with pytest.raises(cl.SizeTooSmall):
         cl.lattice_window(1, sizes=(2,))
@@ -151,7 +181,7 @@ def test_state_cap_must_be_a_positive_int(exclusion, cap):
     rho = cl.cocycle_from_coefficients(
         cl.conserved_quantities(exclusion, nu), [[F(1)]])
     spec = cl.invariant_form_from_cocycle(rho, exclusion, 1)
-    calls = [lambda: guard_space(1, cap),
+    calls = [lambda: guard_space(2, 1, cap),
              lambda: cl.enumerate_configs(sites, exclusion, cap),
              lambda: cl.solve_potential(form, state_cap=cap),
              lambda: cl.decompose_invariant_form(

@@ -34,7 +34,6 @@ from .statespace import (
 )
 from .varadhan import (
     decompose_invariant_form,
-    interior_edges,
     invariant_form_from_cocycle,
 )
 
@@ -99,7 +98,7 @@ def _run_project(payload: dict, args: argparse.Namespace) -> dict:
     """Conditional expectation of a function or form."""
     interaction = jsonio.interaction_from_json(payload["interaction"])
     mu = jsonio.measure_from_json(payload["measure"], interaction, args.mode)
-    target = siteset(payload["target"])
+    target = siteset(jsonio.site_list(payload["target"], "target"))
     if "fn" in payload:
         f = jsonio.fn_table_from_json(payload["fn"], interaction, args.mode)
         projected = conditional_expectation(f, target, mu)
@@ -128,7 +127,8 @@ def _run_dims(payload: dict, args: argparse.Namespace) -> dict:
     """Kernel components and closed-form dimensions."""
     interaction, _ = _load_common(payload, args)   # nu is read and checked
     locale = jsonio.locale_from_json(payload["locale"])
-    sites = siteset(payload.get("siteset", locale.sites))
+    sites = (siteset(jsonio.site_list(payload["siteset"], "siteset"))
+             if "siteset" in payload else siteset(locale.sites))
     graph = transition_graph(sites, interaction, locale, args.state_cap)
     size, components = graph.space.size, graph.n_components
     # closed forms are exact on a finite graph: dim Z1 is the rank of the
@@ -174,14 +174,13 @@ def _run_varadhan(payload: dict, args: argparse.Namespace) -> dict:
             decomposition.residual_spec, args.mode),
     }
     if decomposition.residual_form is not None:
-        inside = set(interior_edges(window, decomposition.margin))
-        interior = [e for e in decomposition.residual_form.edges if e in inside]
+        tables = decomposition.residual_form.tables
         result["residual_interior_edges"] = [
             {"edge": list(e),
-             "values": jsonio.format_numerators(
-                 *decomposition.residual_form.tables[e].numerators, args.mode),
-             "support": list(decomposition.residual_form.tables[e].sites)}
-            for e in interior]
+             "values": jsonio.format_numerators(*tables[e].numerators,
+                                                args.mode),
+             "support": list(tables[e].sites)}
+            for e in decomposition.interior]
     return result
 
 
@@ -190,7 +189,8 @@ def _run_martingale(payload: dict, args: argparse.Namespace) -> dict:
     interaction, nu = _load_common(payload, args)
     mu = ProductMeasure(nu)
     f = jsonio.fn_table_from_json(payload["fn"], interaction, args.mode)
-    chain = [siteset(w) for w in payload["chain"]]
+    chain = [siteset(w)
+             for w in jsonio.site_lists(payload["chain"], "chain")]
     return martingale_chain_report(f, chain, mu).to_json_dict(args.mode)
 
 

@@ -48,6 +48,7 @@ from .statespace import (
     apply_transition,
     edges_within,
     guard_space,
+    kept_moves,
     kron,
     require_reversible,
     spread,
@@ -413,13 +414,14 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     a potential (phi is reversible, so the reversed orientation's
     transitions are their inverses).  Of each two changed pairs of phi
     that move into each other across one directed edge (both moves of
-    exclusion) the pass reads one (``_kept_moves``), and alternation,
-    omega(eta) + omega(eta^e) = 0, checked first on each pair's own
-    table, covers the other.  On d=1 paths each component has one
-    local minimum, its smallest configuration, and the scan is certified
-    as it stands.  Otherwise (on a d=2 box other local minima are the
-    rule: two particles at sites 5 and 8 of the 3x3 box have no smaller
-    neighbour, but their component starts at 7 and 8) the trees are
+    exclusion) the pass reads one (``statespace.kept_moves``, the rule
+    the component labelling of ``TransitionGraph`` reads too), and
+    alternation, omega(eta) + omega(eta^e) = 0, checked first on each
+    pair's own table, covers the other.  On d=1 paths each component has
+    one local minimum, its smallest configuration, and the scan is
+    certified as it stands.  Otherwise (on a d=2 box other local minima
+    are the rule: two particles at sites 5 and 8 of the 3x3 box have no
+    smaller neighbour, but their component starts at 7 and 8) the trees are
     joined: every transition between two trees says how their constants
     differ, a weighted union-find over those links shifts each tree onto
     the first tree of its component in lexicographic order, and the same
@@ -429,7 +431,7 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     """
     guard_space(form.n_states, len(form.sites), state_cap)
     dense, den = _dense_tables(form)
-    kept, inverse = _kept_moves(form.interaction)
+    kept, inverse = kept_moves(form.interaction)
     if any(_alternating(form.tables[pair], pair, form.space, inverse)
            is not None for pair in form.edges):
         raise _witness(form, dense, den)
@@ -446,23 +448,6 @@ def solve_potential(form: Form, mu: Optional[Measure] = None, *,
     if mu is not None:
         table = table.shift(-expectation(table, mu))
     return table
-
-
-def _kept_moves(interaction: Interaction) -> tuple[list, list]:
-    """The changed pairs ``((a, b), (a2, b2))`` of phi whose transitions
-    certification reads, and those of them whose image moves back,
-    phi(a2, b2) = (a, b).  Of two such pairs each one's transitions across
-    a directed edge are the inverses of the other's; the one whose own
-    states come first is kept."""
-    kept, inverse = [], []
-    for move in interaction.changed_pairs():
-        ab, moved = move
-        if interaction.phi_pair(*moved) == ab:
-            if moved < ab:
-                continue
-            inverse.append(move)
-        kept.append(move)
-    return kept, inverse
 
 
 def _alternating(table: FnTable, pair: Edge, space: ConfigSpace,

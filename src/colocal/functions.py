@@ -257,12 +257,24 @@ def conserved_quantities(interaction: Interaction,
     together with ``xi(base) = 0`` by exact elimination (each free state set
     to 1 in turn), then each basis vector is centered by its nu-mean.  The
     centering is a bijection between the base-normalized and mean-normalized
-    solution spaces, so the result is a basis.
+    solution spaces, so the result is a basis.  The interaction keeps the
+    basis per measure (``Interaction.conserved_bases``), so a run that asks
+    again, as ``varadhan`` does when it reads a cocycle over the basis and
+    then decomposes, solves once.
     """
     n = interaction.n_states
     if nu.n_states != n:
         raise SiteSetMismatch("measure and interaction state counts differ",
                               n_states=n, measure_states=nu.n_states)
+    bases = interaction.conserved_bases
+    if nu not in bases:
+        bases[nu] = _conserved_basis(interaction, nu)
+    return list(bases[nu])
+
+
+def _conserved_basis(interaction: Interaction,
+                     nu: StateMeasure) -> tuple[ConservedQuantity, ...]:
+    n = interaction.n_states
     rows = []
     for (i, j), (i2, j2) in interaction.changed_pairs():
         row = [Fraction(0)] * n
@@ -275,12 +287,11 @@ def conserved_quantities(interaction: Interaction,
     base_row = [Fraction(0)] * n
     base_row[interaction.base_index] = Fraction(1)
     rows.append(base_row)
-
     basis = []
     for vec in linalg.nullspace(rows, n):
         mean = nu.mean(vec)
         basis.append(ConservedQuantity(tuple(v - mean for v in vec)))
-    return basis
+    return tuple(basis)
 
 
 def conserved_colocal(xi: ConservedQuantity, sites: SiteSet,

@@ -56,10 +56,33 @@ def _int(value, field: str) -> int:
     return value
 
 
+def _is_site_list(value) -> bool:
+    return isinstance(value, list) and not any(
+        isinstance(s, bool) or not isinstance(s, int) for s in value)
+
+
+def site_list(value, field: str) -> list[int]:
+    """The value of a field that must be a JSON list of site ids: ints that
+    are not bools."""
+    if not _is_site_list(value):
+        raise ValueError(f"{field} must be a list of ints, got {value!r}")
+    return value
+
+
+def site_lists(value, field: str) -> list[list[int]]:
+    """The value of a field that must be a JSON list of site lists (see
+    ``site_list``)."""
+    if not isinstance(value, list) or not all(map(_is_site_list, value)):
+        raise ValueError(
+            f"{field} must be a list of lists of ints, got {value!r}")
+    return value
+
+
 def locale_from_json(obj: dict) -> Locale:
     lattice = _object(obj, "locale").get("lattice")
     if lattice is None:
-        return build_locale(obj["sites"], [tuple(e) for e in obj["edges"]])
+        return build_locale(site_list(obj["sites"], "locale sites"),
+                            site_lists(obj["edges"], "locale edges"))
     dim = _int(_object(lattice, "lattice")["dim"], "lattice dim")
     if "radius" in lattice:
         kind, radius = "window", _int(lattice["radius"], "lattice radius")
@@ -73,7 +96,8 @@ def locale_from_json(obj: dict) -> Locale:
     chart = lattice_window(dim, radius=radius, sizes=sizes)
     if "sites" in obj:
         # stencils and windows are placed by the chart's index arithmetic
-        given = build_locale(obj["sites"], [tuple(e) for e in obj["edges"]],
+        given = build_locale(site_list(obj["sites"], "locale sites"),
+                             site_lists(obj["edges"], "locale edges"),
                              chart.lattice)
         if given != chart:
             raise ValueError(
@@ -144,7 +168,7 @@ def measure_from_json(obj: dict, interaction: Interaction,
             obj["nu"], interaction.states, mode))
     if kind != "window":
         raise ValueError(f"unknown measure kind {kind!r}")
-    sites = siteset(obj["siteset"])
+    sites = siteset(site_list(obj["siteset"], "measure siteset"))
     n = interaction.n_states
     size = n ** len(sites)
     weights = obj["weights"]
@@ -157,7 +181,7 @@ def measure_from_json(obj: dict, interaction: Interaction,
 
 def fn_table_from_json(obj: dict, interaction: Interaction,
                        mode: str = "exact") -> FnTable:
-    sites = siteset(obj["siteset"])
+    sites = siteset(site_list(obj["siteset"], "fn siteset"))
     return FnTable.from_numerators(sites, interaction.n_states,
                                    *parse_numerators(obj["values"], mode))
 
@@ -175,15 +199,16 @@ def form_from_json(obj: dict, interaction: Interaction,
     values describe."""
     from .forms import make_form
 
-    sites = siteset(obj["siteset"])
+    sites = siteset(site_list(obj["siteset"], "form siteset"))
     tables = {}
     edges = []
     for entry in obj["edges"]:
         edge = entry["edge"]
         if not isinstance(edge, list) or len(edge) != 2:
             raise ValueError(f"form edge {edge!r} is not a list of two sites")
-        edge = tuple(edge)
-        support = siteset(entry.get("support", obj["siteset"]))
+        edge = tuple(site_list(edge, "form edge"))
+        support = siteset(site_list(entry.get("support", obj["siteset"]),
+                                    "form edge support"))
         tables[edge] = FnTable.from_numerators(
             support, interaction.n_states,
             *parse_numerators(entry["values"], mode))

@@ -282,6 +282,12 @@ class Interaction:
         return validate_interaction(self).ok
 
     @cached_property
+    def conserved_bases(self) -> dict:
+        """``functions.conserved_quantities`` of this phi per state
+        measure, each kept when first worked out."""
+        return {}
+
+    @cached_property
     def is_symmetric(self) -> bool:
         """phi(a, b) = (c, d) exactly when phi(b, a) = (d, c), as in
         exclusion: then the transitions across (o, t) and (t, o) are the
@@ -549,6 +555,24 @@ def transition_runs(space: ConfigSpace, edge: Edge,
     return runs
 
 
+def kept_moves(interaction: Interaction) -> tuple[list, list]:
+    """The changed pairs ``((a, b), (a2, b2))`` of phi whose transitions a
+    pass over every undirected link reads, and those of them whose image
+    moves back, phi(a2, b2) = (a, b).  Of two such pairs each one's
+    transitions across a directed edge are the inverses of the other's
+    (both moves of exclusion); the one whose own states come first is
+    kept."""
+    kept, inverse = [], []
+    for move in interaction.changed_pairs():
+        ab, moved = move
+        if interaction.phi_pair(*moved) == ab:
+            if moved < ab:
+                continue
+            inverse.append(move)
+        kept.append(move)
+    return kept, inverse
+
+
 def kron(vectors: Sequence[Sequence], unit=0, op=add) -> list:
     """Combine one vector per digit in index order, the first vector the
     least significant digit: entry i folds ``op`` from ``unit`` over
@@ -654,10 +678,19 @@ class TransitionGraph:
     target, in index order and then edge order; it is built when read,
     one configuration at a time by the tables of ``transition_offsets``.
     ``pairs`` deduplicates to the underlying graph on configurations; the
-    tests eliminate over it as an independent check of the rank.  The
-    space size minus ``n_components`` (union-find over the runs) is the
-    edge count of a spanning forest: the rank of the differential, and so
-    the closed-form dimension ``dims`` reports.
+    tests eliminate over it as an independent check of the rank.  Both
+    keep every directed transition.  The space size minus
+    ``n_components`` is the edge count of a spanning forest: the rank of
+    the differential, and so the closed-form dimension ``dims`` reports.
+
+    The components depend only on which configurations are linked, so the
+    labelling reads each undirected link once where it can (``_links``).
+    Where phi is symmetric the transitions across (t, o) are the same map
+    as those across (o, t), and where phi is reversible they are its
+    inverse, so one orientation per site pair reaches every link; of each
+    two changed pairs of phi that undo each other across one directed
+    edge, ``kept_moves`` keeps one, whose transitions are the other's
+    reversed.  Every link is still read at least once.
     """
 
     space: ConfigSpace
@@ -668,6 +701,16 @@ class TransitionGraph:
         changed = tuple(self.interaction.changed_pairs())
         for e in self.edges:
             yield from transition_runs(self.space, e, changed)
+
+    def _links(self):
+        """Runs that reach every undirected link of the graph (see the
+        class docstring)."""
+        interaction, edges = self.interaction, self.edges
+        if interaction.is_symmetric or interaction.is_reversible:
+            edges = sorted({(min(e), max(e)) for e in edges})
+        kept, _ = kept_moves(interaction)
+        for e in edges:
+            yield from transition_runs(self.space, e, kept)
 
     @cached_property
     def records(self) -> tuple[tuple[int, Edge, int], ...]:
@@ -688,12 +731,12 @@ class TransitionGraph:
     @cached_property
     def component_labels(self) -> tuple[int, ...]:
         """Component of each configuration, numbered in order of first
-        appearance.  Union-find over the runs keeps every parent at most
+        appearance.  Union-find over ``_links`` keeps every parent at most
         its child (a root is the least index of its tree), so one pass in
         index order meets each root before the rest of its component and
         each parent before its children."""
         parent = list(range(self.space.size))
-        for start, stop, step, delta in self._runs():
+        for start, stop, step, delta in self._links():
             for a in range(start, stop, step):
                 b = a + delta
                 while parent[a] != a:   # path halving

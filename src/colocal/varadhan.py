@@ -584,6 +584,8 @@ class VaradhanDecomposition:
     # ``residual_potential``
     theta: Optional[FnTable] = field(default=None, repr=False, compare=False)
     mean: Optional[Fraction] = field(default=None, repr=False, compare=False)
+    # window mode: ``interior_edges(window, margin)``, which the checks read
+    interior: tuple[Edge, ...] = field(default=(), repr=False, compare=False)
 
     @cached_property
     def residual_potential(self) -> Optional[FnTable]:
@@ -675,7 +677,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         theta = solve_potential(spec.materialize(window, nu),
                                 state_cap=state_cap)
         singles, mean = _site_components(theta, mu)
-        inner = _interior(window, margin)[1]
+        inner = tuple(_interior(window, margin)[1])
         rows = []
         for axis in range(dim):
             # (s, s - unit) with both in the interior, by ascending s
@@ -689,6 +691,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                                        f"axis {axis} interior"))
     else:
         theta = mean = residual_form = None
+        inner = ()
         checks["closedness_window_radius"] = _validate_closed_locally(
             spec, nu, state_cap)
         rows = []
@@ -725,7 +728,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         for axis in range(dim))
 
     return VaradhanDecomposition(rho, residual_spec, residual_form, window,
-                                 margin, mode, checks, theta, mean)
+                                 margin, mode, checks, theta, mean, inner)
 
 
 def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:

@@ -634,9 +634,50 @@ def stencil_r4_with(part, **lattice):
     ("dims", {"interaction": EXCLUSION, "nu": HALF,
               "locale": {"lattice": {"dim": 1, "sizes": [4.0]}}},
      "lattice sizes entry must be an int, got 4.0"),
+    # at the parent each character a site: NotConnected (missing "b")
+    ("iq", {"interaction": EXCLUSION, "nu": HALF,
+            "locales": [{"sites": "ab", "edges": []}]},
+     "locale sites must be a list of ints, got 'ab'"),
+    # at the parent a raw TypeError("'int' object is not iterable")
+    ("dims", {"interaction": EXCLUSION, "nu": HALF,
+              "locale": {"sites": [0, 1], "edges": [5]}},
+     "locale edges must be a list of lists of ints, got [5]"),
+    ("dims", {"interaction": EXCLUSION, "nu": HALF,
+              "locale": {"sites": [0, 1], "edges": 5}},
+     "locale edges must be a list of lists of ints, got 5"),
+    # at the parent NotSubset (outside ["x"])
+    ("dims", {"interaction": EXCLUSION, "nu": HALF, "locale": PAIR,
+              "siteset": "x"},
+     "siteset must be a list of ints, got 'x'"),
+    # at the parent accepted as site 1, exit 0
+    ("dims", {"interaction": EXCLUSION, "nu": HALF, "locale": PAIR,
+              "siteset": [True]},
+     "siteset must be a list of ints, got [True]"),
+    ("expand", {"interaction": EXCLUSION, "nu": HALF, "locale": PAIR,
+                "fn": {"siteset": "01", "values": ["0"] * 4}},
+     "fn siteset must be a list of ints, got '01'"),
+    ("closed", {"interaction": EXCLUSION,
+                "form": {"siteset": [False, True],
+                         "edges": [{"edge": [0, 1],
+                                    "values": ["0", "1", "-1", "0"]}]}},
+     "form siteset must be a list of ints, got [False, True]"),
+    ("closed", {"interaction": EXCLUSION,
+                "form": {"siteset": [0, 1],
+                         "edges": [{"edge": [0, 1], "support": "01",
+                                    "values": ["0", "1", "-1", "0"]}]}},
+     "form edge support must be a list of ints, got '01'"),
+    ("project", {"interaction": EXCLUSION, "target": [False], "fn": TABLE,
+                 "measure": {"nu": HALF}},
+     "target must be a list of ints, got [False]"),
+    ("martingale", {"interaction": EXCLUSION, "nu": HALF, "fn": TABLE,
+                    "chain": ["0", [0, 1]]},
+     "chain must be a list of lists of ints, got ['0', [0, 1]]"),
 ], ids=["one-site-form-edge", "number-locale", "list-lattice",
         "list-measure", "bool-template-radius", "bool-window-dim",
-        "string-window-radius", "float-torus-size"])
+        "string-window-radius", "float-torus-size", "string-locale-sites",
+        "int-locale-edge", "number-locale-edges", "string-siteset",
+        "bool-siteset", "string-fn-siteset", "bool-form-siteset",
+        "string-form-support", "bool-target", "string-chain-entry"])
 def test_malformed_fields_are_usage_errors(tmp_path, capsys, subcommand,
                                            payload, message):
     """A field of the wrong JSON shape exits 2 with a message naming it,

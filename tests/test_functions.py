@@ -254,6 +254,18 @@ def test_conserved_exclusion(exclusion, half):
     assert half.mean(xi.xi) == 0
 
 
+def test_conserved_basis_is_solved_once_per_measure(exclusion, half):
+    """The interaction keeps one basis per measure; each call hands out
+    its own list of it."""
+    first = cl.conserved_quantities(exclusion, half)
+    first.clear()
+    again = cl.conserved_quantities(exclusion, cl.bernoulli(F(1, 2)))
+    other = cl.conserved_quantities(exclusion, cl.bernoulli(F(1, 5)))
+    assert len(again) == 1 and again[0].xi == (F(-1, 2), F(1, 2))
+    assert other[0].xi == (F(-1, 5), F(4, 5))
+    assert len(exclusion.conserved_bases) == 2
+
+
 def test_conserved_rejects_a_measure_on_other_states(exclusion):
     for nu in (cl.state_measure([1]), cl.uniform_states(3)):
         with pytest.raises(cl.SiteSetMismatch):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import colocal as cl
 from colocal.statespace import LatticeMeta, guard_space
@@ -271,6 +272,87 @@ def test_transition_symmetry_three_state(path3):
         eta = graph.space.config(dst)
         back = cl.apply_transition(eta, (e[1], e[0]), inter)
         assert graph.space.encode(back.assignment) == src
+
+
+def search_labels(graph):
+    """Oracle: components of the undirected graph of ``records``, one
+    search per unlabelled configuration in index order, so labels number
+    components by first appearance."""
+    size = graph.space.size
+    adjacent = [[] for _ in range(size)]
+    for src, _, dst in graph.records:
+        adjacent[src].append(dst)
+        adjacent[dst].append(src)
+    labels = [None] * size
+    count = 0
+    for root in range(size):
+        if labels[root] is None:
+            labels[root], stack = count, [root]
+            while stack:
+                for b in adjacent[stack.pop()]:
+                    if labels[b] is None:
+                        labels[b] = count
+                        stack.append(b)
+            count += 1
+    return tuple(labels)
+
+
+def random_phi(rng, n, kind):
+    """A phi map on range(n) of the given kind: "any" pairs drawn freely,
+    "symmetric" closed under phi(b, a) = (d, c), "inverse" with changed
+    pairs moved back by their image, "reversible" built from pairs
+    (i, j) -> (a, b) together with (b, a) -> (j, i)."""
+    pairs = list(itertools.product(range(n), repeat=2))
+    rng.shuffle(pairs)
+    share = rng.choice([0.3, 0.6, 1.0])
+    phi = {}
+    for ij in pairs:
+        if ij in phi or rng.random() > share:
+            continue
+        ab = rng.choice(pairs)
+        if kind == "reversible":
+            back = (ab[1], ab[0])
+            if ab != ij and back not in phi:
+                phi[ij], phi[back] = ab, (ij[1], ij[0])
+            continue
+        if kind == "symmetric":
+            if ij[0] == ij[1]:   # phi(a, a) = (c, d) needs c = d
+                ab = (ab[0], ab[0])
+            phi[ij[::-1]] = ab[::-1]
+        elif kind == "inverse" and ab not in phi:
+            phi[ab] = ij
+        phi[ij] = ab
+    return phi
+
+
+LABELLED_LOCALES = [
+    cl.lattice_window(1, radius=3),              # path
+    cl.lattice_window(1, sizes=(6,)),            # ring
+    cl.lattice_window(2, radius=1),              # box
+    cl.lattice_window(2, sizes=(3, 3)),          # torus
+]
+
+
+@pytest.mark.parametrize("kind",
+                         ["any", "symmetric", "inverse", "reversible"])
+@given(st.sampled_from([2, 3]), st.sampled_from(LABELLED_LOCALES),
+       st.integers(0, 2 ** 32))
+def test_component_labels_equal_a_search_over_records(kind, n, locale,
+                                                      seed):
+    """component_labels reads each undirected link once where phi allows
+    (one orientation per site pair, one of two inverse moves); the labels
+    equal those of a search over every directed transition."""
+    rng = random.Random(seed)
+    inter = cl.make_interaction(tuple(range(n)), 0, random_phi(rng, n, kind))
+    if kind == "symmetric":
+        assert inter.is_symmetric
+    if kind == "reversible":
+        assert inter.is_reversible
+    # at most 2^9 or 3^6 configurations
+    cap = min(len(locale.sites), 9 if n == 2 else 6)
+    sites = cl.siteset(rng.sample(locale.sites, rng.randint(2, cap)))
+    graph = cl.transition_graph(sites, inter, locale)
+    assert graph.component_labels == search_labels(graph)
 
 
 # -- group actions ----------------------------------------------------------

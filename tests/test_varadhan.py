@@ -192,6 +192,7 @@ def test_decompose_pure_cocycle_round_trip():
     assert dec.cocycle.images == ((F(1),),)
     assert dec.checks["residual_interior_zero"]
     assert dec.checks["residual_stencil_zero"]
+    assert dec.interior == cl.interior_edges(window, 2)
 
 
 def test_decompose_pure_exact_part():

@@ -11,9 +11,12 @@ configurations).  Local-mode cases decompose the cocycle form of the
 perfbench ``small-batch`` job ``varadhan-local-d2-r6`` (seed 1: two-state
 exclusion, nu = (4/5, 1/5), cocycle (-2, -2/3)) on d=2 windows of radius
 20 and 40 (41x41 and 81x81 sites), far over the state cap: the window is
-read, the stencil is placed on a 3-site probe per axis and on a radius-1
-box, and nothing scales with the window but its reading and its
-placement.  Subset-cap cases expand a seeded function on a path of
+read, the stencil is placed on a 3-site probe per axis and on the
+plaquette whose cycles certify closedness, and nothing scales with the
+window but its reading and its placement.  A further local-mode case runs
+the input of the ``varadhan-local-d2`` golden (a cocycle plus a radius-1
+potential stencil) on the d=2 window of radius 20: its anchors read
+beyond their edges, so its commuting squares are checked too.  Subset-cap cases expand a seeded function on a path of
 10, 12, 13 and 14 two-state sites under nu = (3/5, 2/5); its entries are
 p/q with |p| <= 4 and q <= 3, so they repeat, as in the benchmark's
 tables.  The transition-graph cases check irreducible quantification of
@@ -32,8 +35,11 @@ tree; the report keeps every run and the medians.
 
 With ``--baseline REV`` the same cases also run on the ``src/`` tree of
 that git revision (exported with ``git archive`` to a temporary
-directory), the two trees alternating which runs first; the output hashes
-of the two trees must agree.  Standard library only.
+directory), the two trees alternating which runs first.  The runs of one
+tree must agree byte for byte, and the output of every run must agree once
+``result.checks`` is left out (``sha256_sans_checks``); a case whose
+``checks`` differ between the trees records one ``sha256`` per tree.
+Standard library only.
 
     python scripts/cap_sweep.py --baseline HEAD~1 --out BENCH.json
 """
@@ -93,6 +99,17 @@ def local_case(radius: int) -> dict:
                         "cocycle": LOCAL_D2["cocycle"],
                         "window": {"lattice": {"dim": 2,
                                                "radius": radius}}}}
+
+
+def stencil_case(radius: int) -> dict:
+    """The ``varadhan-local-d2`` golden's input on the d=2 window of the
+    given radius."""
+    payload = json.loads((ROOT / "tests" / "golden"
+                          / "varadhan-local-d2.json").read_text())
+    payload["window"] = {"lattice": {"dim": 2, "radius": radius}}
+    return {"case": f"local-d2-stencil-r{radius}", "subcommand": "varadhan",
+            "exit": 0, "states": 2, "radius": radius,
+            "sites": (2 * radius + 1) ** 2, "payload": payload}
 
 
 def path_locale(n_sites: int) -> dict:
@@ -195,7 +212,7 @@ def closed_case(width: int, height: int, closed: bool = True) -> dict:
 
 CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [varadhan_case("n3-r%d" % r, THREE, r) for r in (4, 5)]
-         + [local_case(r) for r in (20, 40)]
+         + [local_case(r) for r in (20, 40)] + [stencil_case(20)]
          + [expand_case(n) for n in (10, 12, 13, 14)]
          + [iq_case(16)]
          + [dims_case(n) for n in (14, 16)]
@@ -225,13 +242,17 @@ def child(subcommand: str, input_path: str, output_path: str) -> None:
     code = cli.main([subcommand, "--input", input_path,
                      "--output", output_path])
     wall = time.perf_counter() - start
-    digest = hashlib.sha256(Path(output_path).read_bytes()).hexdigest()
+    output = Path(output_path).read_bytes()
+    sans_checks = json.loads(output)
+    sans_checks.get("result", {}).pop("checks", None)
     print(json.dumps({
         "exit": code, "wall_s": wall,
         "solve_potential_s": spent,
         "peak_rss_mib": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "sha256": digest}))
+        "sha256": hashlib.sha256(output).hexdigest(),
+        "sha256_sans_checks": hashlib.sha256(json.dumps(
+            sans_checks, sort_keys=True).encode()).hexdigest()}))
 
 
 def export_tree(rev: str, into: Path) -> Path:
@@ -296,15 +317,21 @@ def main(argv=None) -> int:
                     runs[tree].append(run)
                     print(f"{name} {tree}: {run['wall_s']:.3f} s, "
                           f"{run['peak_rss_mib']:.1f} MiB", file=sys.stderr)
-            hashes = {r["sha256"] for rs in runs.values() for r in rs}
-            if len(hashes) != 1:
+            hashes = {tree: {r["sha256"] for r in rs}
+                      for tree, rs in runs.items()}
+            if any(len(h) != 1 for h in hashes.values()) or len(
+                    {r["sha256_sans_checks"]
+                     for rs in runs.values() for r in rs}) != 1:
                 raise SystemExit(f"{name}: output bytes differ between runs")
+            hashes = {tree: h.pop() for tree, h in hashes.items()}
             results.append({
                 **{k: v for k, v in case.items() if k != "payload"},
-                "sha256": hashes.pop(),
+                "sha256": (hashes if len(set(hashes.values())) > 1
+                           else hashes.popitem()[1]),
                 "median": {tree: summary(rs) for tree, rs in runs.items()},
                 "runs": {tree: [{k: v for k, v in r.items()
-                                 if k not in ("exit", "sha256")}
+                                 if k not in ("exit", "sha256",
+                                              "sha256_sans_checks")}
                                 for r in rs] for tree, rs in runs.items()},
             })
 

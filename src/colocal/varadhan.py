@@ -25,12 +25,14 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
+    NotClosed,
     NotInvariant,
     ResidueNotConserved,
     WindowTooSmall,
 )
 from .forms import (
     Form,
+    Path,
     _check_zero_on_fixed,
     edge_differential,
     solve_potential,
@@ -45,6 +47,8 @@ from .measure import (
 from .scalars import Scalar, exact_scalars, numerators
 from .statespace import (
     DEFAULT_STATE_CAP,
+    Config,
+    ConfigSpace,
     Edge,
     Interaction,
     LatticeMeta,
@@ -188,6 +192,12 @@ def zero_cocycle(basis: Sequence[ConservedQuantity], dim: int,
 def _require_lattice_window(window: Locale) -> None:
     if window.lattice is None or window.lattice.kind != "window":
         raise ValueError("operation requires a lattice box window")
+
+
+def _require_state_measure(nu) -> None:
+    if not isinstance(nu, StateMeasure):
+        raise ValueError(
+            f"nu must be a StateMeasure, got {type(nu).__name__}")
 
 
 def _origin(meta: LatticeMeta) -> int:
@@ -403,6 +413,7 @@ class InvariantFormSpec:
         inside ``keep`` (default: the window) gets the translated anchor
         table, with sites outside ``keep`` integrated out against nu."""
         _require_lattice_window(window)
+        _require_state_measure(nu)
         ambient = keep if keep is not None else siteset(window.sites)
         tables = _place([self.anchor_table(axis) for axis in range(self.dim)],
                         self.template, window, ambient, nu)
@@ -638,7 +649,11 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     potential theta - theta_rho - E[theta], built from theta and E[theta]
     when first read.  On larger windows the same single-site components
     are computed exactly from solves on three-site sub-windows per axis,
-    and the residual is returned as a stencil only.
+    and the residual is returned as a stencil only.  Closedness is then
+    checked on the stencil's local cycles (``_certify_closed``), or, for
+    rules, dimensions or caps outside that check, by a solve on a box
+    (``_validate_closed_locally``); ``checks["closedness"]`` is
+    ``"local_cycles"`` or ``"box"``.
     """
     _require_lattice_window(window)
     dim = window.lattice.dim
@@ -647,6 +662,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     if margin is not None and (isinstance(margin, bool)
                                or not isinstance(margin, int) or margin < 0):
         raise ValueError(f"margin must be a non-negative int, got {margin!r}")
+    _require_state_measure(nu)
     check_cap(state_cap)
     interaction = spec.interaction
     n = interaction.n_states
@@ -692,8 +708,12 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     else:
         theta = mean = residual_form = None
         inner = ()
-        checks["closedness_window_radius"] = _validate_closed_locally(
-            spec, nu, state_cap)
+        if _certify_closed(spec, window, state_cap):
+            checks["closedness"] = "local_cycles"
+        else:
+            checks["closedness"] = "box"
+            checks["closedness_window_radius"] = _validate_closed_locally(
+                spec, nu, state_cap)
         rows = []
         origin = _origin(window.lattice)
         for axis in range(dim):
@@ -755,10 +775,146 @@ def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:
     return True
 
 
+def _certify_closed(spec: InvariantFormSpec, window: Locale,
+                    state_cap: int) -> bool:
+    """Check the stencil's integral on its local cycles, one translate of
+    each type; False, with nothing checked, outside two-state exclusion in
+    d=2 and exclusion with any state count in d=1, or where one of the
+    spaces below exceeds ``state_cap``.
+
+    A form is closed when its integral vanishes on every cycle of the
+    configuration graph.  For exclusion the cycles are spanned by local
+    ones: the commuting squares, two moves across disjoint site edges in
+    either order, and the cycles inside one window, three consecutive
+    sites in d=1 and a 2x2 plaquette in d=2.
+    - Proved in d=1, for any state count: the moves are the adjacent
+      transpositions acting on words, and the Coxeter presentation of the
+      symmetric group by them has the squares and the braid hexagons as
+      relators.  The cycles of the Schreier graph with its loops (the
+      fixed moves, which swap equal states) are spanned by the relator
+      cycles and the loops, because the stabilizer of a word is generated
+      by transpositions of equal states, each a conjugate of a loop.  So
+      the cycles that run through fixed moves are covered too: dropping
+      the loops leaves squares and cycles on three consecutive sites.
+    - Only checked in d=2, for two states: the squares and plaquette
+      cycles have the cycle rank of the 3x3 box (the box that
+      ``_validate_closed_locally`` solves on in d=2), by a rank mod
+      2^31 - 1 in ``tests/test_varadhan.py``.  On two states a line of
+      three sites has no cycles.
+    Elsewhere the caller solves on a box instead.
+
+    The integral over a local cycle reads only the tables of its edges,
+    so by translation invariance one translate of each type decides all:
+    - the window: a potential is solved on the union of the supports its
+      edges read, uncut, with only those edges;
+    - the squares that can fail: the anchor edge e of an axis and a
+      disjoint edge f that meets the support of omega_e (a square in which
+      only e meets the support of omega_f is a translate of one with f the
+      anchor).  With Delta_f g(eta) = g(eta^f) - g(eta), the square from
+      eta has integral Delta_e omega_f(eta) - Delta_f omega_e(eta), and
+      both terms vanish where e or f fixes eta.  So it closes when the two
+      tables agree, compared at the sites they depend on; no solve is
+      needed.  In d=2 only squares of perpendicular edges are compared.
+      A square of parallel edges e and f is the sum, over the moves of a
+      path p from eta to eta^f in a plaquette through f on the side away
+      from e, of the squares of e with those moves, plus that plaquette's
+      cycle p - f at eta and at eta^e.  On two states p exists with no
+      move across f itself (the plaquette's moves of one particle count
+      form a cycle or a K_{2,4}), so its moves cross the two sides
+      perpendicular to e and the parallel side a row further away; once
+      that side meets neither support, its square holds by itself.
+    The checked spaces are the window's union and each square's union of
+    supports.  A failure raises NotClosed with a witness on the failing
+    cycle's union, in the site ids of ``window`` when it holds every
+    cycle (else of a box around the origin that does)."""
+    interaction, dim = spec.interaction, spec.dim
+    n = interaction.n_states
+    if not (all(interaction.phi[a][b] == (b, a)
+                for a in range(n) for b in range(n))
+            and (dim == 1 or (dim, n) == (2, 2))):
+        return False
+    anchors = [spec.anchor_table(axis).minimized() for axis in range(dim)]
+    zero = (0,) * dim
+    units = [_unit(axis, dim) for axis in range(dim)]
+    template = spec.template.lattice
+    # per axis, the coordinates of the anchor's support and edge
+    feet = [set(_offsets(anchor.sites, template, zero, template)[0])
+            | {zero, unit} for anchor, unit in zip(anchors, units)]
+
+    def reach(axis, at):
+        return {_coord_add(at, c) for c in feet[axis]}
+
+    window_edges = ([(0, (-1,)), (0, zero)] if dim == 1 else
+                    [(axis, at) for axis in range(dim)
+                     for at in (zero, units[1 - axis])])
+    union = set().union(*(reach(axis, at) for axis, at in window_edges))
+    # (a, b, at): the anchor edge of axis a and the axis-b edge leaving
+    # ``at``, disjoint from it and meeting its support
+    pairs = {(a, b, at) for a in range(dim) for q in feet[a]
+             for b in range(dim) for at in (q, _coord_sub(q, units[b]))
+             if not {at, _coord_add(at, units[b])} & {zero, units[a]}}
+    # in d=2 only perpendicular edges (see the docstring); a square listed
+    # from both its edges is kept as its translate of smaller key
+    squares = []
+    for a, b, at in sorted(pairs):
+        mirror = (b, a, _coord_sub(zero, at))
+        if not ((a == b and dim == 2)
+                or (mirror in pairs and mirror < (a, b, at))):
+            squares.append((a, b, at))
+    unions = [union] + [reach(a, zero) | reach(b, at)
+                        for a, b, at in squares]
+    if any(n ** len(sites) > state_cap for sites in unions):
+        return False
+    need = max(abs(x) for sites in unions for c in sites for x in c)
+    chart = (window.lattice if window.lattice.radius >= need
+             else lattice_window(dim, need).lattice)
+    origin = _origin(chart)
+    steps = [_offsets(anchor.sites, template, zero, chart)[1]
+             for anchor in anchors]
+
+    def placed(axis, at):
+        o = origin + sum(map(mul, at, chart.strides))
+        return (o, o + chart.strides[axis]), FnTable.from_numerators(
+            SiteSet(tuple(o + d for d in steps[axis])), n,
+            *anchors[axis].numerators)
+
+    tables = dict(placed(axis, at) for axis, at in window_edges)
+    sites = siteset(s for edge, table in tables.items()
+                    for s in (*edge, *table.sites))
+    solve_potential(Form(sites, interaction, tuple(sorted(tables)), tables),
+                    state_cap=state_cap)
+    for a, b, at in squares:
+        (e, omega_e), (f, omega_f) = placed(a, zero), placed(b, at)
+        lhs = edge_differential(omega_e.embed(omega_e.sites.union(
+            SiteSet(f))), interaction, f)
+        rhs = edge_differential(omega_f.embed(omega_f.sites.union(
+            SiteSet(e))), interaction, e)
+        if not (lhs.equals(rhs) if lhs.sites == rhs.sites else
+                lhs.minimized().equals(rhs.minimized())):
+            raise _square_not_closed(e, f, lhs, rhs)
+    return True
+
+
+def _square_not_closed(e: Edge, f: Edge, lhs: FnTable,
+                       rhs: FnTable) -> NotClosed:
+    """NotClosed for the square eta -e-> -f-> -e-> -f-> eta at the first
+    configuration of the union where Delta_f omega_e (``lhs``) and
+    Delta_e omega_f (``rhs``) differ; its integral, omega_e(eta) +
+    omega_f(eta^e) - omega_e(eta^f) - omega_f(eta), is rhs - lhs there."""
+    sites = lhs.sites.union(rhs.sites)
+    a, b = lhs.embed(sites).values, rhs.embed(sites).values
+    idx = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    start = Config(sites, ConfigSpace(sites, lhs.n_states).decode(idx))
+    return NotClosed("stencil has a commuting square with nonzero integral",
+                     witness=Path(start, (e, f, e[::-1], f[::-1])),
+                     integral=b[idx] - a[idx], cycle_length=4)
+
+
 def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,
                              state_cap) -> Optional[int]:
-    """Check closedness on the largest materializable box window; returns
-    its radius, or None when even radius 1 exceeds the cap."""
+    """Check closedness on the largest materializable box window, with
+    boundary cuts; returns its radius, or None when even radius 1 exceeds
+    the cap.  Nothing beyond that box is proved."""
     n = spec.interaction.n_states
     for radius in range(spec.stencil_radius + 1, 0, -1):
         if n ** ((2 * radius + 1) ** spec.dim) <= state_cap:

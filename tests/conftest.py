@@ -25,15 +25,12 @@ def rand_table(rng, sites, n_states=2):
 RANK_PRIME = (1 << 61) - 1
 
 
-def differential_rank(graph):
-    """Rank of the differential: one row e_dst - e_src per transition pair,
-    reduced by sparse elimination modulo the prime 2^61 - 1.  The matrix is
-    an incidence matrix, hence totally unimodular, so its rank modulo p is
-    its rational rank.  It does not use the component count."""
-    p = RANK_PRIME
+def rank_mod(rows, p: int) -> int:
+    """Rank modulo the prime p of sparse integer rows ({column: value}),
+    by elimination on each row's least column."""
     pivots: dict[int, dict[int, int]] = {}   # leading column -> monic row
-    for src, dst in sorted({(min(s, d), max(s, d)) for s, d in graph.pairs}):
-        row = {src: p - 1, dst: 1}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
         while row:
             col = min(row)
             pivot = pivots.get(col)
@@ -49,6 +46,15 @@ def differential_rank(graph):
                 else:
                     del row[c]
     return len(pivots)
+
+
+def differential_rank(graph):
+    """Rank of the differential: one row e_dst - e_src per transition pair,
+    reduced by sparse elimination modulo the prime 2^61 - 1.  The matrix is
+    an incidence matrix, hence totally unimodular, so its rank modulo p is
+    its rational rank.  It does not use the component count."""
+    pairs = sorted({(min(s, d), max(s, d)) for s, d in graph.pairs})
+    return rank_mod(({src: -1, dst: 1} for src, dst in pairs), RANK_PRIME)
 
 
 @pytest.fixture

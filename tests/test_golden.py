@@ -36,7 +36,10 @@ a three-state window of radius 4 under a seeded cocycle plus a potential
 stencil of radius 2, with the margin set to 2, below its default of 3 (so
 the printed residual edges reach the stencil's boundary effects), and a
 local-mode d=2 run on the box of radius 3 (a cocycle plus the stencil of a
-two-site potential core given by its anchor edges only)."""
+two-site potential core given by its anchor edges only).  The local-mode
+run's ``checks`` name the closedness check that ran: ``"closedness":
+"local_cycles"`` replaced ``"closedness_window_radius": 1`` when local
+mode stopped solving on a box; every other byte is as captured."""
 
 import json
 import re

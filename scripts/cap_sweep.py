@@ -11,9 +11,9 @@ configurations).  Local-mode cases decompose the cocycle form of the
 perfbench ``small-batch`` job ``varadhan-local-d2-r6`` (seed 1: two-state
 exclusion, nu = (4/5, 1/5), cocycle (-2, -2/3)) on d=2 windows of radius
 20 and 40 (41x41 and 81x81 sites), far over the state cap: the window is
-read, the stencil is placed on a 3-site probe per axis and on the
-plaquette whose cycles certify closedness, and nothing scales with the
-window but its reading and its placement.  A further local-mode case runs
+read, the stencil is placed on the plaquette whose cycles certify
+closedness and whose solve gives the cocycle, and nothing scales with the
+window but its reading.  A further local-mode case runs
 the input of the ``varadhan-local-d2`` golden (a cocycle plus a radius-1
 potential stencil) on the d=2 window of radius 20: its anchors read
 beyond their edges, so its commuting squares are checked too.  Subset-cap cases expand a seeded function on a path of

@@ -29,6 +29,7 @@ from .measure import ProductMeasure, conditional_expectation
 from .statespace import (
     DEFAULT_STATE_CAP,
     DEFAULT_SUBSET_CAP,
+    check_int,
     siteset,
     transition_graph,
 )
@@ -147,9 +148,7 @@ def _run_varadhan(payload: dict, args: argparse.Namespace) -> dict:
     """Decompose a shift-invariant closed form."""
     interaction, nu = _load_common(payload, args)
     basis = conserved_quantities(interaction, nu)
-    dim = payload["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"dim must be a positive int, got {dim!r}")
+    dim = check_int(payload["dim"], "dim", 1)
     window = jsonio.locale_from_json(payload["window"])
     spec = None
     if "cocycle" in payload:

@@ -38,7 +38,7 @@ from .statespace import (
     Interaction,
     Locale,
     SiteSet,
-    check_cap,
+    check_int,
     guard_space,
     interleave,
     kron,
@@ -163,7 +163,7 @@ def expand_martingale(f: FnTable, nu: Measure,
     proper-subset component from every projection.  Components are keyed
     by size, then lexicographically.
     """
-    check_cap(subset_cap, "subset_cap")
+    check_int(subset_cap, "subset_cap", 1)
     if isinstance(nu, StateMeasure):
         prod = ProductMeasure(nu)
     elif isinstance(nu, ProductMeasure):

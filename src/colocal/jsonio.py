@@ -29,6 +29,7 @@ from .statespace import (
     Locale,
     SiteSet,
     build_locale,
+    check_int,
     lattice_window,
     make_interaction,
     require_reversible,
@@ -48,13 +49,6 @@ def _object(value, field: str) -> dict:
 
 
 # -- locale -------------------------------------------------------------
-
-def _int(value, field: str) -> int:
-    """The value of a field that must be a JSON integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an int, got {value!r}")
-    return value
-
 
 def _is_site_list(value) -> bool:
     return isinstance(value, list) and not any(
@@ -83,16 +77,17 @@ def locale_from_json(obj: dict) -> Locale:
     if lattice is None:
         return build_locale(site_list(obj["sites"], "locale sites"),
                             site_lists(obj["edges"], "locale edges"))
-    dim = _int(_object(lattice, "lattice")["dim"], "lattice dim")
+    dim = check_int(_object(lattice, "lattice")["dim"], "lattice dim")
     if "radius" in lattice:
-        kind, radius = "window", _int(lattice["radius"], "lattice radius")
+        kind, radius = "window", check_int(lattice["radius"],
+                                           "lattice radius")
         sizes = None
     else:
         sizes = lattice["sizes"]
         if not isinstance(sizes, list):
             raise ValueError(f"lattice sizes must be a list, got {sizes!r}")
         kind, radius = "torus", None
-        sizes = tuple(_int(s, "lattice sizes entry") for s in sizes)
+        sizes = tuple(check_int(s, "lattice sizes entry") for s in sizes)
     chart = lattice_window(dim, radius=radius, sizes=sizes)
     if "sites" in obj:
         # stencils and windows are placed by the chart's index arithmetic

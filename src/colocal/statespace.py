@@ -208,18 +208,18 @@ def lattice_window(dim: int, radius: Optional[int] = None,
     of every block of ``stride * extent`` consecutive sites step by the
     axis stride.  A graph made this way is simple, symmetric and connected,
     so it skips the checks of :func:`build_locale`."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    check_int(dim, "dim", 1)
     if (radius is None) == (sizes is None):
         raise ValueError("give exactly one of radius or sizes")
     if radius is not None:
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
+        check_int(radius, "radius", 0)
         meta = LatticeMeta(dim, "window", radius=radius)
     else:
         sizes = tuple(sizes)
         if len(sizes) != dim:
             raise ValueError("need one size per dimension")
+        for k, size in enumerate(sizes):
+            check_int(size, f"sizes[{k}]")
         small = [s for s in sizes if s < 3]
         if small:
             raise SizeTooSmall(
@@ -472,11 +472,14 @@ def enumerate_configs(sites: SiteSet, interaction: Interaction,
     return space
 
 
-def check_cap(cap, name: str = "state_cap") -> None:
-    """Raise ValueError unless the cap called ``name`` is a positive int
-    (not a bool)."""
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"{name} must be a positive int, got {cap!r}")
+def check_int(value, name: str, least: Optional[int] = None) -> int:
+    """``value``, an int (not a bool) of at least ``least`` (0 or 1) where
+    given; else a ValueError that names ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[least]
+        raise ValueError(f"{name} must be {kind} int, got {value!r}")
+    return value
 
 
 def guard_space(n_states: int, n_sites: int, state_cap: int,
@@ -485,7 +488,7 @@ def guard_space(n_states: int, n_sites: int, state_cap: int,
     exceed the cap.  The ``size`` detail is that int, or the string
     ``"n^k"`` where the int has more digits than Python converts to text
     (``sys.get_int_max_str_digits``); the message writes it the same way."""
-    check_cap(state_cap)
+    check_int(state_cap, "state_cap", 1)
     size = n_states ** n_sites
     if size > state_cap:
         try:

@@ -11,7 +11,7 @@ given a shift-invariant closed form, solving for a potential and taking the
 shift residue of its single-site expansion components recovers the cocycle;
 expansion components of a projected chain are exact on any sub-window by the
 tower property, so the recovery works on windows far too large to enumerate
-by solving on small sub-windows instead.
+by solving on the small window that checks closedness instead.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .statespace import (
     LatticeMeta,
     Locale,
     SiteSet,
-    check_cap,
+    check_int,
     guard_space,
     kron,
     lattice_window,
@@ -63,6 +63,8 @@ from .statespace import (
 from .tables import FnTable, aligned, fn_zeros
 
 Coord = tuple[int, ...]
+# a closedness solve: its chart, its edges (o, t), o < t, and its potential
+Solve = tuple[LatticeMeta, tuple[Edge, ...], FnTable]
 
 
 def _as_coord(value, dim: int) -> Coord:
@@ -194,6 +196,12 @@ def _require_lattice_window(window: Locale) -> None:
         raise ValueError("operation requires a lattice box window")
 
 
+def _require_generators(rho: Cocycle, dim: int) -> None:
+    if rho.dim != dim:
+        raise ValueError(
+            f"cocycle has {rho.dim} generator rows, expected {dim}")
+
+
 def _require_state_measure(nu) -> None:
     if not isinstance(nu, StateMeasure):
         raise ValueError(
@@ -267,6 +275,7 @@ def theta_from_cocycle(rho: Cocycle, window: Locale,
     single-site tables ``h_x``.  Exact projection of the infinite potential
     because every ``h_x`` has zero mean."""
     _require_lattice_window(window)
+    _require_generators(rho, window.lattice.dim)
     sites = siteset(window.sites)
     n = rho.n_states
     guard_space(n, len(sites), state_cap)
@@ -282,6 +291,7 @@ def omega_from_cocycle(rho: Cocycle, window: Locale,
     """Differential of the truncated canonical potential, assembled edge by
     edge; every edge table depends only on the two endpoint states."""
     _require_lattice_window(window)
+    _require_generators(rho, window.lattice.dim)
     if interaction.n_states != rho.n_states:
         raise ValueError("cocycle and interaction state counts differ")
     sites = siteset(window.sites)
@@ -312,6 +322,7 @@ def verify_cocycle_identity(rho: Cocycle, window: Locale) -> CocycleIdentityRepo
     the window."""
     _require_lattice_window(window)
     dim = window.lattice.dim
+    _require_generators(rho, dim)
     details = []
     all_ok = True
     for axis in range(dim):
@@ -524,9 +535,7 @@ def invariant_form_from_cocycle(rho: Cocycle, interaction: Interaction,
     """Stencil of the canonical closed form of a cocycle; each anchor table
     depends only on the two endpoint states.  The cocycle must have one
     generator row per axis."""
-    if rho.dim != dim:
-        raise ValueError(
-            f"cocycle has {rho.dim} generator rows, expected {dim}")
+    _require_generators(rho, dim)
     template = lattice_window(dim, 1)
     origin = _origin(template.lattice)
     zero = tuple([Fraction(0)] * rho.n_states)
@@ -647,23 +656,25 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     - d theta_rho, edge by edge at each table's own support (the solver
     certified d theta = omega on every transition), and the residual
     potential theta - theta_rho - E[theta], built from theta and E[theta]
-    when first read.  On larger windows the same single-site components
-    are computed exactly from solves on three-site sub-windows per axis,
-    and the residual is returned as a stencil only.  Closedness is then
-    checked on the stencil's local cycles (``_certify_closed``), or, for
-    rules, dimensions or caps outside that check, by a solve on a box
-    (``_validate_closed_locally``); ``checks["closedness"]`` is
-    ``"local_cycles"`` or ``"box"``.
+    when first read.  On larger windows closedness is checked by one
+    solve, on the stencil's local cycles (``_certify_closed``) or, for
+    rules, dimensions or caps outside that check, on a box
+    (``_validate_closed_locally``, its radius, never null, in
+    ``checks["closedness_window_radius"]``), or SpaceTooLarge where
+    neither fits the cap.  The cocycle is read off that solve's potential
+    along its own edges (for an irreducibly quantified rule its gauge,
+    constant on the configuration graph's components, is symmetric in the
+    sites the solve moves, so its single-site parts cancel there), and the
+    residual is returned as a stencil only.
     """
     _require_lattice_window(window)
     dim = window.lattice.dim
     if spec.dim != dim:
         raise ValueError("stencil and window dimensions differ")
-    if margin is not None and (isinstance(margin, bool)
-                               or not isinstance(margin, int) or margin < 0):
-        raise ValueError(f"margin must be a non-negative int, got {margin!r}")
+    if margin is not None:
+        check_int(margin, "margin", 0)
     _require_state_measure(nu)
-    check_cap(state_cap)
+    check_int(state_cap, "state_cap", 1)
     interaction = spec.interaction
     n = interaction.n_states
     if nu.n_states != n:
@@ -687,49 +698,33 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     mode = "window" if n ** len(window.sites) <= state_cap else "local"
     checks: dict = {"mode": mode, "margin": margin,
                     "stencil_radius": spec.stencil_radius}
-    mu = ProductMeasure(nu)
-
     if mode == "window":
         theta = solve_potential(spec.materialize(window, nu),
                                 state_cap=state_cap)
-        singles, mean = _site_components(theta, mu)
-        inner = tuple(_interior(window, margin)[1])
-        rows = []
-        for axis in range(dim):
-            # (s, s - unit) with both in the interior, by ascending s
-            stride = window.lattice.strides[axis]
-            pairs = [(t, o) for o, t in inner if t - o == stride]
-            if not pairs:
-                raise WindowTooSmall(
-                    f"interior has no site pairs along axis {axis}",
-                    axis=axis, margin=margin)
-            rows.append(_shift_residue(singles, pairs, basis,
-                                       f"axis {axis} interior"))
+        chart, edges = window.lattice, tuple(_interior(window, margin)[1])
+        where = "interior"
     else:
-        theta = mean = residual_form = None
-        inner = ()
-        if _certify_closed(spec, window, state_cap):
+        solved = _certify_closed(spec, window, state_cap)
+        if solved is not None:
             checks["closedness"] = "local_cycles"
         else:
+            solved = _validate_closed_locally(spec, nu, state_cap)
             checks["closedness"] = "box"
-            checks["closedness_window_radius"] = _validate_closed_locally(
-                spec, nu, state_cap)
-        rows = []
-        origin = _origin(window.lattice)
-        for axis in range(dim):
-            if radius < 1:
-                raise WindowTooSmall(
-                    f"window cannot hold the axis-{axis} probe sites",
-                    axis=axis)
-            stride = window.lattice.strides[axis]
-            sub_sites = [origin - stride, origin, origin + stride]
-            sub = SiteSet(tuple(sub_sites))
-            omega_sub = spec.materialize(window, nu, keep=sub)
-            theta_sub = solve_potential(omega_sub, state_cap=state_cap)
-            low, mid, tip = sub_sites
-            rows.append(_shift_residue(_site_components(theta_sub, mu)[0],
-                                       [(mid, low), (tip, mid)], basis,
-                                       f"axis {axis} probe"))
+            checks["closedness_window_radius"] = solved[0].radius
+        chart, edges, theta = solved
+        where = "probe"   # the closedness solve's window
+    singles, mean = _site_components(theta, ProductMeasure(nu))
+    rows = []
+    for axis in range(dim):
+        # (t, o) over the solve's edges along the axis, by ascending o
+        stride = chart.strides[axis]
+        pairs = [(t, o) for o, t in edges if t - o == stride]
+        if not pairs:
+            raise WindowTooSmall(
+                f"interior has no site pairs along axis {axis}",
+                axis=axis, margin=margin)
+        rows.append(_shift_residue(singles, pairs, basis,
+                                   f"axis {axis} {where}"))
     rho = Cocycle(n, tuple(basis), tuple(rows))
 
     residual_spec = spec - invariant_form_from_cocycle(rho, interaction, dim)
@@ -740,15 +735,18 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
                              {e: t.minimized()
                               for e, t in placed.tables.items()})
         checks["residual_interior_zero"] = all(
-            residual_form.tables[e].is_zero() for e in inner)
+            residual_form.tables[e].is_zero() for e in edges)
         checks["residual_interior_invariant"] = _interior_invariance(
-            residual_form, window.lattice, inner)
+            residual_form, window.lattice, edges)
+    else:
+        theta = mean = residual_form = None
+        edges = ()
     checks["residual_stencil_zero"] = all(
         residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))
 
     return VaradhanDecomposition(rho, residual_spec, residual_form, window,
-                                 margin, mode, checks, theta, mean, inner)
+                                 margin, mode, checks, theta, mean, edges)
 
 
 def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:
@@ -776,9 +774,10 @@ def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:
 
 
 def _certify_closed(spec: InvariantFormSpec, window: Locale,
-                    state_cap: int) -> bool:
+                    state_cap: int) -> Optional[Solve]:
     """Check the stencil's integral on its local cycles, one translate of
-    each type; False, with nothing checked, outside two-state exclusion in
+    each type, and return the chart, edges and potential of the window
+    solve below; None, with nothing checked, outside two-state exclusion in
     d=2 and exclusion with any state count in d=1, or where one of the
     spaces below exceeds ``state_cap``.
 
@@ -832,7 +831,7 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
     if not (all(interaction.phi[a][b] == (b, a)
                 for a in range(n) for b in range(n))
             and (dim == 1 or (dim, n) == (2, 2))):
-        return False
+        return None
     anchors = [spec.anchor_table(axis).minimized() for axis in range(dim)]
     zero = (0,) * dim
     units = [_unit(axis, dim) for axis in range(dim)]
@@ -864,7 +863,7 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
     unions = [union] + [reach(a, zero) | reach(b, at)
                         for a, b, at in squares]
     if any(n ** len(sites) > state_cap for sites in unions):
-        return False
+        return None
     need = max(abs(x) for sites in unions for c in sites for x in c)
     chart = (window.lattice if window.lattice.radius >= need
              else lattice_window(dim, need).lattice)
@@ -881,8 +880,9 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
     tables = dict(placed(axis, at) for axis, at in window_edges)
     sites = siteset(s for edge, table in tables.items()
                     for s in (*edge, *table.sites))
-    solve_potential(Form(sites, interaction, tuple(sorted(tables)), tables),
-                    state_cap=state_cap)
+    edges = tuple(sorted(tables))
+    theta = solve_potential(Form(sites, interaction, edges, tables),
+                            state_cap=state_cap)
     for a, b, at in squares:
         (e, omega_e), (f, omega_f) = placed(a, zero), placed(b, at)
         lhs = edge_differential(omega_e.embed(omega_e.sites.union(
@@ -892,7 +892,7 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
         if not (lhs.equals(rhs) if lhs.sites == rhs.sites else
                 lhs.minimized().equals(rhs.minimized())):
             raise _square_not_closed(e, f, lhs, rhs)
-    return True
+    return chart, edges, theta
 
 
 def _square_not_closed(e: Edge, f: Edge, lhs: FnTable,
@@ -911,15 +911,16 @@ def _square_not_closed(e: Edge, f: Edge, lhs: FnTable,
 
 
 def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,
-                             state_cap) -> Optional[int]:
-    """Check closedness on the largest materializable box window, with
-    boundary cuts; returns its radius, or None when even radius 1 exceeds
-    the cap.  Nothing beyond that box is proved."""
-    n = spec.interaction.n_states
-    for radius in range(spec.stencil_radius + 1, 0, -1):
-        if n ** ((2 * radius + 1) ** spec.dim) <= state_cap:
-            probe = lattice_window(spec.dim, radius)
-            omega = spec.materialize(probe, nu)
-            solve_potential(omega, state_cap=state_cap)
-            return radius
-    return None
+                             state_cap: int) -> Solve:
+    """Solve on the largest box of radius at most ``stencil_radius + 1``
+    that the cap admits, with boundary cuts, and return its chart, edges
+    and potential; SpaceTooLarge past radius 1.  Nothing beyond that box
+    is proved."""
+    n, dim = spec.interaction.n_states, spec.dim
+    radius = next((r for r in range(spec.stencil_radius + 1, 1, -1)
+                   if n ** ((2 * r + 1) ** dim) <= state_cap), 1)
+    guard_space(n, 3 ** dim, state_cap, "closedness box of radius 1")
+    box = lattice_window(dim, radius)
+    omega = spec.materialize(box, nu)
+    return box.lattice, omega.edges, solve_potential(omega,
+                                                     state_cap=state_cap)

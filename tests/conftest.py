@@ -48,6 +48,26 @@ def rank_mod(rows, p: int) -> int:
     return len(pivots)
 
 
+def three_state_d2_stencil_not_closed():
+    """(stencil, nu) for three-state exclusion in d=2 under the uniform
+    measure: eta_{o-1} (eta_o - eta_t) on the horizontal anchor (o, t), 0
+    on the vertical one.  Outside the local-cycle certificate's gate, so
+    local mode checks it by the box solve, whose radius-1 box (3^9
+    configurations) holds a cycle of nonzero integral."""
+    three = cl.exclusion_interaction(3)
+    template = cl.lattice_window(2, radius=1)
+    origin = template.site_at((0, 0))
+    support = cl.siteset([origin - 1, origin, origin + 1])
+    space = cl.ConfigSpace(support, 3)
+    horizontal = cl.FnTable(support, 3, tuple(
+        F(before * (o - t)) for before, o, t in map(space.decode,
+                                                    range(space.size))))
+    vertical = cl.fn_zeros(cl.siteset([origin, origin + 3]), 3)
+    spec = cl.invariant_spec_from_anchors(template, three,
+                                          [vertical, horizontal])
+    return spec, cl.uniform_states(3)
+
+
 def differential_rank(graph):
     """Rank of the differential: one row e_dst - e_src per transition pair,
     reduced by sparse elimination modulo the prime 2^61 - 1.  The matrix is

@@ -10,6 +10,7 @@ import colocal as cl
 from colocal import jsonio
 from colocal.cli import main
 from colocal.scalars import parse_scalar
+from conftest import three_state_d2_stencil_not_closed
 
 EXCLUSION = {"states": [0, 1], "base": 0,
              "phi": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
@@ -186,6 +187,27 @@ def test_dims_over_the_state_cap_is_space_too_large(tmp_path, capsys,
         "message": f"S^Lambda with |Lambda|={n_sites} has {size} "
                    "configurations (cap 1048576)",
         "details": {"size": size, "cap": 1048576}}
+
+
+def test_varadhan_without_room_for_a_closedness_solve(tmp_path, capsys):
+    """Local mode reads the cocycle off its closedness solve: a three-state
+    d=2 stencil, outside the local-cycle gate, whose radius-1 box (3^9
+    configurations) exceeds ``--state-cap`` exits 1 with SpaceTooLarge."""
+    spec, _ = three_state_d2_stencil_not_closed()
+    payload = {"interaction": {"states": [0, 1, 2], "base": 0,
+                               "phi": [[[a, b], [b, a]] for a in range(3)
+                                       for b in range(3) if a != b]},
+               "nu": ["1/3"] * 3, "dim": 2,
+               "window": {"lattice": {"dim": 2, "radius": 2}},
+               "stencil": jsonio.invariant_spec_to_json(spec)}
+    code, report = run(tmp_path, "varadhan", payload, "--state-cap", "6561")
+    assert code == 1 and report["ok"] is False
+    assert capsys.readouterr().err == ""
+    assert report["error"] == {
+        "name": "SpaceTooLarge",
+        "message": "closedness box of radius 1 has 19683 configurations "
+                   "(cap 6561)",
+        "details": {"size": 19683, "cap": 6561}}
 
 
 @pytest.mark.parametrize("lattice", [{"dim": 1, "radius": 2},

@@ -102,8 +102,8 @@ def test_place_equals_the_per_site_oracle(case):
 
 def test_boundary_cuts_are_integrated_against_nu():
     """An anchor reaching two sites past its edge is cut at the window's
-    upper boundary and at the ends of a probe; each cut sums its sites out
-    against nu."""
+    upper boundary and at the ends of a three-site ``keep``; each cut sums
+    its sites out against nu."""
     src = cl.lattice_window(2, 1)
     window = cl.lattice_window(2, 2)
     sites = cl.siteset([src.site_at(c) for c in ((0, 0), (0, 1), (1, 1))])

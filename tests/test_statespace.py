@@ -101,12 +101,28 @@ def test_lattice_window_equals_the_validated_locale(dim, radius, sizes):
     assert len(built.sites) == math.prod(extents)
 
 
-@pytest.mark.parametrize("dim", [0, -1])
-def test_lattice_window_rejects_a_bad_dim(dim):
-    with pytest.raises(ValueError, match="dim must be >= 1"):
-        cl.lattice_window(dim, radius=1)
-    with pytest.raises(ValueError, match="dim must be >= 1"):
-        cl.lattice_window(dim, sizes=())
+@pytest.mark.parametrize("args, message", [
+    pytest.param((0,), "dim must be a positive int, got 0", id="0"),
+    pytest.param((-1,), "dim must be a positive int, got -1", id="-1"),
+    pytest.param((True,), "dim must be a positive int, got True",
+                 id="dim-bool"),
+    pytest.param((1.0,), "dim must be a positive int, got 1.0",
+                 id="dim-float"),
+    pytest.param((1, 1.5), "radius must be a non-negative int, got 1.5",
+                 id="radius-float"),
+    pytest.param((1, -1), "radius must be a non-negative int, got -1",
+                 id="radius-negative"),
+    pytest.param((2, None, [3, 3.0]), "sizes[1] must be an int, got 3.0",
+                 id="sizes-float"),
+    pytest.param((2, None, (3, "x")), "sizes[1] must be an int, got 'x'",
+                 id="sizes-str")])
+def test_lattice_window_rejects_a_bad_dim(args, message):
+    """A ValueError that names the argument; a dim alone is tried with a
+    radius and with sizes."""
+    for call in ([args] if len(args) > 1 else [(*args, 1), (*args, None, ())]):
+        with pytest.raises(ValueError) as info:
+            cl.lattice_window(*call)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("sizes", [(3, 2), (2, 5, 3), (1, 1)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import colocal as cl
-from conftest import rank_mod
+from conftest import rank_mod, three_state_d2_stencil_not_closed
 
 
 def exclusion_cocycle(coeff=F(1)):
@@ -107,6 +107,23 @@ def test_verify_cocycle_identity():
     assert cl.verify_cocycle_identity(zero, window).ok
     with pytest.raises(cl.WindowTooSmall):
         cl.verify_cocycle_identity(rho, cl.lattice_window(1, radius=0))
+
+
+@pytest.mark.parametrize("dim, rows", [(2, 1), (1, 2)],
+                         ids=["too-few", "too-many"])
+@pytest.mark.parametrize("call", [
+    cl.theta_from_cocycle,
+    lambda rho, window: cl.omega_from_cocycle(rho, window,
+                                              cl.exclusion_interaction()),
+    cl.verify_cocycle_identity], ids=["theta", "omega", "identity"])
+def test_cocycle_functions_need_one_generator_per_window_axis(call, dim,
+                                                              rows):
+    _, _, basis, _ = exclusion_cocycle()
+    rho = cl.cocycle_from_coefficients(basis, [[F(1)]] * rows)
+    with pytest.raises(ValueError) as info:
+        call(rho, cl.lattice_window(dim, radius=1))
+    assert str(info.value) == (
+        f"cocycle has {rows} generator rows, expected {dim}")
 
 
 # -- stencils ------------------------------------------------------------------
@@ -379,7 +396,8 @@ def test_decompose_not_closed():
 
 def test_decompose_residue_not_conserved():
     # swapping only states 1 and 2 is not irreducibly quantified: blocked
-    # zeros split level sets, and the probe solves detect it
+    # zeros split level sets, and the interior's shift residues of the
+    # window-mode solve (3^7 configurations) detect it
     inter = cl.make_interaction((0, 1, 2), 0, {(1, 2): (2, 1), (2, 1): (1, 2)})
     nu = cl.uniform_states(3)
     assert not cl.check_iq(inter, nu, [cl.lattice_window(1, radius=1)]).ok
@@ -603,10 +621,12 @@ def test_a_d2_stencil_closed_on_the_radius_1_box_but_not_on_radius_2():
 
 
 def test_closedness_check_names_the_branch_that_ran():
-    """Local cycles for the d=2 two-state cocycle stencil; the box solve
-    where the window cycle's union (5 sites for the pair potential's
-    radius-1 stencil) exceeds the state cap, and for three-state
-    exclusion in d=2, where the local cycles are not known to span."""
+    """Local cycles for the d=2 two-state cocycle stencil; the box solve,
+    on the largest box the cap admits, where a space the certificate reads
+    exceeds the state cap (the pair potential's radius-1 stencil: 5 sites
+    in its window cycle's union, more in its squares'), and for
+    three-state exclusion in d=2, where the local cycles are not known to
+    span.  The cocycle is read off whichever solve ran."""
     exclusion = cl.exclusion_interaction()
     nu = cl.bernoulli(F(1, 2))
     basis = cl.conserved_quantities(exclusion, nu)
@@ -618,13 +638,19 @@ def test_closedness_check_names_the_branch_that_ran():
                           "closedness": "local_cycles",
                           "residual_stencil_zero": True}
 
-    dec = cl.decompose_invariant_form(pair_potential_spec(exclusion),
-                                      cl.lattice_window(1, radius=3), nu,
-                                      state_cap=2 ** 4)
-    assert dec.checks == {"mode": "local", "margin": 2, "stencil_radius": 1,
-                          "closedness": "box",
-                          "closedness_window_radius": 1,
-                          "residual_stencil_zero": False}
+    assert dec.cocycle.images == rho.images
+
+    rho1 = cl.cocycle_from_coefficients(basis, [[F(-3, 2)]])
+    pair = pair_potential_spec(exclusion) + \
+        cl.invariant_form_from_cocycle(rho1, exclusion, 1)
+    for cap, box in ((2 ** 4, 1), (2 ** 5, 2)):
+        dec = cl.decompose_invariant_form(pair, cl.lattice_window(1, radius=3),
+                                          nu, state_cap=cap)
+        assert dec.checks == {"mode": "local", "margin": 2,
+                              "stencil_radius": 1, "closedness": "box",
+                              "closedness_window_radius": box,
+                              "residual_stencil_zero": False}
+        assert dec.cocycle.images == rho1.images
 
     three = cl.exclusion_interaction(3)
     nu3 = cl.uniform_states(3)
@@ -636,6 +662,25 @@ def test_closedness_check_names_the_branch_that_ran():
     assert (dec.checks["closedness"],
             dec.checks["closedness_window_radius"]) == ("box", 1)
     assert dec.cocycle.images == rho3.images
+
+
+def test_local_mode_without_room_for_a_closedness_solve_is_space_too_large():
+    """The cocycle is read off the closedness solve, so where neither the
+    local cycles (outside their gate for three states in d=2) nor the
+    radius-1 box fit the cap there is no result: SpaceTooLarge.  With room
+    for the box, its solve finds a cycle of nonzero integral."""
+    spec, nu = three_state_d2_stencil_not_closed()
+    window = cl.lattice_window(2, radius=2)
+    with pytest.raises(cl.SpaceTooLarge) as info:
+        cl.decompose_invariant_form(spec, window, nu, state_cap=3 ** 8)
+    assert str(info.value) == (
+        "closedness box of radius 1 has 19683 configurations (cap 6561) "
+        "(size=19683, cap=6561)")
+    with pytest.raises(cl.NotClosed) as info:
+        cl.decompose_invariant_form(spec, window, nu, state_cap=3 ** 9)
+    # the witness is in the site ids of the radius-1 box
+    assert_witness_integral(info.value, spec, cl.lattice_window(2, radius=1),
+                            nu)
 
 
 # -- local cycles span the cycle space -----------------------------------------
@@ -769,24 +814,33 @@ def perturbed_round_trips(draw):
 
 
 @settings(max_examples=20)
-@given(perturbed_round_trips())
-def test_local_cycle_certificate_against_window_mode(case):
+@given(perturbed_round_trips(), st.data())
+def test_local_cycle_certificate_against_window_mode(case, data):
     """Local mode on the d=1 window of radius R + 3 (R the stencil radius),
-    forced by a cap of n^(3R + 3), which holds every space the certificate
-    reads.  Where it passes, window mode on the same window passes too and
-    returns the same cocycle; where it raises, the witness integrates to
-    the reported integral."""
+    forced by a cap of n^k with k drawn from 3 to 3R + 3: n^(3R + 3) holds
+    every space the certificate reads, and smaller caps may leave room for
+    a box only.  Where the certificate passes, window mode on the same
+    window passes too and returns the same cocycle; where the box passes,
+    window mode returns the same cocycle or finds the stencil not closed
+    beyond the box; where either raises, the witness integrates to the
+    reported integral (the box's witness is in the window's site ids, as
+    every d=1 chart's ids are coordinates)."""
     spec, nu = case
     n, radius = spec.interaction.n_states, spec.stencil_radius
     window = cl.lattice_window(1, radius=radius + 3)
+    k = data.draw(st.integers(3, 3 * radius + 3), label="cap exponent")
     try:
         local = cl.decompose_invariant_form(spec, window, nu,
-                                            state_cap=n ** (3 * radius + 3))
+                                            state_cap=n ** k)
     except cl.NotClosed as err:
         assert_witness_integral(err, spec, window, nu)
         return
-    assert (local.mode, local.checks["closedness"]) == ("local",
-                                                        "local_cycles")
-    full = cl.decompose_invariant_form(spec, window, nu)
+    assert local.mode == "local"
+    assert k < 3 * radius + 3 or local.checks["closedness"] == "local_cycles"
+    try:
+        full = cl.decompose_invariant_form(spec, window, nu)
+    except cl.NotClosed:
+        assert local.checks["closedness"] == "box"
+        return
     assert full.mode == "window"
     assert full.cocycle.images == local.cocycle.images

@@ -719,7 +719,7 @@ def kernel_basis(sites: SiteSet, interaction: Interaction, locale: Locale,
     labels = graph.component_labels
     m = graph.n_components
     n_states = interaction.n_states
-    weights, den = weight_table(mu, sites, n_states, state_cap)
+    weights, den = weight_table(mu, sites, n_states)
     # every indicator and every component mass (over den) in one pass
     rows = [[0] * len(labels) for _ in range(m)]
     mass = [0] * m

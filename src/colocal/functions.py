@@ -28,6 +28,7 @@ from .measure import (
     Measure,
     ProductMeasure,
     StateMeasure,
+    _as_product,
     _contract,
     conditional_expectation,
 )
@@ -164,11 +165,8 @@ def expand_martingale(f: FnTable, nu: Measure,
     by size, then lexicographically.
     """
     check_int(subset_cap, "subset_cap", 1)
-    if isinstance(nu, StateMeasure):
-        prod = ProductMeasure(nu)
-    elif isinstance(nu, ProductMeasure):
-        prod = nu
-    else:
+    prod = _as_product(nu)
+    if prod is None:
         raise NonProductMeasure(
             "expansion requires a product measure; got a window measure")
     if len(f.sites) > subset_cap:
@@ -177,6 +175,9 @@ def expand_martingale(f: FnTable, nu: Measure,
             size=len(f.sites), cap=subset_cap)
 
     n = f.n_states
+    if prod.n_states != n:
+        raise SiteSetMismatch("measure and function state counts differ",
+                              n_states=n, measure_states=prod.n_states)
     sites = f.sites.sites
     nums, den = f.numerators
     # piece per set of kept sites, over the kept and the not yet split sites;
@@ -184,10 +185,6 @@ def expand_martingale(f: FnTable, nu: Measure,
     pieces = {(): nums}
     for k in reversed(range(len(sites))):
         weights, q = numerators(prod.factor(sites[k]).weights)
-        if len(weights) != n:
-            raise SiteSetMismatch("measure and function state counts differ",
-                                  site=sites[k], n_states=n,
-                                  measure_states=len(weights))
         stride = n ** k
         split = {}
         for kept, piece in pieces.items():

@@ -16,7 +16,7 @@ from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from .functions import build_chain
-from .measure import Measure, WindowMeasure, inner, materialize, weight_table
+from .measure import Measure, inner, weight_table
 from .scalars import Scalar, format_scalar
 from .statespace import ConfigSpace, SiteSet, spread
 from .tables import FnTable
@@ -36,8 +36,6 @@ def l2_norm(f: FnTable, mu: Measure) -> L2Norm:
 def form_l2_norm(form, mu: Measure) -> L2Norm:
     """Window-form norm: the squared edge-table norms averaged over all
     directed edges."""
-    if isinstance(mu, WindowMeasure):
-        mu = materialize(mu, form.sites)   # marginalize once, not per edge
     total = 0
     count = 0
     for pair in form.edges:

@@ -8,6 +8,10 @@ measure on ``S^Lambda``.  Strict positivity is required at construction: the
 projection divides by marginal weights.  Weights are exact and must sum to
 exactly 1; a float weight is read as the simplest rational that rounds to it
 (:func:`colocal.scalars.exact_scalars`), so ``(0.6, 0.4)`` is ``(3/5, 2/5)``.
+
+Operations read a measure through :func:`weight_table`, its weights on a
+site set as int numerators over one denominator, and sum ints against it;
+the projection under a product measure integrates one site at a time.
 """
 
 from __future__ import annotations
@@ -78,6 +82,13 @@ class ProductMeasure:
     base: StateMeasure
     per_site: Optional[Mapping[int, StateMeasure]] = None
 
+    def __post_init__(self):
+        for site, nu in (self.per_site or {}).items():
+            if nu.n_states != self.base.n_states:
+                raise SiteSetMismatch(
+                    f"per_site[{site}] has {nu.n_states} states, the base "
+                    f"measure {self.base.n_states}", site=site)
+
     @property
     def n_states(self) -> int:
         return self.base.n_states
@@ -96,10 +107,7 @@ class ProductMeasure:
     def materialize(self, sites: SiteSet,
                     state_cap: int = DEFAULT_STATE_CAP) -> "WindowMeasure":
         """Kronecker product of the site weights."""
-        guard_space(self.n_states, len(sites), state_cap)
-        table, den = weight_table(self, sites, self.n_states)
-        return WindowMeasure(sites, self.n_states,
-                             from_numerators(table, den))
+        return materialize(self, sites, state_cap)
 
 
 def product_measure(nu: StateMeasure,
@@ -138,6 +146,8 @@ def window_measure_from_raw(sites: SiteSet, n_states: int,
                             raw: Sequence[Scalar]) -> WindowMeasure:
     """Normalize strictly positive raw weights into a window measure."""
     raw = tuple(map(Fraction, exact_scalars(raw)))
+    if any(not w > 0 for w in raw):
+        raise ValueError("window weights must be strictly positive")
     total = sum(raw)
     return WindowMeasure(sites, n_states, tuple(w / total for w in raw))
 
@@ -150,30 +160,40 @@ def _as_product(mu: Measure) -> Optional[ProductMeasure]:
     return None
 
 
-def materialize(mu: Measure, sites: SiteSet,
-                state_cap: int = DEFAULT_STATE_CAP) -> WindowMeasure:
-    """Window measure on ``sites`` from any measure description."""
-    prod = _as_product(mu)
-    if prod is not None:
-        return prod.materialize(sites, state_cap)
-    if mu.sites == sites:
-        return mu
-    return pushforward(mu, sites)
-
-
-def weight_table(mu: Measure, sites: SiteSet, n_states: int,
-                 state_cap: int = DEFAULT_STATE_CAP) -> tuple[list, int]:
+def weight_table(mu: Measure, sites: SiteSet,
+                 n_states: int) -> tuple[list, int]:
     """The weights of mu on S^sites as int numerators over one denominator,
     in index order: the Kronecker product of the site weights under a
-    product measure, the marginal on ``sites`` of a window measure."""
+    product measure, the marginal on ``sites`` of a window measure (its
+    numerators summed over each fiber of the restriction)."""
     if mu.n_states != n_states:
         raise SiteSetMismatch("measure and function state counts differ")
     prod = _as_product(mu)
-    if prod is None:
-        return numerators(materialize(mu, sites, state_cap).weights)
-    site_weights = [numerators(prod.factor(s).weights) for s in sites]
-    return (kron([w for w, _ in site_weights], 1, mul),
-            math.prod(q for _, q in site_weights))
+    if prod is not None:
+        site_weights = [numerators(prod.factor(s).weights) for s in sites]
+        return (kron([w for w, _ in site_weights], 1, mul),
+                math.prod(q for _, q in site_weights))
+    if not sites.is_subset_of(mu.sites):
+        raise NotSubset("pushforward target is not a subset")
+    nums, den = numerators(mu.weights)
+    if sites == mu.sites:
+        return nums, den
+    out = [0] * (n_states ** len(sites))
+    for j, w in zip(spread(range(len(out)), sites, mu.space), nums):
+        out[j] += w
+    return out, den
+
+
+def materialize(mu: Measure, sites: SiteSet,
+                state_cap: int = DEFAULT_STATE_CAP) -> WindowMeasure:
+    """Window measure on ``sites`` from any measure description: a window
+    measure on exactly these sites is returned as it is."""
+    if isinstance(mu, WindowMeasure) and mu.sites == sites:
+        return mu
+    n = mu.n_states
+    guard_space(n, len(sites), state_cap)
+    return WindowMeasure(sites, n,
+                         from_numerators(*weight_table(mu, sites, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,35 +202,22 @@ def weight_table(mu: Measure, sites: SiteSet, n_states: int,
 
 def pushforward(mu: WindowMeasure, sub: SiteSet) -> WindowMeasure:
     """Marginal of a window measure on a subset of its sites."""
-    if not sub.is_subset_of(mu.sites):
-        raise NotSubset("pushforward target is not a subset")
-    if sub == mu.sites:
-        return mu
-    out = [Fraction(0)] * (mu.n_states ** len(sub))
-    for idx, j in enumerate(spread(range(len(out)), sub, mu.space)):
-        out[j] = out[j] + mu.weights[idx]
-    return WindowMeasure(sub, mu.n_states, tuple(out))
+    return materialize(mu, sub)
 
 
 def expectation(f: FnTable, mu: Measure) -> Scalar:
-    prod = _as_product(mu)
-    if prod is not None:
-        return _scalar(_integrate((f,), _EMPTY, prod))
-    win = materialize(mu, f.sites)
-    if win.n_states != f.n_states:
-        raise SiteSetMismatch("measure and function state counts differ")
-    return sum(v * w for v, w in zip(f.values, win.weights))
+    nums, den = f.numerators
+    weights, w_den = weight_table(mu, f.sites, f.n_states)
+    return Fraction(sum(map(mul, nums, weights)), den * w_den)
 
 
 def inner(f: FnTable, g: FnTable, mu: Measure) -> Scalar:
     """<f, g>_mu = E_mu[f g]."""
     if f.sites != g.sites or f.n_states != g.n_states:
         raise SiteSetMismatch("inner product operands on different site sets")
-    prod = _as_product(mu)
-    if prod is not None:
-        return _scalar(_integrate((f, g), _EMPTY, prod))
-    win = materialize(mu, f.sites)
-    return sum(a * b * w for a, b, w in zip(f.values, g.values, win.weights))
+    (a, p), (b, q) = f.numerators, g.numerators
+    weights, w_den = weight_table(mu, f.sites, f.n_states)
+    return Fraction(sum(map(mul, map(mul, a, b), weights)), p * q * w_den)
 
 
 def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
@@ -221,6 +228,8 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
     integrates out the sites outside ``sub`` one digit at a time (a
     stride contraction per site, O(n^|Lambda|) in all) with no division;
     exact values are carried as integers over one common denominator.
+    Under a window measure the products of f and the weight table, and the
+    weights, are summed per fiber as ints; each fiber divides once.
     """
     if not sub.is_subset_of(f.sites):
         raise NotSubset("projection target is not a subset of the domain")
@@ -229,17 +238,16 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
     prod = _as_product(mu)
     if prod is not None:
         return FnTable.from_numerators(sub, f.n_states,
-                                       *_integrate((f,), sub, prod))
-
-    win = mu if mu.sites == f.sites else pushforward(mu, f.sites)
-    if win.n_states != f.n_states:
-        raise SiteSetMismatch("measure and function state counts differ")
-    marginal = pushforward(win, sub)
-    out = [Fraction(0)] * len(marginal.weights)
-    for idx, j in enumerate(spread(range(len(out)), sub, f.space)):
-        out[j] = out[j] + f.values[idx] * win.weights[idx]
+                                       *_integrate(f, sub, prod))
+    weights, _ = weight_table(mu, f.sites, f.n_states)
+    nums, den = f.numerators
+    size = f.n_states ** len(sub)
+    fw, w = [0] * size, [0] * size
+    for j, x, v in zip(spread(range(size), sub, f.space), nums, weights):
+        fw[j] += x * v
+        w[j] += v
     return FnTable(sub, f.n_states,
-                   tuple(v / w for v, w in zip(out, marginal.weights)))
+                   tuple(Fraction(a, b * den) for a, b in zip(fw, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +257,6 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
 # A table over S^Lambda is a flat sequence in mixed-radix order, so the digit
 # of the site at position k has stride n^k.  Values travel as Python ints
 # over one common denominator and become Fractions only on output.
-
-_EMPTY = SiteSet(())
-
 
 def _contract(nums: list, n: int, stride: int, weights) -> tuple[list, list]:
     """Integrate out the digit of the given stride: the weighted sum of its
@@ -263,31 +268,21 @@ def _contract(nums: list, n: int, stride: int, weights) -> tuple[list, list]:
     return out, slices
 
 
-def _integrate(tables: Sequence[FnTable], keep: SiteSet,
+def _integrate(f: FnTable, keep: SiteSet,
                prod: ProductMeasure) -> tuple[list, int]:
-    """Integrate the pointwise product of ``tables`` (over one site set)
-    against ``prod`` over every site outside ``keep``: (numerators over
-    S^keep, denominator).  Sites are taken from the most significant down,
-    so the strides of the remaining ones never change."""
-    sites, n = tables[0].sites, tables[0].n_states
+    """Integrate f against ``prod`` over every site outside ``keep``:
+    (numerators over S^keep, denominator).  Sites are taken from the most
+    significant down, so the strides of the remaining ones never change."""
+    n = f.n_states
     if prod.n_states != n:
         raise SiteSetMismatch("measure and function state counts differ")
-    nums, den = tables[0].numerators
-    for table in tables[1:]:
-        more, d = table.numerators
-        nums = [a * b for a, b in zip(nums, more)]
-        den *= d
-    for k, site in reversed([(k, s) for k, s in enumerate(sites)
+    nums, den = f.numerators
+    for k, site in reversed([(k, s) for k, s in enumerate(f.sites)
                              if s not in keep]):
         weights, q = numerators(prod.factor(site).weights)
         nums = _contract(nums, n, n ** k, weights)[0]
         den *= q
     return nums, den
-
-
-def _scalar(integrated) -> Scalar:
-    """The single value of an integral over every site."""
-    return from_numerators(*integrated)[0]
 
 
 def _site_components(f: FnTable, prod: ProductMeasure) -> tuple[dict, Fraction]:
@@ -356,11 +351,13 @@ def is_ordinary(sub: SiteSet, sup: SiteSet, mu: Measure,
     if _as_product(mu) is not None:
         return OrdinaryReport(sub, sup, ())
 
-    sup_mu = mu if mu.sites == sup else pushforward(mu, sup)
-    sub_mu = pushforward(sup_mu, sub)
-    sup_space, n = sup_mu.space, sup_mu.n_states
+    n = mu.n_states
+    # both tables are numerators over the denominator of mu's weights
+    sup_w, den = weight_table(mu, sup, n)
+    sub_w, _ = weight_table(mu, sub, n)
+    sup_space = ConfigSpace(sup, n)
     # restriction indices: e inside sub moves eta' and its restriction alike
-    restrict = spread(range(len(sub_mu.weights)), sub, sup_space)
+    restrict = spread(range(len(sub_w)), sub, sup_space)
     moves = [(e, *transition_offsets(sup_space, e,
                                      interaction.changed_pairs()))
              for e in edges_within(locale, sub)]
@@ -370,9 +367,10 @@ def is_ordinary(sub: SiteSet, sup: SiteSet, mu: Measure,
         for e, so, st, offsets in moves:
             if not (d := offsets[idx // so % n][idx // st % n]):
                 continue
-            lhs = sub_mu.weights[restrict[idx + d]] * sup_mu.weights[idx]
-            rhs = sub_mu.weights[j] * sup_mu.weights[idx + d]
+            lhs = sub_w[restrict[idx + d]] * sup_w[idx]
+            rhs = sub_w[j] * sup_w[idx + d]
             if lhs != rhs:
-                violations.append(OrdinaryViolation(sup_space.decode(idx), e,
-                                                    lhs, rhs))
+                violations.append(OrdinaryViolation(
+                    sup_space.decode(idx), e, Fraction(lhs, den * den),
+                    Fraction(rhs, den * den)))
     return OrdinaryReport(sub, sup, tuple(violations))

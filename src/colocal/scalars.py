@@ -5,11 +5,13 @@ not carried as ``Fraction`` objects: a table (:class:`colocal.tables.FnTable`)
 or a measure's weights travel as Python-int numerators over one common
 denominator (:func:`numerators`), so that sums, differences and comparisons
 run on ints.  ``Fraction`` values are made only at the API boundary
-(:func:`from_numerators`) and for the JSON scalars outside tables (measure
-weights, cocycle coefficients).  Tables cross the JSON boundary as numerators:
-:func:`parse_numerators` reads each distinct serialized entry once and maps
-every entry to its numerator, and :func:`format_numerators` writes one
-string (or float) per distinct numerator.
+(:func:`from_numerators`) and for the JSON scalars outside tables: measure
+weights, which every operation reads as int numerators
+(:func:`colocal.measure.weight_table`), and cocycle coefficients.  Tables
+cross the JSON boundary as numerators: :func:`parse_numerators` reads each
+distinct serialized entry once and maps every entry to its numerator, and
+:func:`format_numerators` writes one string (or float) per distinct
+numerator.
 
 Floats are an input and output format only.  A float given to a public
 constructor, or read from JSON in float mode, is read once by

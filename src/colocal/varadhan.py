@@ -512,7 +512,7 @@ def _place(anchors: Sequence[FnTable], src: Locale, window: Locale,
             cut = cuts.get((axis, kept))
             if cut is None:
                 keep_src = SiteSet(tuple(anchor.sites.sites[k] for k in kept))
-                cut = cuts[(axis, kept)] = _integrate((anchor,), keep_src, mu)
+                cut = cuts[(axis, kept)] = _integrate(anchor, keep_src, mu)
             tables[(o, t)] = FnTable.from_numerators(
                 SiteSet(tuple(sites[k] for k in kept)), anchor.n_states, *cut)
     return tables

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import colocal as cl
 from conftest import rand_table
@@ -28,6 +29,20 @@ def test_measures_require_positive_weights():
         cl.state_measure([F(1, 3), F(1, 3)])
     with pytest.raises(ValueError):
         cl.WindowMeasure(cl.siteset([0]), 2, (F(1), F(0)))
+
+
+def test_product_measure_rejects_a_factor_on_other_states():
+    with pytest.raises(cl.SiteSetMismatch) as info:
+        cl.product_measure(cl.bernoulli(), {0: cl.uniform_states(3)})
+    assert info.value.message == "per_site[0] has 3 states, the base measure 2"
+    assert info.value.details == {"site": 0}
+
+
+@pytest.mark.parametrize("raw", [(0, 0), (1, -1), (-1, -1)])
+def test_window_measure_from_raw_requires_positive_weights(raw):
+    with pytest.raises(ValueError,
+                       match="^window weights must be strictly positive$"):
+        cl.window_measure_from_raw(cl.siteset([0]), 2, raw)
 
 
 # -- pushforward --------------------------------------------------------
@@ -65,6 +80,31 @@ def test_expectation_examples(half, mu_half):
     assert cl.inner(fxy, fxy, mu_half) == F(1, 4)
     ones = cl.fn_constant(sites, 2, F(1))
     assert cl.inner(fxy, ones, mu_half) == cl.expectation(fxy, mu_half)
+
+
+def three_state_operands():
+    """A three-state table and differential on sites {0, 1}."""
+    sites = cl.siteset([0, 1])
+    f = cl.FnTable(sites, 3, tuple(F(k) for k in range(9)))
+    locale = cl.build_locale([0, 1], [(0, 1), (1, 0)])
+    return f, cl.differential(f, cl.exclusion_interaction(3), locale)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, form, mu: cl.expectation(f, mu),
+    lambda f, form, mu: cl.inner(f, f, mu),
+    lambda f, form, mu: cl.l2_norm(f, mu),
+    lambda f, form, mu: cl.form_l2_norm(form, mu),
+    lambda f, form, mu: cl.conditional_expectation(f, cl.siteset([0]), mu),
+], ids=["expectation", "inner", "l2_norm", "form_l2_norm",
+        "conditional_expectation"])
+def test_window_measure_on_other_states_is_a_mismatch(call):
+    # a uniform two-state measure has 4 weights for the table's 9 values
+    f, form = three_state_operands()
+    mu = cl.window_measure_from_raw(f.sites, 2, [1] * 4)
+    with pytest.raises(cl.SiteSetMismatch,
+                       match="^measure and function state counts differ$"):
+        call(f, form, mu)
 
 
 # -- conditional expectation -----------------------------------------------
@@ -184,6 +224,95 @@ def test_duality_pairing(mu_half):
         lhs = cl.inner(chain.tables[1], g.embed(big), mu_half)
         rhs = cl.inner(chain.tables[0], g, mu_half)
         assert lhs == rhs
+
+
+# -- window measures against per-configuration loops --------------------------
+
+def subset(sites, mask):
+    return cl.siteset(s for k, s in enumerate(sites) if mask >> k & 1)
+
+
+@st.composite
+def window_cases(draw):
+    """(window measure, two tables on a subset of its sites, a subset of
+    the tables' sites): 2 or 3 states, 1 to 4 sites that need not be
+    contiguous, positive int raw weights."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 4))
+    sites = cl.siteset(draw(st.lists(st.integers(-5, 6), unique=True,
+                                     min_size=k, max_size=k)))
+    raw = draw(st.lists(st.integers(1, 9), min_size=n ** k,
+                        max_size=n ** k))
+    mu = cl.window_measure_from_raw(sites, n, raw)
+    domain = subset(sites, draw(st.integers(0, 2 ** k - 1)))
+    sub = subset(domain, draw(st.integers(0, 2 ** len(domain) - 1)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return mu, rand_table(rng, domain, n), rand_table(rng, domain, n), sub
+
+
+def big_window_case():
+    """Three states on four sites with gaps; tables on three of them,
+    projected onto the outer two."""
+    rng = random.Random(11)
+    sites = cl.siteset([-4, -1, 2, 5])
+    mu = cl.window_measure_from_raw(sites, 3, [rng.randint(1, 9)
+                                               for _ in range(3 ** 4)])
+    f, g = (rand_table(rng, cl.siteset([-4, 2, 5]), 3) for _ in range(2))
+    return mu, f, g, cl.siteset([-4, 5])
+
+
+def loop_marginal(mu, sub):
+    """mu's weight of every configuration on ``sub``, added up one
+    configuration of mu at a time."""
+    space, sub_space = mu.space, cl.ConfigSpace(sub, mu.n_states)
+    out = [F(0)] * sub_space.size
+    for idx, w in enumerate(mu.weights):
+        a = space.decode(idx)
+        out[sub_space.encode([a[mu.sites.position(s)] for s in sub])] += w
+    return out
+
+
+def loop_projection(f, sub, weights):
+    """E[f | eta_sub] from f's weights: per fiber, sum(f w) / sum(w)."""
+    sub_space = cl.ConfigSpace(sub, f.n_states)
+    fw, w = [F(0)] * sub_space.size, [F(0)] * sub_space.size
+    for idx, (v, x) in enumerate(zip(f.values, weights)):
+        a = f.space.decode(idx)
+        j = sub_space.encode([a[f.sites.position(s)] for s in sub])
+        fw[j] += v * x
+        w[j] += x
+    return tuple(a / b for a, b in zip(fw, w))
+
+
+@given(window_cases())
+@example(big_window_case())
+def test_window_measure_matches_loops(case):
+    mu, f, g, sub = case
+    weights = loop_marginal(mu, f.sites)
+    assert list(cl.pushforward(mu, f.sites).weights) == weights
+    assert list(cl.materialize(mu, f.sites).weights) == weights
+    assert cl.expectation(f, mu) == sum(v * w for v, w in
+                                        zip(f.values, weights))
+    assert cl.inner(f, g, mu) == sum(a * b * w for a, b, w in
+                                     zip(f.values, g.values, weights))
+    projected = cl.conditional_expectation(f, sub, mu)
+    assert projected.sites == sub
+    assert projected.values == loop_projection(f, sub, weights)
+
+
+@given(window_cases(), st.lists(st.integers(1, 9), min_size=3, max_size=3))
+@example(big_window_case(), [2, 3, 4])
+def test_materialized_product_measure_matches_the_product_path(case, raw):
+    mu, f, g, sub = case
+    raw = raw[:mu.n_states]
+    nu, other = (cl.state_measure([F(r, sum(raw)) for r in weights])
+                 for weights in (raw, raw[::-1]))
+    prod = cl.product_measure(nu, {mu.sites.sites[0]: other})
+    win = cl.materialize(prod, mu.sites)
+    assert cl.expectation(f, win) == cl.expectation(f, prod)
+    assert cl.inner(f, g, win) == cl.inner(f, g, prod)
+    assert (cl.conditional_expectation(f, sub, win)
+            == cl.conditional_expectation(f, sub, prod))
 
 
 # -- ordinary measures --------------------------------------------------------

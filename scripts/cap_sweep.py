@@ -29,9 +29,10 @@ cases, on the 4x4 and the 4x5 box, move one transition of that form by +1
 and its reverse by -1: the form stays alternating but is not closed, so
 the run reports a witness cycle and exits 1.  Each case names the exit
 code it expects.  Per run the child reports the exit code and wall time
-of the CLI call, the time inside ``solve_potential``, its peak RSS, and
-the sha256 of the output bytes.  Each case runs ``REPEATS`` times per
-tree; the report keeps every run and the medians.
+of the CLI call, the time inside ``solve_potential``, its peak RSS (read
+as the call returns, before the output is read back), and the sha256 of
+the output bytes.  Each case runs ``REPEATS`` times per tree; the report
+keeps every run and the medians.
 
 With ``--baseline REV`` the same cases also run on the ``src/`` tree of
 that git revision (exported with ``git archive`` to a temporary
@@ -242,14 +243,16 @@ def child(subcommand: str, input_path: str, output_path: str) -> None:
     code = cli.main([subcommand, "--input", input_path,
                      "--output", output_path])
     wall = time.perf_counter() - start
+    # the peak of the CLI run alone: reading and parsing its output below
+    # would raise it
+    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     output = Path(output_path).read_bytes()
     sans_checks = json.loads(output)
     sans_checks.get("result", {}).pop("checks", None)
     print(json.dumps({
         "exit": code, "wall_s": wall,
         "solve_potential_s": spent,
-        "peak_rss_mib": resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mib": peak_rss_mib,
         "sha256": hashlib.sha256(output).hexdigest(),
         "sha256_sans_checks": hashlib.sha256(json.dumps(
             sans_checks, sort_keys=True).encode()).hexdigest()}))

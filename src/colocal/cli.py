@@ -85,14 +85,11 @@ def _run_expand(payload: dict, args: argparse.Namespace) -> dict:
     locale = jsonio.locale_from_json(payload["locale"])
     f = jsonio.fn_table_from_json(payload["fn"], interaction, args.mode)
     expansion = expand_martingale(f, nu, args.subset_cap)
-    components = {}
-    for sub, table in sorted(expansion.components.items()):
-        mask = expansion.subset_bitmask(sub)
-        components[str(mask)] = {
-            "subset": list(sub),
-            "values": jsonio.format_numerators(*table.numerators, args.mode)}
-    return {"components": components,
-            "uniform_radius": uniform_radius(expansion, locale)}
+    # everything that can raise runs before the report's first byte: the
+    # components are formatted one at a time as they are written
+    radius = uniform_radius(expansion, locale)
+    return {"components": jsonio.expansion_to_json(expansion, args.mode),
+            "uniform_radius": radius}
 
 
 def _run_project(payload: dict, args: argparse.Namespace) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -29,7 +30,6 @@ from .measure import (
     ProductMeasure,
     StateMeasure,
     _as_product,
-    _contract,
     conditional_expectation,
 )
 from .scalars import numerators
@@ -41,7 +41,6 @@ from .statespace import (
     SiteSet,
     check_int,
     guard_space,
-    interleave,
     kron,
     siteset,
     transition_graph,
@@ -142,11 +141,13 @@ class Expansion:
         return [sub for sub, table in sorted(self.components.items())
                 if not table.is_zero()]
 
+    @cached_property
+    def _bits(self) -> dict[int, int]:
+        return {s: 1 << k for k, s in enumerate(self.sites)}
+
     def subset_bitmask(self, sub: tuple[int, ...]) -> int:
-        mask = 0
-        for s in sub:
-            mask |= 1 << self.sites.position(s)
-        return mask
+        """The subset as a bitmask: bit k for the site at position k."""
+        return sum(map(self._bits.__getitem__, sub))
 
 
 def expand_martingale(f: FnTable, nu: Measure,
@@ -178,52 +179,65 @@ def expand_martingale(f: FnTable, nu: Measure,
     if prod.n_states != n:
         raise SiteSetMismatch("measure and function state counts differ",
                               n_states=n, measure_states=prod.n_states)
-    sites = f.sites.sites
     nums, den = f.numerators
-    # piece per set of kept sites, over the kept and the not yet split sites;
-    # splitting from the most significant site down keeps strides fixed
+    # piece per set of kept sites, over the not yet split sites and then the
+    # kept ones.  Splitting from the least significant site up puts the
+    # split digit at stride 1, and each kept digit goes on top, so the kept
+    # digits end in site order.  A piece is popped as it is split, so a
+    # parent piece is freed once its parts are sliced off.
     pieces = {(): nums}
-    for k in reversed(range(len(sites))):
-        weights, q = numerators(prod.factor(sites[k]).weights)
-        stride = n ** k
-        split = {}
-        for kept, piece in pieces.items():
-            mean, slices = _contract(piece, n, stride, weights)
-            split[kept] = mean
-            # sum(weights) == q, so q g - mean is q (g - P_x g)
-            split[(sites[k],) + kept] = interleave(
-                [[q * x - m for x, m in zip(part, mean)] for part in slices],
-                stride)
-        pieces = split
+    for site in f.sites:
+        weights, q = numerators(prod.factor(site).weights)
+        w0, w1 = weights[0], weights[1 % n]   # one state: w1 is not read
+        for kept in list(pieces):
+            piece = pieces.pop(kept)
+            parts = [piece[a::n] for a in range(n)]
+            del piece
+            # q P_x g: the first two states in one pass; a lone state has
+            # weight 1
+            mean = ([w0 * x + w1 * y for x, y in zip(parts[0], parts[1])]
+                    if n > 1 else parts[0])
+            for w, part in zip(weights[2:], parts[2:]):
+                mean = [m + w * x for m, x in zip(mean, part)]
+            pieces[kept] = mean
+            # sum(weights) == q, so q g - mean is q (g - P_x g); the parts
+            # in state order put this site's digit on top
+            pieces[kept + (site,)] = [q * x - m for part in parts
+                                      for x, m in zip(part, mean)]
         den *= q
 
     components = {
         sub: FnTable.from_numerators(SiteSet(sub), n, pieces[sub], den)
-        for size in range(len(sites) + 1)
-        for sub in itertools.combinations(sites, size)}
+        for size in range(len(f.sites) + 1)
+        for sub in itertools.combinations(f.sites, size)}
     return Expansion(f.sites, n, prod, components)
 
 
 def uniform_radius(expansion: Expansion, locale: Locale) -> int:
     """Smallest R such that every component on a subset of diameter > R
     vanishes; the bound witnessed by the nonzero components.  The graph
-    distances from a site are computed once per call."""
+    distances from each site are computed once per call, and the diameter
+    of a subset is read off that of its prefix without its last site."""
     outside = set(expansion.sites) - set(locale.sites)
     if outside:
         raise NotSubset("expansion sites are not all in the locale",
                         outside=sorted(outside))
-    distances: dict[int, dict[int, int]] = {}
-    radius = 0
-    for sub, table in expansion.components.items():
-        if not sub or table.is_zero():
-            continue
-        for s in sub:
-            if s not in distances:
-                distances[s] = locale.distances_from(s)
-        diam = max(distances[a][b] for a in sub for b in sub)
-        if diam > radius:
-            radius = diam
-    return radius
+    rows = {s: locale.distances_from(s) for s in expansion.sites}
+    diameters = {(): 0}
+    return max((_diameter(sub, rows, diameters)
+                for sub, table in expansion.components.items()
+                if not table.is_zero()), default=0)
+
+
+def _diameter(sub: tuple, rows: dict, diameters: dict) -> int:
+    """The diameter of the site tuple ``sub``: the larger of its prefix's
+    and the distances from its last site (``rows``) to the prefix's sites.
+    ``diameters`` keeps every diameter worked out."""
+    if sub not in diameters:
+        head, row = sub[:-1], rows[sub[-1]]
+        diameters[sub] = max([_diameter(head, rows, diameters),
+                              *map(row.__getitem__, head)])
+    return diameters[sub]
 
 
 # ---------------------------------------------------------------------------

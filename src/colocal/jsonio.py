@@ -5,21 +5,26 @@ input and output format only: a JSON float is read as the simplest rational
 that rounds to it (:func:`colocal.scalars.exact_scalars`), every computation
 stays exact, and each scalar is written as ``float()`` of its exact value.
 All dump functions produce deterministic structures; ``write_report``
-writes them with sorted keys.
+writes them with sorted keys.  The components of an expansion are handed
+to the writer as a :class:`LazyMapping`, so that each one is formatted
+only when it is written.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .forms import Form, Path
+from .functions import Expansion
 from .measure import ProductMeasure, StateMeasure, WindowMeasure
 from .scalars import (
     FLOAT_TOLERANCE,
     format_numerators,
     format_scalar,
+    numerator_text,
     parse_numerators,
     parse_scalar,
 )
@@ -227,6 +232,54 @@ def path_to_json(path: Path) -> dict:
             "edges": [list(e) for e in path.edges]}
 
 
+class LazyMapping:
+    """A read-only mapping over the given keys whose value at a key is made
+    by ``value(key)`` each time it is read.  ``write_report`` writes it as
+    a dict, reading each value once as it writes it, so the values never
+    exist all at once."""
+
+    def __init__(self, keys: Collection, value):
+        self._keys = keys
+        self._value = value
+
+    def __getitem__(self, key):
+        if key not in self._keys:
+            raise KeyError(key)
+        return self._value(key)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def expansion_to_json(expansion: Expansion,
+                      mode: str = "exact") -> LazyMapping:
+    """The components of an expansion keyed by the decimal bitmask of their
+    subset (bit k for the site at position k), each ``{"subset": [...],
+    "values": [...]}`` made when it is read.  The tables of one denominator
+    share one text per numerator.  In float mode the extremes of every
+    table are formatted here, so that a value out of the float range raises
+    ``OverflowError`` before the report's first byte."""
+    subsets = {str(expansion.subset_bitmask(sub)): sub
+               for sub in expansion.components}
+    texts = {}
+
+    def component(key: str) -> dict:
+        sub = subsets[key]
+        nums, den = expansion.components[sub].numerators
+        if den not in texts:
+            texts[den] = numerator_text(den, mode)
+        return {"subset": list(sub), "values": texts[den](nums)}
+
+    if mode == "float":
+        for table in expansion.components.values():
+            nums, den = table.numerators
+            format_numerators([max(nums), min(nums)], den, mode)
+    return LazyMapping(subsets, component)
+
+
 # -- cocycles and stencils -----------------------------------------------
 
 def cocycle_from_json(obj, basis, n_states: int, mode: str = "exact") -> Cocycle:
@@ -286,7 +339,7 @@ def jsonify(value, mode: str = "exact"):
 # encodes each list of leaves as one chunk, at C iteration speed.
 
 _INDENT = "  "
-_CONTAINERS = (list, tuple, dict)
+_CONTAINERS = (list, tuple, dict, LazyMapping)
 # the characters encode_basestring_ascii copies unescaped
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
@@ -294,8 +347,9 @@ _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 def write_report(report, fh) -> None:
     """Write to the text file ``fh`` the text ``json.dumps`` makes of the
     report with sorted keys and an indent of two spaces, plus a newline:
-    chunk by chunk, a list of leaves as one chunk.  A dict key that is not
-    a ``str`` raises ``TypeError``, as does a value JSON cannot hold."""
+    chunk by chunk, a list of leaves as one chunk.  A ``LazyMapping`` is
+    written as the dict it stands for.  A key that is not a ``str`` raises
+    ``TypeError``, as does a value JSON cannot hold."""
     _write_value(report, fh.write, "\n")
     fh.write("\n")
 
@@ -327,7 +381,7 @@ def _leaf_text(value) -> str:
 def _write_value(value, write, newline: str) -> None:
     """Write one value; ``newline`` is a line break plus the indent of the
     line the value starts on."""
-    if isinstance(value, dict):
+    if isinstance(value, (dict, LazyMapping)):
         _write_dict(value, write, newline)
     elif isinstance(value, (list, tuple)):
         _write_list(value, write, newline)
@@ -365,7 +419,7 @@ def _write_list(items, write, newline: str) -> None:
     write(f"[{inner}{body}{newline}]")
 
 
-def _write_dict(obj: dict, write, newline: str) -> None:
+def _write_dict(obj: dict | LazyMapping, write, newline: str) -> None:
     if not obj:
         write("{}")
         return

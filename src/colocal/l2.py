@@ -35,13 +35,17 @@ def l2_norm(f: FnTable, mu: Measure) -> L2Norm:
 
 def form_l2_norm(form, mu: Measure) -> L2Norm:
     """Window-form norm: the squared edge-table norms averaged over all
-    directed edges."""
+    directed edges.  Every dense edge table lives on the form's window, so
+    the window's weights are read once, as int numerators W over w, and
+    the table a/p adds sum(a^2 W) / (p^2 w)."""
+    weights, w_den = weight_table(mu, form.sites, form.interaction.n_states)
     total = 0
     count = 0
     for pair in form.edges:
         for e in (pair, (pair[1], pair[0])):
-            dense = form.dense_table(e)
-            total = inner(dense, dense, mu) + total
+            a, p = form.dense_table(e).numerators
+            total = Fraction(sum(map(mul, map(mul, a, a), weights)),
+                             p * p * w_den) + total
             count += 1
     sq = total / count
     return L2Norm(sq, math.sqrt(float(sq)))

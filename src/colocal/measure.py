@@ -258,14 +258,14 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
 # of the site at position k has stride n^k.  Values travel as Python ints
 # over one common denominator and become Fractions only on output.
 
-def _contract(nums: list, n: int, stride: int, weights) -> tuple[list, list]:
+def _contract(nums: list, n: int, stride: int, weights) -> list:
     """Integrate out the digit of the given stride: the weighted sum of its
-    n slices (each ordered by the remaining digits), and those slices."""
+    n slices, each ordered by the remaining digits."""
     slices = digit_slices(nums, n, stride)
     out = [weights[0] * x for x in slices[0]]
     for w, part in zip(weights[1:], slices[1:]):
         out = [o + w * x for o, x in zip(out, part)]
-    return out, slices
+    return out
 
 
 def _integrate(f: FnTable, keep: SiteSet,
@@ -280,7 +280,7 @@ def _integrate(f: FnTable, keep: SiteSet,
     for k, site in reversed([(k, s) for k, s in enumerate(f.sites)
                              if s not in keep]):
         weights, q = numerators(prod.factor(site).weights)
-        nums = _contract(nums, n, n ** k, weights)[0]
+        nums = _contract(nums, n, n ** k, weights)
         den *= q
     return nums, den
 
@@ -352,6 +352,7 @@ def is_ordinary(sub: SiteSet, sup: SiteSet, mu: Measure,
         return OrdinaryReport(sub, sup, ())
 
     n = mu.n_states
+    guard_space(n, len(sup), state_cap)
     # both tables are numerators over the denominator of mu's weights
     sup_w, den = weight_table(mu, sup, n)
     sub_w, _ = weight_table(mu, sub, n)

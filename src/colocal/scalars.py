@@ -11,7 +11,8 @@ weights, which every operation reads as int numerators
 cross the JSON boundary as numerators: :func:`parse_numerators` reads each
 distinct serialized entry once and maps every entry to its numerator, and
 :func:`format_numerators` writes one string (or float) per distinct
-numerator.
+numerator; :func:`numerator_text` keeps those texts across the tables of
+one report that share a denominator.
 
 Floats are an input and output format only.  A float given to a public
 constructor, or read from JSON in float mode, is read once by
@@ -114,14 +115,33 @@ def format_numerators(nums, den: int, mode: str = "exact") -> list:
     once per distinct numerator without a Fraction: ``"p/q"`` in lowest
     terms, or in float mode the correctly rounded ``x / den``, the same
     float as ``float(Fraction(x, den))``."""
+    return list(map(_texts(set(nums), den, mode).__getitem__, nums))
+
+
+def numerator_text(den: int, mode: str = "exact"):
+    """The function that maps a list of numerators over ``den`` (> 0) to
+    their texts as :func:`format_numerators` does.  It keeps every text it
+    makes, so that a numerator met again, in this list or a later one, is
+    formatted once."""
+    text = {}
+
+    def texts(nums) -> list:
+        text.update(_texts(set(nums).difference(text), den, mode))
+        return list(map(text.__getitem__, nums))
+
+    return texts
+
+
+def _texts(distinct, den: int, mode: str) -> dict:
+    """numerator -> :func:`format_scalar` of ``x / den``, for each ``x`` of
+    ``distinct``."""
     if mode == "float":
-        text = {x: x / den for x in set(nums)}
-    else:
-        text = {}
-        for x in set(nums):
-            g = math.gcd(x, den)
-            text[x] = f"{x // g}/{den // g}"
-    return list(map(text.__getitem__, nums))
+        return {x: x / den for x in distinct}
+    text = {}
+    for x in distinct:
+        g = math.gcd(x, den)
+        text[x] = f"{x // g}/{den // g}"
+    return text
 
 
 def format_scalar(x, mode: str = "exact") -> Union[str, float]:

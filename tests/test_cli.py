@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import io
 import json
+import random
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import colocal as cl
 from colocal import jsonio
@@ -64,6 +69,149 @@ def test_expand(tmp_path):
     result = report["result"]
     assert result["uniform_radius"] == 1
     assert result["components"]["3"]["values"] == ["1/4", "-1/4", "-1/4", "1/4"]
+
+
+# -- expand: the report is written one component at a time -----------------
+
+def path_payload(sites, n, nu, values, mode):
+    """An expand input on a path through ``sites`` (swap moves), ``nu`` and
+    the table ``values`` written as exact strings, or as JSON floats."""
+    def scalar(x):
+        return (float(x) if mode == "float"
+                else f"{x.numerator}/{x.denominator}")
+    edges = [[a, b] for a, b in zip(sites, sites[1:])]
+    phi = [[[a, b], [b, a]] for a in range(n) for b in range(n) if a != b]
+    return {"interaction": {"states": list(range(n)), "base": 0, "phi": phi},
+            "nu": [scalar(w) for w in nu],
+            "locale": {"sites": sites,
+                       "edges": edges + [[b, a] for a, b in edges]},
+            "fn": {"siteset": sites, "values": [scalar(v) for v in values]}}
+
+
+def eager_expand_report(sites, n, nu, values, mode):
+    """The expand envelope built whole, as ``json.dumps`` takes it: every
+    component's values through ``format_scalar`` of its Fractions, and the
+    radius as the largest ``site_diameter`` of a nonzero component."""
+    siteset = cl.siteset(sites)
+    expansion = cl.expand_martingale(cl.FnTable(siteset, n, values),
+                                     cl.state_measure(nu))
+    locale = jsonio.locale_from_json(path_payload(sites, n, nu, values,
+                                                  mode)["locale"])
+    components, radius = {}, 0
+    for sub, table in expansion.components.items():
+        mask = sum(1 << siteset.position(s) for s in sub)
+        components[str(mask)] = {
+            "subset": list(sub),
+            "values": [jsonio.format_scalar(v, mode) for v in table.values]}
+        if sub and not table.is_zero():
+            radius = max(radius, cl.site_diameter(cl.siteset(sub), locale))
+    return {"ok": True, "schema_version": "1", "subcommand": "expand",
+            "result": {"components": components, "uniform_radius": radius}}
+
+
+def expand_stdout(payload, mode) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.json"
+        src.write_text(json.dumps(payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["expand", "--input", str(src), "--mode", mode]) == 0
+    return out.getvalue()
+
+
+@st.composite
+def expand_cases(draw):
+    """(sites, n, nu, values): 2 or 3 states on 1 to 6 sites that need not
+    be contiguous; the table is a sum of seeded terms on one or two sites
+    plus a constant, so that components vanish and the radius varies, and
+    its entries repeat."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 6))
+    sites = sorted(draw(st.lists(st.integers(-6, 9), unique=True,
+                                 min_size=k, max_size=k)))
+    raw = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    nu = [Fraction(r, sum(raw)) for r in raw]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    siteset = cl.siteset(sites)
+    f = cl.fn_constant(siteset, n, Fraction(rng.randint(-3, 3), 2))
+    for _ in range(draw(st.integers(0, 3))):
+        part = cl.siteset(sorted(rng.sample(sites, min(k, rng.randint(1, 2)))))
+        term = cl.FnTable(part, n, [Fraction(rng.randint(-4, 4),
+                                             rng.randint(1, 3))
+                                    for _ in range(n ** len(part))])
+        f = f + term.embed(siteset)
+    return sites, n, nu, f.values
+
+
+def seeded_case(n, k, seed):
+    """A full table of repeating seeded entries on sites 0, 2, ..., 2k-2."""
+    rng = random.Random(seed)
+    raw = [rng.randint(1, 5) for _ in range(n)]
+    return ([2 * s for s in range(k)], n,
+            [Fraction(r, sum(raw)) for r in raw],
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for _ in range(n ** k)])
+
+
+@settings(max_examples=60)
+@example(seeded_case(2, 6, 1), "exact")
+@example(seeded_case(3, 6, 2), "float")
+@example(seeded_case(3, 5, 3), "exact")
+@given(expand_cases(), st.sampled_from(["exact", "float"]))
+def test_expand_bytes_equal_the_eager_report(case, mode):
+    """The components go to the writer as a lazily built mapping, formatted
+    through one text map per report; the bytes are those of the whole
+    report built first and dumped by ``json.dumps``."""
+    sites, n, nu, values = case
+    eager = eager_expand_report(sites, n, nu, values, mode)
+    text = expand_stdout(path_payload(sites, n, nu, values, mode), mode)
+    assert text == json.dumps(eager, sort_keys=True, indent=2) + "\n"
+
+
+def test_expand_reports_of_two_denominators_share_no_text():
+    """The same numerators over two denominators (one table, two measures)
+    read as their own values in each report."""
+    sites, values = [0, 1], [Fraction(v) for v in (0, 1, 2, 3)]
+    for nu in ([Fraction(1, 2)] * 2, [Fraction(1, 3), Fraction(2, 3)],
+               [Fraction(1, 2)] * 2):
+        eager = eager_expand_report(sites, 2, nu, values, "exact")
+        text = expand_stdout(path_payload(sites, 2, nu, values, "exact"),
+                             "exact")
+        assert text == json.dumps(eager, sort_keys=True, indent=2) + "\n"
+
+
+def test_expand_locale_error_writes_only_the_error_envelope(tmp_path):
+    """uniform_radius runs before the first byte: a NotSubset locale writes
+    the error envelope and no component."""
+    payload = {"interaction": EXCLUSION, "nu": HALF,
+               "locale": {"sites": [0, 1], "edges": [[0, 1], [1, 0]]},
+               "fn": {"siteset": [0, 1, 7], "values": ["1/3"] * 8}}
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(payload))
+    assert main(["expand", "--input", str(src), "--output", str(out)]) == 1
+    envelope = {"ok": False, "schema_version": "1", "subcommand": "expand",
+                "error": {"name": "NotSubset",
+                          "message": "expansion sites are not all in the "
+                                     "locale",
+                          "details": {"outside": [7]}}}
+    text = out.read_text()
+    assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    assert "components" not in text
+
+
+def test_expand_float_overflow_raises_before_any_output(tmp_path):
+    """A component out of the float range raises OverflowError (as the
+    whole report built first did) before the output file is opened."""
+    payload = {"interaction": EXCLUSION, "nu": [0.5, 0.5],
+               "locale": {"sites": [0, 1], "edges": [[0, 1], [1, 0]]},
+               "fn": {"siteset": [0, 1],
+                      "values": ["0", "0", "0", str(10 ** 400)]}}
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(payload))
+    with pytest.raises(OverflowError):
+        main(["expand", "--input", str(src), "--output", str(out),
+              "--mode", "float"])
+    assert not out.exists()
 
 
 def test_expand_cap_error(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colocal.jsonio import write_report
+from colocal.jsonio import LazyMapping, write_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,3 +96,21 @@ def test_non_str_key_raises_type_error(report):
 def test_unserializable_value_raises_type_error():
     with pytest.raises(TypeError, match="not JSON serializable"):
         written({"a": [1, {2}]})
+
+
+@given(st.dictionaries(TEXT, REPORTS, max_size=5))
+def test_a_lazy_mapping_is_written_as_its_dict(report):
+    """Each value of a LazyMapping is made once, as it is written, and the
+    bytes are those of the dict it stands for, also inside a list."""
+    reads = []
+
+    def value(key):
+        reads.append(key)
+        return report[key]
+
+    lazy = LazyMapping(report, value)
+    assert written({"a": [lazy], "b": lazy}) == dumped({"a": [report],
+                                                        "b": report})
+    assert sorted(reads) == sorted(list(report) * 2)
+    with pytest.raises(KeyError):
+        lazy[object()]

@@ -103,6 +103,30 @@ def test_form_norm_of_density_gradient(mu_half):
     assert norm.squared == F(1, 2)
 
 
+@given(st.sampled_from([2, 3]), st.integers(1, 2), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_form_l2_norm_is_the_mean_of_per_edge_inner_products(n, radius,
+                                                             window, seed):
+    """The window's weights are read once per call; the norm is still the
+    mean over directed edges of <omega_e, omega_e>_mu."""
+    rng = random.Random(seed)
+    locale = cl.lattice_window(1, radius=radius if n == 2 else 1)
+    sites = cl.siteset(locale.sites)
+    interaction = cl.exclusion_interaction(n)
+    form = cl.differential(rand_table(rng, sites, n), interaction, locale)
+    if window:
+        mu = cl.window_measure_from_raw(sites, n, [
+            rng.randint(1, 9) for _ in range(n ** len(sites))])
+    else:
+        raw = [rng.randint(1, 9) for _ in range(n)]
+        mu = cl.ProductMeasure(cl.state_measure([F(r, sum(raw))
+                                                 for r in raw]))
+    tables = [form.dense_table(e) for pair in form.edges
+              for e in (pair, (pair[1], pair[0]))]
+    expected = sum((cl.inner(t, t, mu) for t in tables), F(0)) / len(tables)
+    assert cl.form_l2_norm(form, mu).squared == expected
+
+
 def rand_state_measure(rng, n):
     raw = [rng.randint(1, 6) for _ in range(n)]
     return cl.state_measure([F(w, sum(raw)) for w in raw])

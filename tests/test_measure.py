@@ -335,6 +335,22 @@ def test_correlated_measure_not_ordinary(exclusion):
     assert witness[0].rhs == F(4, 100)
 
 
+def test_is_ordinary_honours_its_state_cap(exclusion):
+    """The check of a window measure enumerates the larger window: over the
+    state cap it is SpaceTooLarge, called directly or from project_form."""
+    path3, sites, mu = correlated_measure(exclusion)   # 8 configurations
+    sub = cl.siteset([-1, 0])
+    with pytest.raises(cl.SpaceTooLarge) as info:
+        cl.is_ordinary(sub, sites, mu, exclusion, path3, state_cap=1)
+    assert info.value.details == {"size": 8, "cap": 1}
+    assert not cl.is_ordinary(sub, sites, mu, exclusion, path3,
+                              state_cap=8).ok
+    form = cl.differential(rand_table(random.Random(5), sites), exclusion,
+                           path3)
+    with pytest.raises(cl.SpaceTooLarge):
+        cl.project_form(form, sub, mu, path3, state_cap=1)
+
+
 def test_identity_interaction_vacuously_ordinary(exclusion):
     path3, sites, mu = correlated_measure(exclusion)
     report = cl.is_ordinary(cl.siteset([-1, 0]), sites, mu,

@@ -149,6 +149,8 @@ def test_expectation_and_inner_match_window_sums(case):
 
 
 @given(product_cases(max_sites=5))
+@example((cl.FnTable(cl.siteset([-2, 0, 3]), 1, (F(3, 7),)),   # one state
+          cl.product_measure(cl.state_measure([1]), {})))
 def test_expansion_matches_recursion(case):
     f, prod = case
     expansion = cl.expand_martingale(f, prod)

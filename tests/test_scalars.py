@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from colocal.scalars import (
     format_numerators,
     format_scalar,
+    numerator_text,
     numerators,
     parse_numerators,
     parse_scalar,
@@ -71,6 +72,16 @@ def test_format_numerators_agrees_with_format_scalar(nums, den, repeat,
     out = format_numerators(nums, den, mode)
     assert out == [format_scalar(F(x, den), mode) for x in nums]
     assert all(type(s) is (float if mode == "float" else str) for s in out)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_numerator_text_keeps_its_texts_per_denominator(mode):
+    """A formatter reuses the texts it made, and two denominators share
+    none: the same numerators read as their own values under each."""
+    thirds, fifths = numerator_text(3, mode), numerator_text(5, mode)
+    for fmt, den in ((thirds, 3), (fifths, 5), (thirds, 3), (fifths, 5)):
+        for nums in ([1, 3, 1], [3, 6, -1, 0], [6, 1]):
+            assert fmt(nums) == [format_scalar(F(x, den), mode) for x in nums]
 
 
 @example(889579385049398832, 67)   # float(x) / den rounds twice

@@ -14,6 +14,7 @@ from .errors import (
     ColocalError,
     EdgeOutsideSiteSet,
     EmptySet,
+    FloatOverflow,
     InvalidPath,
     MalformedForm,
     NonProductMeasure,

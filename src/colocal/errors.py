@@ -106,6 +106,13 @@ class NotClosed(ColocalError):
         self.integral = integral
 
 
+# -- output ------------------------------------------------------------------
+
+class FloatOverflow(ColocalError):
+    """A value to be written in float mode lies outside the float range;
+    details carry it as ``"p/q"``."""
+
+
 # -- invariant decomposition ------------------------------------------------
 
 class WindowTooSmall(ColocalError):

@@ -31,6 +31,7 @@ from .errors import (
 from .measure import (
     Measure,
     WindowMeasure,
+    _window_projection,
     conditional_expectation,
     expectation,
     is_ordinary,
@@ -779,10 +780,12 @@ def project_form(form: Form, sub: SiteSet, mu: Measure,
                 n_violations=len(report.violations))
     sub_pairs = tuple(e for e in form.edges
                       if e[0] in sub and e[1] in sub)
-    tables = {}
-    for e in sub_pairs:
-        dense = form.dense_table(e)
-        tables[e] = conditional_expectation(dense, sub, mu)
+    # every dense table lies on the form's sites: under a window measure
+    # its weights are read once for all of them
+    project = (_window_projection(form.sites, sub, mu, form.n_states)
+               if isinstance(mu, WindowMeasure) else
+               lambda dense: conditional_expectation(dense, sub, mu))
+    tables = {e: project(form.dense_table(e)) for e in sub_pairs}
     if validate:
         return make_form(sub, form.interaction, sub_pairs, tables,
                          validate=True, state_cap=state_cap)

@@ -354,15 +354,18 @@ def check_iq(interaction: Interaction, nu: StateMeasure,
         # each conserved total as numerators (ordered as the Fraction totals)
         columns = [conserved_colocal(xi, sites, state_cap).numerators
                    for xi in basis]
-        keys = (zip(*(column.nums for column in columns)) if columns
-                else [()] * space.size)
-        groups: dict[tuple, dict[int, int]] = {}
-        for idx, (key, label) in enumerate(zip(keys, graph.component_labels)):
-            groups.setdefault(key, {}).setdefault(label, idx)
+        # the first index of each row (totals..., component label): a dict
+        # built from the last configuration down keeps the smallest index
+        rows = zip(*(reversed(column.nums) for column in columns),
+                   reversed(graph.component_labels))
+        firsts = dict(zip(rows, range(space.size - 1, -1, -1)))
+        groups: dict[tuple, list[int]] = {}
+        for row, idx in firsts.items():
+            groups.setdefault(row[:-1], []).append(idx)
         witnesses = []
         for key, per_component in sorted(groups.items()):
             if len(per_component) > 1:
-                first, second = sorted(per_component.values())[:2]
+                first, second = sorted(per_component)[:2]
                 totals = tuple(Fraction(x, column.den)
                                for x, column in zip(key, columns))
                 witnesses.append((totals, space.decode(first),

@@ -261,7 +261,7 @@ def expansion_to_json(expansion: Expansion,
     "values": [...]}`` made when it is read.  The tables of one denominator
     share one text per numerator.  In float mode the extremes of every
     table are formatted here, so that a value out of the float range raises
-    ``OverflowError`` before the report's first byte."""
+    ``FloatOverflow`` before the report's first byte."""
     subsets = {str(expansion.subset_bitmask(sub)): sub
                for sub in expansion.components}
     texts = {}

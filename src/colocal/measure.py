@@ -239,15 +239,31 @@ def conditional_expectation(f: FnTable, sub: SiteSet, mu: Measure) -> FnTable:
     if prod is not None:
         return FnTable.from_numerators(sub, f.n_states,
                                        *_integrate(f, sub, prod))
-    weights, _ = weight_table(mu, f.sites, f.n_states)
-    nums, den = f.numerators
-    size = f.n_states ** len(sub)
-    fw, w = [0] * size, [0] * size
-    for j, x, v in zip(spread(range(size), sub, f.space), nums, weights):
-        fw[j] += x * v
-        w[j] += v
-    return FnTable(sub, f.n_states,
-                   tuple(Fraction(a, b * den) for a, b in zip(fw, w)))
+    return _window_projection(f.sites, sub, mu, f.n_states)(f)
+
+
+def _window_projection(sites: SiteSet, sub: SiteSet, mu: WindowMeasure,
+                       n_states: int):
+    """The projection onto ``sub`` of tables on ``sites`` under the window
+    measure mu, as a function of the table: the weight table, the fiber of
+    each configuration and the fiber weights are read once, for every
+    table it projects."""
+    weights, _ = weight_table(mu, sites, n_states)
+    size = n_states ** len(sub)
+    fibers = spread(range(size), sub, ConfigSpace(sites, n_states))
+    totals = [0] * size
+    for j, v in zip(fibers, weights):
+        totals[j] += v
+
+    def project(f: FnTable) -> FnTable:
+        nums, den = f.numerators
+        fw = [0] * size
+        for j, x, v in zip(fibers, nums, weights):
+            fw[j] += x * v
+        return FnTable(sub, n_states,
+                       tuple(Fraction(a, b * den) for a, b in zip(fw, totals)))
+
+    return project
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ one report that share a denominator.
 Floats are an input and output format only.  A float given to a public
 constructor, or read from JSON in float mode, is read once by
 :func:`exact_scalars` as the simplest rational that rounds to it; float
-mode writes ``float()`` of each exact result.  Serialized scalars are
+mode writes ``float()`` of each exact result, or raises FloatOverflow
+where that lies outside the float range.  Serialized scalars are
 canonical ``"p/q"`` strings in exact mode.
 """
 
@@ -26,6 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Union
+
+from .errors import FloatOverflow
 
 Scalar = Fraction
 
@@ -136,7 +139,12 @@ def _texts(distinct, den: int, mode: str) -> dict:
     """numerator -> :func:`format_scalar` of ``x / den``, for each ``x`` of
     ``distinct``."""
     if mode == "float":
-        return {x: x / den for x in distinct}
+        try:
+            return {x: x / den for x in distinct}
+        except OverflowError:
+            # the value of largest size overflows if any does
+            raise _out_of_range(Fraction(max(distinct, key=abs), den)) \
+                from None
     text = {}
     for x in distinct:
         g = math.gcd(x, den)
@@ -146,10 +154,19 @@ def _texts(distinct, den: int, mode: str) -> dict:
 
 def format_scalar(x, mode: str = "exact") -> Union[str, float]:
     """Canonical serialization of an exact scalar (a Fraction or an int):
-    ``"p/q"``, or in float mode the float nearest to it."""
+    ``"p/q"``, or in float mode the float nearest to it; FloatOverflow
+    where that lies outside the float range."""
     if mode == "float":
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise _out_of_range(Fraction(x)) from None
     return f"{x.numerator}/{x.denominator}"
+
+
+def _out_of_range(value: Fraction) -> FloatOverflow:
+    return FloatOverflow("value outside the float range",
+                         value=f"{value.numerator}/{value.denominator}")
 
 
 def numerators(values) -> tuple[list, int]:

@@ -8,10 +8,12 @@ coordinate x, the single-site table ``h_x = sum_j x_j * (image of generator
 j)``; the differential of that potential is a translation-consistent closed
 form (consistency follows from the conservation identity).  Conversely,
 given a shift-invariant closed form, solving for a potential and taking the
-shift residue of its single-site expansion components recovers the cocycle;
-expansion components of a projected chain are exact on any sub-window by the
-tower property, so the recovery works on windows far too large to enumerate
-by solving on the small window that checks closedness instead.
+shift residue of its single-site expansion components recovers the cocycle
+(for rules that swap the endpoint states it is read off the form's own edge
+tables instead); expansion components of a projected chain are exact on any
+sub-window by the tower property, so the recovery works on windows far too
+large to enumerate by solving on the small window that checks closedness
+instead.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from . import linalg
@@ -43,6 +45,8 @@ from .measure import (
     StateMeasure,
     _integrate,
     _site_components,
+    conditional_expectation,
+    expectation,
 )
 from .scalars import Scalar, exact_scalars, numerators
 from .statespace import (
@@ -63,8 +67,9 @@ from .statespace import (
 from .tables import FnTable, aligned, fn_zeros
 
 Coord = tuple[int, ...]
-# a closedness solve: its chart, its edges (o, t), o < t, and its potential
-Solve = tuple[LatticeMeta, tuple[Edge, ...], FnTable]
+# a closedness solve: its chart, the form it solved (edges (o, t), o < t)
+# and its potential
+Solve = tuple[LatticeMeta, Form, FnTable]
 
 
 def _as_coord(value, dim: int) -> Coord:
@@ -600,10 +605,11 @@ class VaradhanDecomposition:
     margin: int
     mode: str
     checks: dict
-    # window mode: the solved potential and its mean, read by
-    # ``residual_potential``
+    # window mode: the solved potential and the state measure of its mean,
+    # read by ``residual_potential``
     theta: Optional[FnTable] = field(default=None, repr=False, compare=False)
-    mean: Optional[Fraction] = field(default=None, repr=False, compare=False)
+    nu: Optional[StateMeasure] = field(default=None, repr=False,
+                                       compare=False)
     # window mode: ``interior_edges(window, margin)``, which the checks read
     interior: tuple[Edge, ...] = field(default=(), repr=False, compare=False)
 
@@ -618,18 +624,49 @@ class VaradhanDecomposition:
         theta_rho = theta_from_cocycle(self.cocycle, self.window,
                                        state_cap=theta.space.size)
         (a, b), den = aligned((theta, theta_rho))
-        c = self.mean * den
+        c = expectation(theta, ProductMeasure(self.nu)) * den
         p, q = c.numerator, c.denominator
         return FnTable.from_numerators(
             theta.sites, theta.n_states,
             [q * (x - y) - p for x, y in zip(a, b)], den * q)
 
 
-def _shift_residue(singles: dict, pairs, basis, context: str):
-    """Common value of ``singles[s] - singles[p]`` over the site pairs
-    (s, p), solved over the basis."""
-    diffs = [tuple(a - b for a, b in zip(singles[s], singles[p]))
-             for s, p in pairs]
+def _swaps(interaction: Interaction) -> bool:
+    """Does phi swap the endpoint states, phi(a, b) = (b, a) for all a, b
+    (exclusion with any number of states)?"""
+    n = interaction.n_states
+    return all(interaction.phi_pair(a, b) == (b, a)
+               for a in range(n) for b in range(n))
+
+
+def _residues(omega: Form, theta: FnTable, edges,
+              mu: ProductMeasure) -> list:
+    """Per edge (o, t) of ``edges``, o < t, its shift residue: the per-state
+    tuple a -> E[theta | eta_t = a] - E[theta | eta_o = a], for the
+    potential theta of omega, d theta = omega.
+
+    Where phi swaps the endpoint states the transition across e is the
+    site swap sigma_e, which preserves the product measure mu, so the
+    residue is E[theta o sigma_e - theta | eta_o = a] = E[omega_e | eta_o =
+    a]: one small edge table projected onto its origin (embedded there
+    first if its support lacks it).  Otherwise it is read off the
+    single-site components of theta, one pass over the whole potential."""
+    if not _swaps(omega.interaction):
+        singles, _ = _site_components(theta, mu)
+        return [tuple(map(sub, singles[t], singles[o])) for o, t in edges]
+    out = []
+    for o, t in edges:
+        origin = SiteSet((o,))
+        table = omega.tables[(o, t)]
+        if o not in table.sites:
+            table = table.embed(table.sites.union(origin))
+        out.append(conditional_expectation(table, origin, mu).values)
+    return out
+
+
+def _shift_residue(diffs, basis, context: str):
+    """Common value of the per-state residues ``diffs``, one per site pair,
+    solved over the basis."""
     reference = diffs[0]
     if any(other != reference for other in diffs[1:]):
         raise ResidueNotConserved(
@@ -650,22 +687,31 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     part.
 
     On windows within the state cap this solves for a potential theta on
-    the full window, reads the cocycle rho off the shift residue of its
-    single-site components on the interior (``margin``, a non-negative int,
-    by default ``stencil_radius + 1``), and returns the residual form omega
-    - d theta_rho, edge by edge at each table's own support (the solver
+    the full window, reads the cocycle rho off the shift residue of theta
+    on the interior (``margin``, a non-negative int, by default
+    ``stencil_radius + 1``), and returns the residual form omega - d
+    theta_rho, edge by edge at each table's own support (the solver
     certified d theta = omega on every transition), and the residual
-    potential theta - theta_rho - E[theta], built from theta and E[theta]
-    when first read.  On larger windows closedness is checked by one
-    solve, on the stencil's local cycles (``_certify_closed``) or, for
+    potential theta - theta_rho - E[theta], built from theta, with
+    E[theta], when first read.  On larger windows closedness is checked by
+    one solve, on the stencil's local cycles (``_certify_closed``) or, for
     rules, dimensions or caps outside that check, on a box
     (``_validate_closed_locally``, its radius, never null, in
     ``checks["closedness_window_radius"]``), or SpaceTooLarge where
-    neither fits the cap.  The cocycle is read off that solve's potential
-    along its own edges (for an irreducibly quantified rule its gauge,
-    constant on the configuration graph's components, is symmetric in the
-    sites the solve moves, so its single-site parts cancel there), and the
-    residual is returned as a stencil only.
+    neither fits the cap.  The cocycle is read off that solve along its
+    own edges (for an irreducibly quantified rule the gauge of its
+    potential, constant on the configuration graph's components, is
+    symmetric in the sites the solve moves, so its single-site parts
+    cancel there), and the residual is returned as a stencil only.
+
+    The shift residue along an edge e = (o, t) is the per-state
+    E[theta | eta_t = a] - E[theta | eta_o = a] under the product measure
+    of nu.  Where phi swaps the endpoint states, phi(a, b) = (b, a) for all
+    a, b (exclusion with any number of states), the transition across e is
+    the site swap sigma_e, which preserves that measure, so the residue is
+    E[theta o sigma_e - theta | eta_o = a] = E[omega_e | eta_o = a]: it is
+    read off the solved form's edge table, and theta is not passed over.
+    For other rules it is read off theta's single-site components.
     """
     _require_lattice_window(window)
     dim = window.lattice.dim
@@ -699,8 +745,8 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     checks: dict = {"mode": mode, "margin": margin,
                     "stencil_radius": spec.stencil_radius}
     if mode == "window":
-        theta = solve_potential(spec.materialize(window, nu),
-                                state_cap=state_cap)
+        omega = spec.materialize(window, nu)
+        theta = solve_potential(omega, state_cap=state_cap)
         chart, edges = window.lattice, tuple(_interior(window, margin)[1])
         where = "interior"
     else:
@@ -711,20 +757,20 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
             solved = _validate_closed_locally(spec, nu, state_cap)
             checks["closedness"] = "box"
             checks["closedness_window_radius"] = solved[0].radius
-        chart, edges, theta = solved
+        chart, omega, theta = solved
+        edges = omega.edges
         where = "probe"   # the closedness solve's window
-    singles, mean = _site_components(theta, ProductMeasure(nu))
+    residues = _residues(omega, theta, edges, ProductMeasure(nu))
     rows = []
     for axis in range(dim):
-        # (t, o) over the solve's edges along the axis, by ascending o
+        # the solve's edges along the axis, by ascending origin
         stride = chart.strides[axis]
-        pairs = [(t, o) for o, t in edges if t - o == stride]
-        if not pairs:
+        diffs = [r for (o, t), r in zip(edges, residues) if t - o == stride]
+        if not diffs:
             raise WindowTooSmall(
                 f"interior has no site pairs along axis {axis}",
                 axis=axis, margin=margin)
-        rows.append(_shift_residue(singles, pairs, basis,
-                                   f"axis {axis} {where}"))
+        rows.append(_shift_residue(diffs, basis, f"axis {axis} {where}"))
     rho = Cocycle(n, tuple(basis), tuple(rows))
 
     residual_spec = spec - invariant_form_from_cocycle(rho, interaction, dim)
@@ -739,14 +785,14 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         checks["residual_interior_invariant"] = _interior_invariance(
             residual_form, window.lattice, edges)
     else:
-        theta = mean = residual_form = None
+        theta = nu = residual_form = None
         edges = ()
     checks["residual_stencil_zero"] = all(
         residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))
 
     return VaradhanDecomposition(rho, residual_spec, residual_form, window,
-                                 margin, mode, checks, theta, mean, edges)
+                                 margin, mode, checks, theta, nu, edges)
 
 
 def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:
@@ -776,7 +822,7 @@ def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:
 def _certify_closed(spec: InvariantFormSpec, window: Locale,
                     state_cap: int) -> Optional[Solve]:
     """Check the stencil's integral on its local cycles, one translate of
-    each type, and return the chart, edges and potential of the window
+    each type, and return the chart, form and potential of the window
     solve below; None, with nothing checked, outside two-state exclusion in
     d=2 and exclusion with any state count in d=1, or where one of the
     spaces below exceeds ``state_cap``.
@@ -828,9 +874,7 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
     cycle (else of a box around the origin that does)."""
     interaction, dim = spec.interaction, spec.dim
     n = interaction.n_states
-    if not (all(interaction.phi[a][b] == (b, a)
-                for a in range(n) for b in range(n))
-            and (dim == 1 or (dim, n) == (2, 2))):
+    if not (_swaps(interaction) and (dim == 1 or (dim, n) == (2, 2))):
         return None
     anchors = [spec.anchor_table(axis).minimized() for axis in range(dim)]
     zero = (0,) * dim
@@ -880,9 +924,8 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
     tables = dict(placed(axis, at) for axis, at in window_edges)
     sites = siteset(s for edge, table in tables.items()
                     for s in (*edge, *table.sites))
-    edges = tuple(sorted(tables))
-    theta = solve_potential(Form(sites, interaction, edges, tables),
-                            state_cap=state_cap)
+    omega = Form(sites, interaction, tuple(sorted(tables)), tables)
+    theta = solve_potential(omega, state_cap=state_cap)
     for a, b, at in squares:
         (e, omega_e), (f, omega_f) = placed(a, zero), placed(b, at)
         lhs = edge_differential(omega_e.embed(omega_e.sites.union(
@@ -892,7 +935,7 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
         if not (lhs.equals(rhs) if lhs.sites == rhs.sites else
                 lhs.minimized().equals(rhs.minimized())):
             raise _square_not_closed(e, f, lhs, rhs)
-    return chart, edges, theta
+    return chart, omega, theta
 
 
 def _square_not_closed(e: Edge, f: Edge, lhs: FnTable,
@@ -913,7 +956,7 @@ def _square_not_closed(e: Edge, f: Edge, lhs: FnTable,
 def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,
                              state_cap: int) -> Solve:
     """Solve on the largest box of radius at most ``stencil_radius + 1``
-    that the cap admits, with boundary cuts, and return its chart, edges
+    that the cap admits, with boundary cuts, and return its chart, form
     and potential; SpaceTooLarge past radius 1.  Nothing beyond that box
     is proved."""
     n, dim = spec.interaction.n_states, spec.dim
@@ -922,5 +965,4 @@ def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,
     guard_space(n, 3 ** dim, state_cap, "closedness box of radius 1")
     box = lattice_window(dim, radius)
     omega = spec.materialize(box, nu)
-    return box.lattice, omega.edges, solve_potential(omega,
-                                                     state_cap=state_cap)
+    return box.lattice, omega, solve_potential(omega, state_cap=state_cap)

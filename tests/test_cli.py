@@ -200,18 +200,20 @@ def test_expand_locale_error_writes_only_the_error_envelope(tmp_path):
 
 
 def test_expand_float_overflow_raises_before_any_output(tmp_path):
-    """A component out of the float range raises OverflowError (as the
-    whole report built first did) before the output file is opened."""
+    """A component out of the float range raises FloatOverflow before the
+    report's first byte: the run exits 1 and writes only the error
+    envelope, which names the exact value."""
     payload = {"interaction": EXCLUSION, "nu": [0.5, 0.5],
                "locale": {"sites": [0, 1], "edges": [[0, 1], [1, 0]]},
                "fn": {"siteset": [0, 1],
                       "values": ["0", "0", "0", str(10 ** 400)]}}
-    src, out = tmp_path / "in.json", tmp_path / "out.json"
-    src.write_text(json.dumps(payload))
-    with pytest.raises(OverflowError):
-        main(["expand", "--input", str(src), "--output", str(out),
-              "--mode", "float"])
-    assert not out.exists()
+    code, report = run(tmp_path, "expand", payload, "--mode", "float")
+    assert code == 1
+    assert set(report) == {"schema_version", "subcommand", "ok", "error"}
+    assert report["ok"] is False
+    assert report["error"]["name"] == "FloatOverflow"
+    # the first component checked, the mean, is 10^400 / 4
+    assert report["error"]["details"] == {"value": f"{25 * 10 ** 398}/1"}
 
 
 def test_expand_cap_error(tmp_path):

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
+from colocal.errors import FloatOverflow
 from colocal.scalars import (
     format_numerators,
     format_scalar,
@@ -89,6 +90,18 @@ def test_numerator_text_keeps_its_texts_per_denominator(mode):
 @given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
 def test_float_format_is_float_of_the_fraction(x, den):
     assert format_numerators([x], den, "float") == [float(F(x, den))]
+
+
+@pytest.mark.parametrize("x", [10 ** 400, -10 ** 400])
+def test_float_overflow_is_a_named_error_with_the_exact_value(x):
+    """Out of the float range, the scalar and the table formatter raise
+    FloatOverflow with the value in lowest terms, not OverflowError."""
+    with pytest.raises(FloatOverflow) as scalar:
+        format_scalar(F(x, 6), "float")
+    with pytest.raises(FloatOverflow) as table:
+        format_numerators([1, x, -5], 6, "float")
+    expected = {"value": f"{x // 2}/3"}
+    assert scalar.value.details == table.value.details == expected
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -1,12 +1,18 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import colocal as cl
+from colocal import varadhan
+from colocal.cli import main
+from colocal.measure import _site_components
 from conftest import rank_mod, three_state_d2_stencil_not_closed
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def exclusion_cocycle(coeff=F(1)):
@@ -844,3 +850,99 @@ def test_local_cycle_certificate_against_window_mode(case, data):
         return
     assert full.mode == "window"
     assert full.cocycle.images == local.cocycle.images
+
+
+# -- the shift residue read off the form's edge tables -------------------------
+
+@st.composite
+def stencils_of_closed_forms(draw):
+    """A rule, a product measure and an invariant stencil of a closed form:
+    exclusion in d=1 with 2 or 3 states or in d=2 with two, or the rule
+    that swaps only states 1 and 2 in d=1 (not a swap of every pair); the
+    stencil of a random potential core on 1 or 2 sites along axis 0 (a
+    one-site core's stencil is zero: its translates sum to a conserved
+    total), plus, if drawn, the canonical form of a random cocycle."""
+    dim, n, swap = draw(st.sampled_from([(1, 2, True), (1, 3, True),
+                                         (2, 2, True), (1, 3, False)]))
+    inter = (cl.exclusion_interaction(n) if swap else cl.make_interaction(
+        (0, 1, 2), 0, {(1, 2): (2, 1), (2, 1): (1, 2)}))
+    raw = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    nu = cl.state_measure([F(w, sum(raw)) for w in raw])
+    ratio = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    template = cl.lattice_window(dim, radius=2)
+    core_len = draw(st.sampled_from([1, 2]))
+    core_sites = cl.siteset(template.site_at((k,) + (0,) * (dim - 1))
+                            for k in range(core_len))
+    core = cl.FnTable(core_sites, n, tuple(draw(st.lists(
+        ratio, min_size=n ** core_len, max_size=n ** core_len))))
+    spec = cl.invariant_form_from_potential_stencil(core, template, inter)
+    if draw(st.booleans(), label="cocycle"):
+        basis = cl.conserved_quantities(inter, nu)
+        rho = cl.cocycle_from_coefficients(basis, [
+            draw(st.lists(ratio, min_size=len(basis), max_size=len(basis)))
+            for _ in range(dim)])
+        spec = spec + cl.invariant_form_from_cocycle(rho, inter, dim)
+    return spec, nu, swap
+
+
+def site_component_residues(theta, edges, nu):
+    """Oracle: per edge (o, t), the single-site components of theta at t
+    minus those at o, from one pass over theta."""
+    singles, _ = _site_components(theta, cl.ProductMeasure(nu))
+    return [tuple(a - b for a, b in zip(singles[t], singles[o]))
+            for o, t in edges]
+
+
+@settings(max_examples=30)
+@given(stencils_of_closed_forms(), st.integers(2, 3))
+def test_edge_residues_equal_the_potentials_site_component_residues(case,
+                                                                    radius):
+    """On every edge of each solve decompose reads (the window-mode solve
+    on the whole window, with boundary cuts; the local-cycle certificate's
+    solve; the closedness box), the residue read off the solved form
+    equals the one read off the single-site components of its potential.
+    For a swap rule it comes from the edge's table alone, for the partial
+    swap from the potential."""
+    spec, nu, swap = case
+    n, dim = spec.interaction.n_states, spec.dim
+    window = cl.lattice_window(dim, radius=radius if dim == 1 else 1)
+    omega = spec.materialize(window, nu)
+    solves = [(omega, cl.solve_potential(omega))]
+    certified = varadhan._certify_closed(spec, window, cl.DEFAULT_STATE_CAP)
+    assert (certified is None) == (not swap)
+    for solved in (certified, varadhan._validate_closed_locally(
+            spec, nu, n ** 9)):
+        if solved is not None:
+            solves.append(solved[1:])
+    for form, theta in solves:
+        assert form.sites == theta.sites
+        assert varadhan._residues(form, theta, form.edges,
+                                  cl.ProductMeasure(nu)) == \
+            site_component_residues(theta, form.edges, nu)
+
+
+def test_window_mode_exclusion_reads_no_site_components(tmp_path,
+                                                        monkeypatch):
+    """A window-mode exclusion run reads its cocycle off the form's edge
+    tables and never takes E[theta]: with both raising, the golden bytes
+    are still written.  The residual potential takes the mean when read."""
+    def raising(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+    monkeypatch.setattr(varadhan, "_site_components",
+                        raising("_site_components"))
+    monkeypatch.setattr(varadhan, "expectation", raising("expectation"))
+    for name in ("varadhan-window", "varadhan-window-margin",
+                 "varadhan-local-d2"):
+        out = tmp_path / f"{name}.out.json"
+        assert main(["varadhan", "--input", str(GOLDEN / f"{name}.json"),
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.out.json").read_bytes()
+    exclusion, nu, _, rho = exclusion_cocycle(F(3, 7))
+    dec = cl.decompose_invariant_form(
+        cl.invariant_form_from_cocycle(rho, exclusion, 1),
+        cl.lattice_window(1, radius=3), nu)
+    assert dec.mode == "window" and dec.cocycle.images == rho.images
+    with pytest.raises(AssertionError, match="expectation called"):
+        dec.residual_potential

@@ -38,7 +38,6 @@ from .statespace import (
     ConfigSpace,
     DEFAULT_STATE_CAP,
     DEFAULT_SUBSET_CAP,
-    GroupAction,
     Interaction,
     Locale,
     SiteMap,
@@ -52,7 +51,6 @@ from .statespace import (
     group_act,
     identity_interaction,
     identity_map,
-    lattice_translations,
     lattice_window,
     make_interaction,
     permutation_map,

@@ -355,10 +355,6 @@ class Path:
     start: Config
     edges: tuple[Edge, ...]
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.edges)
-
 
 def path_configs(path: Path, interaction: Interaction):
     """All configurations along the path; raises InvalidPath on a step that

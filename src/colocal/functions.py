@@ -137,10 +137,6 @@ class Expansion:
             total = total + table.embed(self.sites)
         return total
 
-    def nonzero_subsets(self):
-        return [sub for sub, table in sorted(self.components.items())
-                if not table.is_zero()]
-
     @cached_property
     def _bits(self) -> dict[int, int]:
         return {s: 1 << k for k, s in enumerate(self.sites)}

@@ -135,9 +135,6 @@ class WindowMeasure:
     def space(self) -> ConfigSpace:
         return ConfigSpace(self.sites, self.n_states)
 
-    def weight_of(self, assignment: Sequence[int]) -> Scalar:
-        return self.weights[self.space.encode(assignment)]
-
 
 Measure = Union[StateMeasure, ProductMeasure, WindowMeasure]
 

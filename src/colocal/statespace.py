@@ -843,24 +843,6 @@ def permutation_map(mapping: Mapping[int, int], label: str = "") -> SiteMap:
     return SiteMap(tuple(sorted(mapping.items())), label=label)
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """Generators of a group acting by (partial) automorphisms."""
-
-    generators: tuple[SiteMap, ...]
-
-
-def lattice_translations(locale: Locale) -> GroupAction:
-    """Unit translations along each axis."""
-    if locale.lattice is None:
-        raise ValueError("locale has no lattice metadata")
-    d = locale.lattice.dim
-    gens = tuple(translation_map(locale, tuple(1 if i == axis else 0
-                                               for i in range(d)))
-                 for axis in range(d))
-    return GroupAction(gens)
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------

@@ -605,9 +605,9 @@ class VaradhanDecomposition:
     margin: int
     mode: str
     checks: dict
-    # window mode: the solved potential and the state measure of its mean,
-    # read by ``residual_potential``
-    theta: Optional[FnTable] = field(default=None, repr=False, compare=False)
+    # window mode: the window form and the state measure of its mean, read
+    # by ``residual_potential``
+    form: Optional[Form] = field(default=None, repr=False, compare=False)
     nu: Optional[StateMeasure] = field(default=None, repr=False,
                                        compare=False)
     # window mode: ``interior_edges(window, margin)``, which the checks read
@@ -615,14 +615,16 @@ class VaradhanDecomposition:
 
     @cached_property
     def residual_potential(self) -> Optional[FnTable]:
-        """theta - theta_rho - E[theta] in window mode (theta_rho has zero
-        mean, so one pass subtracts both), None in local mode."""
-        theta = self.theta
-        if theta is None:
+        """theta - theta_rho - E[theta] in window mode, with theta solved
+        here on the window form (theta_rho has zero mean, so one pass
+        subtracts both), None in local mode."""
+        if self.form is None:
             return None
-        # the solve already held a table of this size
+        # the window is within the cap the decomposition was given
+        size = self.form.space.size
+        theta = solve_potential(self.form, state_cap=size)
         theta_rho = theta_from_cocycle(self.cocycle, self.window,
-                                       state_cap=theta.space.size)
+                                       state_cap=size)
         (a, b), den = aligned((theta, theta_rho))
         c = expectation(theta, ProductMeasure(self.nu)) * den
         p, q = c.numerator, c.denominator
@@ -686,23 +688,26 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     """Split a shift-invariant closed form into a cocycle part and an exact
     part.
 
-    On windows within the state cap this solves for a potential theta on
-    the full window, reads the cocycle rho off the shift residue of theta
-    on the interior (``margin``, a non-negative int, by default
-    ``stencil_radius + 1``), and returns the residual form omega - d
-    theta_rho, edge by edge at each table's own support (the solver
-    certified d theta = omega on every transition), and the residual
-    potential theta - theta_rho - E[theta], built from theta, with
-    E[theta], when first read.  On larger windows closedness is checked by
-    one solve, on the stencil's local cycles (``_certify_closed``) or, for
-    rules, dimensions or caps outside that check, on a box
-    (``_validate_closed_locally``, its radius, never null, in
-    ``checks["closedness_window_radius"]``), or SpaceTooLarge where
-    neither fits the cap.  The cocycle is read off that solve along its
-    own edges (for an irreducibly quantified rule the gauge of its
-    potential, constant on the configuration graph's components, is
-    symmetric in the sites the solve moves, so its single-site parts
-    cancel there), and the residual is returned as a stencil only.
+    Both modes first check closedness on the stencil's local cycles
+    (``_certify_closed``).  On windows within the state cap (window mode)
+    the window form omega is materialized, with boundary cuts, and solved
+    for a potential theta only where that check does not apply (rules or
+    dimensions outside its gate, or local cycles past the cap); the
+    cocycle rho is read off the shift residue on the interior
+    (``margin``, a non-negative int, by default ``stencil_radius + 1``),
+    and the residual form omega - d theta_rho is returned edge by edge at
+    each table's own support, with the residual potential, theta -
+    theta_rho - E[theta] for theta solved on omega, built when first read.
+    On larger windows
+    (local mode) a rule outside the local-cycle check is checked by one
+    solve on a box instead (``_validate_closed_locally``, its radius,
+    never null, in ``checks["closedness_window_radius"]``), or
+    SpaceTooLarge where neither fits the cap.  The cocycle is read off
+    that solve along its own edges (for an irreducibly quantified rule the
+    gauge of its potential, constant on the configuration graph's
+    components, is symmetric in the sites the solve moves, so its
+    single-site parts cancel there), and the residual is returned as a
+    stencil only.
 
     The shift residue along an edge e = (o, t) is the per-state
     E[theta | eta_t = a] - E[theta | eta_o = a] under the product measure
@@ -710,8 +715,8 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     a, b (exclusion with any number of states), the transition across e is
     the site swap sigma_e, which preserves that measure, so the residue is
     E[theta o sigma_e - theta | eta_o = a] = E[omega_e | eta_o = a]: it is
-    read off the solved form's edge table, and theta is not passed over.
-    For other rules it is read off theta's single-site components.
+    read off the form's edge table, and theta is not passed over.  For
+    other rules it is read off theta's single-site components.
     """
     _require_lattice_window(window)
     dim = window.lattice.dim
@@ -744,13 +749,16 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     mode = "window" if n ** len(window.sites) <= state_cap else "local"
     checks: dict = {"mode": mode, "margin": margin,
                     "stencil_radius": spec.stencil_radius}
+    solved = _certify_closed(spec, window, state_cap)
     if mode == "window":
         omega = spec.materialize(window, nu)
-        theta = solve_potential(omega, state_cap=state_cap)
+        # a certified stencil has a closed window form, and its rule swaps,
+        # so the residues read no potential
+        theta = (None if solved is not None
+                 else solve_potential(omega, state_cap=state_cap))
         chart, edges = window.lattice, tuple(_interior(window, margin)[1])
         where = "interior"
     else:
-        solved = _certify_closed(spec, window, state_cap)
         if solved is not None:
             checks["closedness"] = "local_cycles"
         else:
@@ -785,14 +793,14 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         checks["residual_interior_invariant"] = _interior_invariance(
             residual_form, window.lattice, edges)
     else:
-        theta = nu = residual_form = None
+        omega = nu = residual_form = None
         edges = ()
     checks["residual_stencil_zero"] = all(
         residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))
 
     return VaradhanDecomposition(rho, residual_spec, residual_form, window,
-                                 margin, mode, checks, theta, nu, edges)
+                                 margin, mode, checks, omega, nu, edges)
 
 
 def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:
@@ -846,7 +854,15 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
       ``_validate_closed_locally`` solves on in d=2), by a rank mod
       2^31 - 1 in ``tests/test_varadhan.py``.  On two states a line of
       three sites has no cycles.
-    Elsewhere the caller solves on a box instead.
+    Elsewhere the caller solves on a box or, in window mode, on its whole
+    window instead.
+
+    A stencil that passes has a closed window form too, boundary cuts
+    included, on any window (so window mode solves none): that form is the
+    nu-average, over the configuration outside the window, of the lattice
+    form restricted to the window, and moves inside the window do not read
+    the outside, so the integral over a window cycle is the average of
+    integrals over lattice cycles.
 
     The integral over a local cycle reads only the tables of its edges,
     so by translation invariance one translate of each type decides all:

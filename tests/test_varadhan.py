@@ -400,19 +400,33 @@ def test_decompose_not_closed():
         cl.decompose_invariant_form(spec, cl.lattice_window(1, radius=4), nu)
 
 
-def test_decompose_residue_not_conserved():
+def recorded_solves(monkeypatch) -> list:
+    """Record the site set of every potential solve varadhan runs."""
+    calls, real = [], varadhan.solve_potential
+
+    def record(form, *args, **kwargs):
+        calls.append(form.sites)
+        return real(form, *args, **kwargs)
+    monkeypatch.setattr(varadhan, "solve_potential", record)
+    return calls
+
+
+def test_decompose_residue_not_conserved(monkeypatch):
     # swapping only states 1 and 2 is not irreducibly quantified: blocked
     # zeros split level sets, and the interior's shift residues of the
-    # window-mode solve (3^7 configurations) detect it
+    # window-mode solve (3^7 configurations; the rule is outside the
+    # local-cycle certificate, so the whole window is solved) detect it
     inter = cl.make_interaction((0, 1, 2), 0, {(1, 2): (2, 1), (2, 1): (1, 2)})
     nu = cl.uniform_states(3)
     assert not cl.check_iq(inter, nu, [cl.lattice_window(1, radius=1)]).ok
     basis = cl.conserved_quantities(inter, nu)
     rho = cl.cocycle_from_coefficients(basis, [[F(1), F(0)]])
     spec = cl.invariant_form_from_cocycle(rho, inter, 1)
+    window = cl.lattice_window(1, radius=3)
+    solved = recorded_solves(monkeypatch)
     with pytest.raises(cl.ResidueNotConserved):
-        cl.decompose_invariant_form(spec, cl.lattice_window(1, radius=3), nu,
-                                    margin=1)
+        cl.decompose_invariant_form(spec, window, nu, margin=1)
+    assert solved == [cl.siteset(window.sites)]
 
 
 def test_decompose_window_too_small():
@@ -825,16 +839,34 @@ def test_local_cycle_certificate_against_window_mode(case, data):
     """Local mode on the d=1 window of radius R + 3 (R the stencil radius),
     forced by a cap of n^k with k drawn from 3 to 3R + 3: n^(3R + 3) holds
     every space the certificate reads, and smaller caps may leave room for
-    a box only.  Where the certificate passes, window mode on the same
-    window passes too and returns the same cocycle; where the box passes,
-    window mode returns the same cocycle or finds the stencil not closed
-    beyond the box; where either raises, the witness integrates to the
-    reported integral (the box's witness is in the window's site ids, as
-    every d=1 chart's ids are coordinates)."""
+    a box only.  Window mode, which runs the certificate too, raises
+    NotClosed exactly where a solve on the whole window does, and
+    otherwise returns the cocycle of that solve's single-site residues.
+    Where the certificate passes, window mode on the same window passes
+    too and returns the same cocycle; where the box passes, window mode
+    returns the same cocycle or finds the stencil not closed beyond the
+    box; where either raises, the witness integrates to the reported
+    integral (the box's witness is in the window's site ids, as every d=1
+    chart's ids are coordinates)."""
     spec, nu = case
     n, radius = spec.interaction.n_states, spec.stencil_radius
     window = cl.lattice_window(1, radius=radius + 3)
     k = data.draw(st.integers(3, 3 * radius + 3), label="cap exponent")
+    try:
+        full = cl.decompose_invariant_form(spec, window, nu)
+        assert full.mode == "window"
+    except cl.NotClosed as err:
+        assert_witness_integral(err, spec, window, nu)
+        full = None
+    try:
+        theta = cl.solve_potential(spec.materialize(window, nu))
+    except cl.NotClosed:
+        assert full is None
+    else:
+        assert full is not None
+        edges = cl.interior_edges(window, full.margin)
+        assert site_component_residues(theta, edges, nu) == \
+            [full.cocycle.generator_state_table(0)] * len(edges)
     try:
         local = cl.decompose_invariant_form(spec, window, nu,
                                             state_cap=n ** k)
@@ -843,12 +875,9 @@ def test_local_cycle_certificate_against_window_mode(case, data):
         return
     assert local.mode == "local"
     assert k < 3 * radius + 3 or local.checks["closedness"] == "local_cycles"
-    try:
-        full = cl.decompose_invariant_form(spec, window, nu)
-    except cl.NotClosed:
+    if full is None:
         assert local.checks["closedness"] == "box"
         return
-    assert full.mode == "window"
     assert full.cocycle.images == local.cocycle.images
 
 
@@ -897,10 +926,11 @@ def site_component_residues(theta, edges, nu):
 @given(stencils_of_closed_forms(), st.integers(2, 3))
 def test_edge_residues_equal_the_potentials_site_component_residues(case,
                                                                     radius):
-    """On every edge of each solve decompose reads (the window-mode solve
-    on the whole window, with boundary cuts; the local-cycle certificate's
-    solve; the closedness box), the residue read off the solved form
-    equals the one read off the single-site components of its potential.
+    """On every edge of each solve decompose may read (the whole window,
+    with boundary cuts, which window mode solves outside the certificate's
+    gate; the local-cycle certificate's solve; the closedness box), the
+    residue read off the solved form equals the one read off the
+    single-site components of its potential.
     For a swap rule it comes from the edge's table alone, for the partial
     swap from the potential."""
     spec, nu, swap = case
@@ -924,8 +954,11 @@ def test_edge_residues_equal_the_potentials_site_component_residues(case,
 def test_window_mode_exclusion_reads_no_site_components(tmp_path,
                                                         monkeypatch):
     """A window-mode exclusion run reads its cocycle off the form's edge
-    tables and never takes E[theta]: with both raising, the golden bytes
-    are still written.  The residual potential takes the mean when read."""
+    tables, certifies closedness on local cycles, and never takes E[theta]
+    or solves on the whole window: with the first two raising and the
+    solves recorded, the golden bytes are still written.  The residual
+    potential solves the window and takes the mean when read, under the
+    cap of the window's own space, past the default one."""
     def raising(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
@@ -933,16 +966,32 @@ def test_window_mode_exclusion_reads_no_site_components(tmp_path,
     monkeypatch.setattr(varadhan, "_site_components",
                         raising("_site_components"))
     monkeypatch.setattr(varadhan, "expectation", raising("expectation"))
-    for name in ("varadhan-window", "varadhan-window-margin",
-                 "varadhan-local-d2"):
+    solved = recorded_solves(monkeypatch)
+    for name, radius in (("varadhan-window", 3), ("varadhan-window-margin", 4),
+                         ("varadhan-local-d2", None)):
         out = tmp_path / f"{name}.out.json"
         assert main(["varadhan", "--input", str(GOLDEN / f"{name}.json"),
                      "--output", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"{name}.out.json").read_bytes()
+        if radius is not None:
+            window = cl.siteset(cl.lattice_window(1, radius).sites)
+            assert solved and window not in solved
+        solved.clear()
     exclusion, nu, _, rho = exclusion_cocycle(F(3, 7))
-    dec = cl.decompose_invariant_form(
-        cl.invariant_form_from_cocycle(rho, exclusion, 1),
-        cl.lattice_window(1, radius=3), nu)
+    spec = cl.invariant_form_from_cocycle(rho, exclusion, 1)
+    window = cl.lattice_window(1, radius=3)
+    dec = cl.decompose_invariant_form(spec, window, nu)
     assert dec.mode == "window" and dec.cocycle.images == rho.images
+    assert cl.siteset(window.sites) not in solved
     with pytest.raises(AssertionError, match="expectation called"):
         dec.residual_potential
+    assert solved[-1] == cl.siteset(window.sites)
+    monkeypatch.undo()
+    # 2^21 configurations, past DEFAULT_STATE_CAP
+    window = cl.lattice_window(1, radius=10)
+    dec = cl.decompose_invariant_form(spec, window, nu, state_cap=2 ** 21)
+    assert dec.mode == "window"
+    residual = dec.residual_potential
+    assert residual.sites == cl.siteset(window.sites)
+    # d theta = d theta_rho: constant on each of the 22 particle counts
+    assert len(set(residual.numerators[0])) <= 22

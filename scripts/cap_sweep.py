@@ -1,6 +1,6 @@
 """Cap-scale sweep of window-mode and local-mode ``varadhan``, of
-``expand``, of ``iq``, of ``dims`` and of ``closed``: raw wall time and
-peak RSS.
+``expand``, of ``martingale``, of ``iq``, of ``dims`` and of ``closed``:
+raw wall time and peak RSS.
 
 Each case is one CLI run through ``colocal.cli.main``, in a fresh
 interpreter so that its peak RSS is its own.  State-cap cases decompose a
@@ -19,7 +19,10 @@ potential stencil) on the d=2 window of radius 20: its anchors read
 beyond their edges, so its commuting squares are checked too.  Subset-cap cases expand a seeded function on a path of
 10, 12, 13 and 14 two-state sites under nu = (3/5, 2/5); its entries are
 p/q with |p| <= 4 and q <= 3, so they repeat, as in the benchmark's
-tables.  The transition-graph cases check irreducible quantification of
+tables.  The ``martingale`` case reports the norms of a seeded function
+on a path of 16 two-state sites along the chain of windows that grows
+outward from the middle, as in perfbench's ``subset-expand`` jobs.  The
+transition-graph cases check irreducible quantification of
 two-state exclusion on a path of 16 sites (2^16 configurations), and run
 ``dims`` on paths of 14 and 16 two-state sites.  The ``closed`` cases
 solve a form on two-state exclusion boxes of 4x4 and 4x5 sites (2^16 and
@@ -133,6 +136,31 @@ def expand_case(n_sites: int) -> dict:
                                "values": values}}}
 
 
+def martingale_case(n_sites: int) -> dict:
+    """``martingale`` on a seeded function of a path of two-state sites
+    (entries as in ``expand_case``) along the chain that grows outward
+    from the middle site, one site at a time, alternating sides, as
+    perfbench's martingale jobs do."""
+    rng = random.Random(f"cap-sweep:martingale:{n_sites}")
+    values = [f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}"
+              for _ in range(2 ** n_sites)]
+    lo = hi = n_sites // 2
+    chain = [[lo]]
+    while len(chain[-1]) < n_sites:
+        if (len(chain) % 2 and lo > 0) or hi == n_sites - 1:
+            lo -= 1
+        else:
+            hi += 1
+        chain.append(list(range(lo, hi + 1)))
+    return {"case": f"martingale-n2-s{n_sites}", "subcommand": "martingale",
+            "exit": 0, "states": 2, "sites": n_sites,
+            "configurations": 2 ** n_sites,
+            "payload": {"interaction": exclusion([0, 1]), "nu": TWO["nu"],
+                        "fn": {"siteset": list(range(n_sites)),
+                               "values": values},
+                        "chain": chain}}
+
+
 def iq_case(n_sites: int) -> dict:
     return {"case": f"iq-n2-path{n_sites}", "subcommand": "iq", "exit": 0,
             "states": 2, "sites": n_sites, "configurations": 2 ** n_sites,
@@ -215,6 +243,7 @@ CASES = ([varadhan_case("n2-r%d" % r, TWO, r) for r in (6, 7, 8, 9)]
          + [varadhan_case("n3-r%d" % r, THREE, r) for r in (4, 5)]
          + [local_case(r) for r in (20, 40)] + [stencil_case(20)]
          + [expand_case(n) for n in (10, 12, 13, 14)]
+         + [martingale_case(16)]
          + [iq_case(16)]
          + [dims_case(n) for n in (14, 16)]
          + [closed_case(4, 4), closed_case(4, 5),
@@ -339,9 +368,9 @@ def main(argv=None) -> int:
             })
 
     report = {
-        "what": "window-mode and local-mode varadhan, expand, iq, dims "
-                "and closed at cap scale: raw wall time and peak RSS per "
-                "fresh interpreter, medians over repeats",
+        "what": "window-mode and local-mode varadhan, expand, martingale, "
+                "iq, dims and closed at cap scale: raw wall time and peak "
+                "RSS per fresh interpreter, medians over repeats",
         "baseline": args.baseline,
         "repeats": REPEATS,
         "python": platform.python_version(),

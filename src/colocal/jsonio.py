@@ -24,7 +24,7 @@ from .scalars import (
     FLOAT_TOLERANCE,
     format_numerators,
     format_scalar,
-    numerator_text,
+    numerator_texts,
     parse_numerators,
     parse_scalar,
 )
@@ -254,29 +254,55 @@ class LazyMapping:
         return len(self._keys)
 
 
+class JSONText:
+    """A value ``write_report`` writes as ``make(newline)``, its JSON text
+    with the line break plus indent of the line it starts on."""
+
+    def __init__(self, make):
+        self.make = make
+
+
 def expansion_to_json(expansion: Expansion,
                       mode: str = "exact") -> LazyMapping:
     """The components of an expansion keyed by the decimal bitmask of their
-    subset (bit k for the site at position k), each ``{"subset": [...],
-    "values": [...]}`` made when it is read.  The tables of one denominator
-    share one text per numerator.  In float mode the extremes of every
-    table are formatted here, so that a value out of the float range raises
+    subset (bit k for the site at position k), each the ``JSONText`` of
+    ``{"subset": [...], "values": [...]}`` made when it is read: one join
+    of the texts of its numerators, each formatted once here for all the
+    tables of its denominator.  In float mode each table's extremes come
+    first, so that the first table out of the float range raises
     ``FloatOverflow`` before the report's first byte."""
     subsets = {str(expansion.subset_bitmask(sub)): sub
                for sub in expansion.components}
     texts = {}
+    for table in expansion.components.values():
+        nums, den = table.numerators
+        if mode == "float":
+            format_numerators([max(nums), min(nums)], den, mode)
+        texts.setdefault(den, {}).update(dict.fromkeys(nums))
+    for den, t in texts.items():
+        numerator_texts(t, den, mode)
+    quote = '"'
+    if mode == "float":
+        quote = ""
+        for t in texts.values():
+            for x, value in t.items():
+                t[x] = float.__repr__(value)
 
-    def component(key: str) -> dict:
+    def component(key: str) -> JSONText:
         sub = subsets[key]
         nums, den = expansion.components[sub].numerators
-        if den not in texts:
-            texts[den] = numerator_text(den, mode)
-        return {"subset": list(sub), "values": texts[den](nums)}
+        values = list(map(texts[den].__getitem__, nums))
 
-    if mode == "float":
-        for table in expansion.components.values():
-            nums, den = table.numerators
-            format_numerators([max(nums), min(nums)], den, mode)
+        def make(newline: str) -> str:
+            inner = newline + _INDENT
+            item = inner + _INDENT
+            subset = (f"[{item}{f',{item}'.join(map(str, sub))}{inner}]"
+                      if sub else "[]")
+            return (f'{{{inner}"subset": {subset},{inner}"values": [{item}'
+                    f'{quote}{f"{quote},{item}{quote}".join(values)}{quote}'
+                    f'{inner}]{newline}}}')
+        return JSONText(make)
+
     return LazyMapping(subsets, component)
 
 
@@ -339,7 +365,7 @@ def jsonify(value, mode: str = "exact"):
 # encodes each list of leaves as one chunk, at C iteration speed.
 
 _INDENT = "  "
-_CONTAINERS = (list, tuple, dict, LazyMapping)
+_CONTAINERS = (list, tuple, dict, LazyMapping, JSONText)
 # the characters encode_basestring_ascii copies unescaped
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
@@ -385,6 +411,8 @@ def _write_value(value, write, newline: str) -> None:
         _write_dict(value, write, newline)
     elif isinstance(value, (list, tuple)):
         _write_list(value, write, newline)
+    elif isinstance(value, JSONText):
+        write(value.make(newline))
     else:
         write(_leaf_text(value))
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import mul, sub
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .functions import build_chain
-from .measure import Measure, inner, weight_table
-from .scalars import Scalar, format_scalar
-from .statespace import ConfigSpace, SiteSet, spread
+from .measure import Measure, _as_product, inner, weight_table
+from .scalars import Scalar, format_scalar, numerators
+from .statespace import ConfigSpace, SiteSet, interleave, spread
 from .tables import FnTable
 
 
@@ -78,28 +77,45 @@ def martingale_chain_report(f: FnTable, windows: Sequence[SiteSet],
     """Project f along a nested chain and report norms, gaps, and the two
     exact identities (monotonicity and Pythagoras).
 
-    Each window's weights are read once, as int numerators W over one
-    denominator w (``measure.weight_table``).  A table a/p on the window
-    has squared norm sum(a^2 W) / (p^2 w).  The gap between the table a/p
-    of one window and the table b/q of the next is the squared norm of the
-    scaled difference q spread(a) - p b over (pq)^2, summed against the
-    larger window's W; it is read off the two tables, never off the norms,
-    so Pythagoras is an independent check."""
+    A window's weights are int numerators W over w: under a product
+    measure the last window's with each added site's digit put in, scaled
+    by its state weights; under a window measure read per window.  A table
+    b/q has squared norm B/(q^2 w), B = sum(b^2 W).  The gap from the last
+    table a/p is the norm of q spread(a) - p b over (pq)^2, expanded as
+    q^2 A - 2pq X + p^2 B, with X = sum(spread(a) b W) read off both tables
+    and A = sum(spread(a)^2 W) the last B times w / w' (the last weights,
+    over w', are the marginal of these).  So Pythagoras holds iff qA = pX,
+    that is E[g (h - g)] = 0 for g = spread(a)/p and h = b/q: the
+    projection's orthogonality, which a chain that is not compatible
+    fails."""
     chain = build_chain(f, windows, mu)
-    n = f.n_states
+    n, prod = f.n_states, _as_product(mu)
+    weights, w_den = weight_table(mu, chain.windows[0], n)
     norms, gaps = [], []
     for i, (window, table) in enumerate(zip(chain.windows, chain.tables)):
-        weights, w_den = weight_table(mu, window, n)
         b, q = table.numerators
-        norms.append(Fraction(sum(map(mul, map(mul, b, b), weights)),
-                              q * q * w_den))
+        if i:
+            last, last_den = chain.windows[i - 1], w_den
+            if prod is None:
+                weights, w_den = weight_table(mu, window, n)
+            else:   # the added sites in order, so each one's stride is final
+                for s in window.difference(last):
+                    site_weights, site_den = numerators(
+                        prod.factor(s).weights)
+                    weights = interleave([[w * x for x in weights]
+                                          for w in site_weights],
+                                         n ** window.position(s))
+                    w_den *= site_den
+        bw = list(map(mul, b, weights))
+        norm = sum(map(mul, b, bw))
+        norms.append(Fraction(norm, q * q * w_den))
         if i:
             a, p = chain.tables[i - 1].numerators
-            spread_a = spread(a, chain.windows[i - 1], ConfigSpace(window, n))
-            diff = list(map(sub, map(mul, repeat(q), spread_a),
-                            map(mul, repeat(p), b)))
-            gaps.append(Fraction(sum(map(mul, map(mul, diff, diff), weights)),
+            cross = sum(map(mul, spread(a, last, ConfigSpace(window, n)), bw))
+            big = last_norm * (w_den // last_den)
+            gaps.append(Fraction(q * (q * big - 2 * p * cross) + p * p * norm,
                                  (p * q) ** 2 * w_den))
+        last_norm = norm
     pythagoras = all(norms[i + 1] == norms[i] + gaps[i]
                      for i in range(len(gaps)))
     monotone = all(norms[i + 1] >= norms[i] for i in range(len(norms) - 1))

@@ -125,10 +125,11 @@ class WindowMeasure:
         object.__setattr__(self, "weights", exact_scalars(self.weights))
         if len(self.weights) != self.n_states ** len(self.sites):
             raise ValueError("weight count != n_states ** n_sites")
-        if any(not w > 0 for w in self.weights):
+        nums, den = numerators(self.weights)
+        if min(nums, default=1) <= 0:
             raise ValueError("window weights must be strictly positive")
-        total = sum(self.weights)
-        if total != 1:
+        if sum(nums) != den:
+            total = Fraction(sum(nums), den)
             raise ValueError(f"window weights sum to {total}, expected 1")
 
     @property

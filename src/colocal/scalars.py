@@ -11,8 +11,7 @@ weights, which every operation reads as int numerators
 cross the JSON boundary as numerators: :func:`parse_numerators` reads each
 distinct serialized entry once and maps every entry to its numerator, and
 :func:`format_numerators` writes one string (or float) per distinct
-numerator; :func:`numerator_text` keeps those texts across the tables of
-one report that share a denominator.
+numerator, as :func:`numerator_texts` maps them.
 
 Floats are an input and output format only.  A float given to a public
 constructor, or read from JSON in float mode, is read once by
@@ -115,41 +114,30 @@ def parse_numerators(raw, mode: str = "exact") -> tuple[list, int]:
 
 def format_numerators(nums, den: int, mode: str = "exact") -> list:
     """:func:`format_scalar` of every value ``x / den`` (``den`` > 0), made
-    once per distinct numerator without a Fraction: ``"p/q"`` in lowest
-    terms, or in float mode the correctly rounded ``x / den``, the same
-    float as ``float(Fraction(x, den))``."""
-    return list(map(_texts(set(nums), den, mode).__getitem__, nums))
+    once per distinct numerator (see :func:`numerator_texts`)."""
+    return list(map(numerator_texts(dict.fromkeys(nums), den, mode)
+                    .__getitem__, nums))
 
 
-def numerator_text(den: int, mode: str = "exact"):
-    """The function that maps a list of numerators over ``den`` (> 0) to
-    their texts as :func:`format_numerators` does.  It keeps every text it
-    makes, so that a numerator met again, in this list or a later one, is
-    formatted once."""
-    text = {}
-
-    def texts(nums) -> list:
-        text.update(_texts(set(nums).difference(text), den, mode))
-        return list(map(text.__getitem__, nums))
-
-    return texts
-
-
-def _texts(distinct, den: int, mode: str) -> dict:
-    """numerator -> :func:`format_scalar` of ``x / den``, for each ``x`` of
-    ``distinct``."""
+def numerator_texts(texts: dict, den: int, mode: str = "exact") -> dict:
+    """Set the value at each numerator ``x``, a key of ``texts``, to
+    :func:`format_scalar` of ``x / den`` (``den`` > 0), made without a
+    Fraction: ``"p/q"`` in lowest terms, or in float mode the correctly
+    rounded ``x / den``, the same float as ``float(Fraction(x, den))``.
+    Returns ``texts``, filled in place."""
     if mode == "float":
         try:
-            return {x: x / den for x in distinct}
+            for x in texts:
+                texts[x] = x / den
         except OverflowError:
             # the value of largest size overflows if any does
-            raise _out_of_range(Fraction(max(distinct, key=abs), den)) \
+            raise _out_of_range(Fraction(max(texts, key=abs), den)) \
                 from None
-    text = {}
-    for x in distinct:
+        return texts
+    for x in texts:
         g = math.gcd(x, den)
-        text[x] = f"{x // g}/{den // g}"
-    return text
+        texts[x] = f"{x // g}/{den // g}"
+    return texts
 
 
 def format_scalar(x, mode: str = "exact") -> Union[str, float]:

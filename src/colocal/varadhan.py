@@ -612,17 +612,21 @@ class VaradhanDecomposition:
                                        compare=False)
     # window mode: ``interior_edges(window, margin)``, which the checks read
     interior: tuple[Edge, ...] = field(default=(), repr=False, compare=False)
+    # window mode: the form's potential, where the decomposition solved it
+    theta: Optional[FnTable] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def residual_potential(self) -> Optional[FnTable]:
-        """theta - theta_rho - E[theta] in window mode, with theta solved
-        here on the window form (theta_rho has zero mean, so one pass
-        subtracts both), None in local mode."""
+        """theta - theta_rho - E[theta] in window mode, with theta the
+        decomposition's solve, or solved here on the window form where it
+        made none (theta_rho has zero mean, so one pass subtracts both),
+        None in local mode."""
         if self.form is None:
             return None
         # the window is within the cap the decomposition was given
         size = self.form.space.size
-        theta = solve_potential(self.form, state_cap=size)
+        theta = (self.theta if self.theta is not None
+                 else solve_potential(self.form, state_cap=size))
         theta_rho = theta_from_cocycle(self.cocycle, self.window,
                                        state_cap=size)
         (a, b), den = aligned((theta, theta_rho))
@@ -697,7 +701,8 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     (``margin``, a non-negative int, by default ``stencil_radius + 1``),
     and the residual form omega - d theta_rho is returned edge by edge at
     each table's own support, with the residual potential, theta -
-    theta_rho - E[theta] for theta solved on omega, built when first read.
+    theta_rho - E[theta], built when first read from the window's solve
+    (made then where the decomposition made none).
     On larger windows
     (local mode) a rule outside the local-cycle check is checked by one
     solve on a box instead (``_validate_closed_locally``, its radius,
@@ -793,14 +798,15 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         checks["residual_interior_invariant"] = _interior_invariance(
             residual_form, window.lattice, edges)
     else:
-        omega = nu = residual_form = None
+        omega = nu = residual_form = theta = None
         edges = ()
     checks["residual_stencil_zero"] = all(
         residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))
 
     return VaradhanDecomposition(rho, residual_spec, residual_form, window,
-                                 margin, mode, checks, omega, nu, edges)
+                                 margin, mode, checks, omega, nu, edges,
+                                 theta)
 
 
 def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:

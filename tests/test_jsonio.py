@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colocal.jsonio import LazyMapping, write_report
+from colocal.jsonio import JSONText, LazyMapping, write_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,3 +114,14 @@ def test_a_lazy_mapping_is_written_as_its_dict(report):
     assert sorted(reads) == sorted(list(report) * 2)
     with pytest.raises(KeyError):
         lazy[object()]
+
+
+@given(REPORTS)
+def test_json_text_is_written_at_the_indent_of_its_line(report):
+    """A ``JSONText`` made from the text ``json.dumps`` gives its value at
+    the top level is written as that value, at any depth."""
+    def make(newline):
+        return dumped(report)[:-1].replace("\n", newline)
+    text = JSONText(make)
+    assert written({"a": [text, {"b": text}], "c": text}) == dumped(
+        {"a": [report, {"b": report}], "c": report})

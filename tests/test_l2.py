@@ -135,16 +135,23 @@ def rand_state_measure(rng, n):
 @st.composite
 def d1_chains(draw):
     """(f, windows, mu): a table on up to 5 sites of a d=1 path (2 states)
-    or 4 (3 states), a nested chain of intervals ending at its domain
-    (consecutive windows may be equal, the first may be empty), and a
-    product measure (homogeneous or not) or a window measure on the domain
-    or on one site more."""
+    or 4 (3 states), a nested chain ending at its domain (consecutive
+    windows may be equal, the first may be empty), and a product measure
+    (homogeneous or not) or a window measure on the domain or on one site
+    more.  The chain is of intervals around one site, or of prefixes of a
+    random site order: windows that are not intervals, grown by several
+    sites in one step."""
     n = draw(st.sampled_from([2, 3]))
     k = draw(st.integers(1, 5 if n == 2 else 4))
-    lo = draw(st.integers(0, k - 1))
     cuts = sorted(draw(st.lists(st.integers(0, k), max_size=4)))
-    windows = [cl.siteset(range(max(0, lo - c // 2), min(k, lo + c - c // 2)))
-               for c in cuts] + [cl.siteset(range(k))]
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, k - 1))
+        windows = [range(max(0, lo - c // 2), min(k, lo + c - c // 2))
+                   for c in cuts]
+    else:
+        order = draw(st.permutations(range(k)))
+        windows = [order[:c] for c in cuts]
+    windows = [cl.siteset(w) for w in windows] + [cl.siteset(range(k))]
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     f = rand_table(rng, windows[-1], n)
     kind = draw(st.sampled_from(["product", "per-site", "window"]))

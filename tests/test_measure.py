@@ -38,6 +38,18 @@ def test_product_measure_rejects_a_factor_on_other_states():
     assert info.value.details == {"site": 0}
 
 
+@pytest.mark.parametrize("weights, message", [
+    ((F(1), F(0)), "window weights must be strictly positive"),
+    ((F(3, 2), F(-1, 2)), "window weights must be strictly positive"),
+    ((F(1, 2), F(1, 3)), "window weights sum to 5/6, expected 1"),
+    ((1, 1), "window weights sum to 2, expected 1"),
+    ((0.5, 0.25), "window weights sum to 3/4, expected 1")])
+def test_window_measure_names_what_its_weights_break(weights, message):
+    with pytest.raises(ValueError) as info:
+        cl.WindowMeasure(cl.siteset([0]), 2, weights)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("raw", [(0, 0), (1, -1), (-1, -1)])
 def test_window_measure_from_raw_requires_positive_weights(raw):
     with pytest.raises(ValueError,

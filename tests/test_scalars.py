@@ -13,7 +13,7 @@ from colocal.errors import FloatOverflow
 from colocal.scalars import (
     format_numerators,
     format_scalar,
-    numerator_text,
+    numerator_texts,
     numerators,
     parse_numerators,
     parse_scalar,
@@ -76,13 +76,13 @@ def test_format_numerators_agrees_with_format_scalar(nums, den, repeat,
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_numerator_text_keeps_its_texts_per_denominator(mode):
-    """A formatter reuses the texts it made, and two denominators share
-    none: the same numerators read as their own values under each."""
-    thirds, fifths = numerator_text(3, mode), numerator_text(5, mode)
-    for fmt, den in ((thirds, 3), (fifths, 5), (thirds, 3), (fifths, 5)):
-        for nums in ([1, 3, 1], [3, 6, -1, 0], [6, 1]):
-            assert fmt(nums) == [format_scalar(F(x, den), mode) for x in nums]
+def test_numerator_texts_read_each_numerator_over_its_denominator(mode):
+    """The texts are filled in place, and the same numerators read as their
+    own values under each denominator."""
+    for den in (3, 5, 3):
+        texts = dict.fromkeys([1, 3, 6, -1, 0])
+        assert numerator_texts(texts, den, mode) is texts
+        assert texts == {x: format_scalar(F(x, den), mode) for x in texts}
 
 
 @example(889579385049398832, 67)   # float(x) / den rounds twice

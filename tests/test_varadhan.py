@@ -526,6 +526,29 @@ def test_residual_potential_is_theta_minus_theta_rho_minus_its_mean(case):
     assert local.mode == "local" and local.residual_potential is None
 
 
+def test_residual_potential_reuses_the_decomposition_solve(monkeypatch):
+    """Outside the local-cycle gate (three states in d=2) window mode
+    solves the window; reading the residual potential then solves nothing
+    more: one solve in all."""
+    three = cl.exclusion_interaction(3)
+    nu = cl.uniform_states(3)
+    basis = cl.conserved_quantities(three, nu)
+    rho = cl.cocycle_from_coefficients(basis, [[F(1), F(0)], [F(0), F(2)]])
+    spec = cl.invariant_form_from_cocycle(rho, three, 2)
+    window = cl.lattice_window(2, radius=1)
+    solved = recorded_solves(monkeypatch)
+    dec = cl.decompose_invariant_form(spec, window, nu, margin=0)
+    assert dec.mode == "window" and dec.cocycle.images == rho.images
+    residual = dec.residual_potential
+    sites = cl.siteset(window.sites)
+    assert solved == [sites]
+    # the kept solve is theta: d of the residual is the residual form
+    back = cl.differential(residual, three, window)
+    assert back.edges == dec.residual_form.edges
+    for e in back.edges:
+        assert back.tables[e] == dec.residual_form.tables[e].embed(sites)
+
+
 # -- nu is a StateMeasure ------------------------------------------------------
 
 @pytest.mark.parametrize("cut", [False, True])

@@ -169,14 +169,13 @@ def _run_varadhan(payload: dict, args: argparse.Namespace) -> dict:
         "residual_stencil": jsonio.invariant_spec_to_json(
             decomposition.residual_spec, args.mode),
     }
-    if decomposition.residual_form is not None:
-        tables = decomposition.residual_form.tables
+    if decomposition.mode == "window":
         result["residual_interior_edges"] = [
             {"edge": list(e),
-             "values": jsonio.format_numerators(*tables[e].numerators,
+             "values": jsonio.format_numerators(*table.numerators,
                                                 args.mode),
-             "support": list(tables[e].sites)}
-            for e in decomposition.interior]
+             "support": list(table.sites)}
+            for e, table in decomposition.residual_interior.items()]
     return result
 
 

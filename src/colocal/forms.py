@@ -695,6 +695,21 @@ def _not_closed(form: Form, space: ConfigSpace, parent, src: int, edge: Edge,
                      cycle_length=len(steps))
 
 
+def _square_not_closed(e: Edge, f: Edge, lhs: FnTable,
+                       rhs: FnTable) -> NotClosed:
+    """NotClosed for the square eta -e-> -f-> -e-> -f-> eta at the first
+    configuration of the union where Delta_f omega_e (``lhs``) and
+    Delta_e omega_f (``rhs``) differ; its integral, omega_e(eta) +
+    omega_f(eta^e) - omega_e(eta^f) - omega_f(eta), is rhs - lhs there."""
+    sites = lhs.sites.union(rhs.sites)
+    a, b = lhs.embed(sites).values, rhs.embed(sites).values
+    idx = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    start = Config(sites, ConfigSpace(sites, lhs.n_states).decode(idx))
+    return NotClosed("stencil has a commuting square with nonzero integral",
+                     witness=Path(start, (e, f, e[::-1], f[::-1])),
+                     integral=b[idx] - a[idx], cycle_length=4)
+
+
 # ---------------------------------------------------------------------------
 # kernel of the differential
 # ---------------------------------------------------------------------------

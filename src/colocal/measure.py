@@ -274,10 +274,12 @@ def _window_projection(sites: SiteSet, sub: SiteSet, mu: WindowMeasure,
 
 def _contract(nums: list, n: int, stride: int, weights) -> list:
     """Integrate out the digit of the given stride: the weighted sum of its
-    n slices, each ordered by the remaining digits."""
+    n slices, each ordered by the remaining digits, the first two at once."""
     slices = digit_slices(nums, n, stride)
-    out = [weights[0] * x for x in slices[0]]
-    for w, part in zip(weights[1:], slices[1:]):
+    w0, w1 = weights[0], weights[1 % n]   # one state: w1 is not read
+    out = ([w0 * x + w1 * y for x, y in zip(slices[0], slices[1])]
+           if n > 1 else [w0 * x for x in slices[0]])
+    for w, part in zip(weights[2:], slices[2:]):
         out = [o + w * x for o, x in zip(out, part)]
     return out
 

@@ -157,6 +157,12 @@ class FnTable:
             spread(nums, self.sites, ConfigSpace(ambient, self.n_states)),
             den)
 
+    def shifted(self, step: int) -> "FnTable":
+        """The same values on the site ids moved by ``step``."""
+        return FnTable.from_numerators(
+            SiteSet(tuple([s + step for s in self.sites])), self.n_states,
+            *self.numerators)
+
     def depends_on(self, site: int) -> bool:
         """Does the value actually change with the digit at ``site``?"""
         return site in self.sites and _depends(

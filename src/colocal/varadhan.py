@@ -27,15 +27,14 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (
-    NotClosed,
     NotInvariant,
     ResidueNotConserved,
     WindowTooSmall,
 )
 from .forms import (
     Form,
-    Path,
     _check_zero_on_fixed,
+    _square_not_closed,
     edge_differential,
     solve_potential,
 )
@@ -51,14 +50,13 @@ from .measure import (
 from .scalars import Scalar, exact_scalars, numerators
 from .statespace import (
     DEFAULT_STATE_CAP,
-    Config,
-    ConfigSpace,
     Edge,
     Interaction,
     LatticeMeta,
     Locale,
     SiteSet,
     check_int,
+    edges_within,
     guard_space,
     kron,
     lattice_window,
@@ -240,34 +238,28 @@ def _fits(coord: Coord, bounds) -> bool:
     return all(a <= x <= b for x, (a, b) in zip(coord, bounds))
 
 
-def _interior(window: Locale, margin: int) -> tuple[list, list]:
-    """The sites at lattice distance >= margin from the window boundary,
-    ascending, and the window edges (o, t), o < t, between them, sorted:
+def _interior(window: Locale, margin: int) -> SiteSet:
+    """The sites at lattice distance >= margin from the window boundary:
     the box ``{-h..h}^dim``, h = radius - margin, by index arithmetic."""
     _require_lattice_window(window)
     meta = window.lattice
     half = min(meta.radius - margin, meta.radius)
-    if half < 0:
-        return [], []
     corner = _origin(meta) - half * sum(meta.strides)
-    last = 2 * half
-    strides = meta.strides[::-1]   # each site's edges by ascending tip
-    sites, edges = [], []
-    for digits in itertools.product(range(last + 1), repeat=meta.dim):
-        o = corner + sum(map(mul, digits, meta.strides))
-        sites.append(o)
-        edges += [(o, o + stride) for d, stride in zip(digits[::-1], strides)
-                  if d < last]
-    return sites, edges
+    # from a list: tuple() of a generator strands a resized tuple per call
+    return SiteSet(tuple([corner + sum(map(mul, digits, meta.strides))
+                          for digits in itertools.product(range(2 * half + 1),
+                                                          repeat=meta.dim)]))
 
 
 def interior_sites(window: Locale, margin: int) -> tuple[int, ...]:
     """Sites at lattice distance >= margin from the window boundary."""
-    return tuple(_interior(window, margin)[0])
+    return _interior(window, margin).sites
 
 
 def interior_edges(window: Locale, margin: int) -> tuple[Edge, ...]:
-    return tuple(_interior(window, margin)[1])
+    """The window edges (o, t), o < t, between interior sites, sorted."""
+    return tuple([e for e in edges_within(window, _interior(window, margin))
+                  if e[0] < e[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +461,22 @@ def _rechart(table: FnTable, src: LatticeMeta, dst: LatticeMeta) -> FnTable:
 
 
 def _place(anchors: Sequence[FnTable], src: Locale, window: Locale,
-           keep: SiteSet, nu: Optional[StateMeasure]) -> dict:
-    """Each window edge (o, t), o < t, with both ends in ``keep``, with its
-    axis's anchor (a table on the chart ``src``, its edge leaving the
-    origin) translated onto it: edge keys in sorted order.
+           keep: SiteSet, nu: Optional[StateMeasure],
+           within: Optional[SiteSet] = None,
+           classes: Optional[dict] = None) -> dict:
+    """Each window edge (o, t), o < t, with both ends in ``within`` (sites
+    of ``keep``, by default all), with its axis's anchor (a table on the
+    chart ``src``, its edge leaving the origin) translated onto it: edge
+    keys in sorted order.
 
     Each anchor's coordinate offsets, id steps and the edge origins at
-    which it fits are worked out once, and only the edges inside ``keep``
-    are visited.  An edge
-    whose translate lies inside the window and ``keep`` gets the anchor's
-    own numerators on the translated sites.  Otherwise the anchor's sites
-    that land outside are integrated out against nu, once per distinct
-    cut of each anchor; with nu None such edges are left out."""
+    which it fits are worked out once, and only the edges inside ``within``
+    are visited.  An edge whose translate lies inside the window and
+    ``keep`` gets the anchor's own numerators: class (axis, None).  Else
+    the anchor's sites that land outside are integrated out against nu,
+    once per distinct cut, class (axis, kept); with nu None such edges are
+    left out.  ``classes`` gets each placed edge's class, if given: tables
+    of one class are translates."""
     meta = window.lattice
     radius, strides = meta.radius, meta.strides
     feet = []
@@ -492,34 +488,36 @@ def _place(anchors: Sequence[FnTable], src: Locale, window: Locale,
     ids = range(meta.first, meta.first + len(window.sites))
     whole = keep.sites == window.sites
     mu = None if nu is None else ProductMeasure(nu)
+    within = keep if within is None else within
     cuts = {}
     tables = {}
-    for o in keep:
+    for o in within:
         if o not in ids:
             continue
         c = meta.site_to_coord(o)
         for axis in reversed(range(meta.dim)):   # tips in ascending order
             t = o + strides[axis]
-            if c[axis] == radius or t not in keep:
+            if c[axis] == radius or t not in within:
                 continue
             anchor = anchors[axis]
             coords, steps, bounds = feet[axis]
             sites = [o + d for d in steps]
             if _fits(c, bounds) and (whole or all(s in keep for s in sites)):
-                tables[(o, t)] = FnTable.from_numerators(
-                    SiteSet(tuple(sites)), anchor.n_states,
-                    *anchor.numerators)
+                kept, nums = None, anchor.numerators
+            elif mu is None:
                 continue
-            if mu is None:
-                continue
-            kept = tuple(k for k, (u, s) in enumerate(zip(coords, sites))
-                         if _fits(_coord_add(c, u), box) and s in keep)
-            cut = cuts.get((axis, kept))
-            if cut is None:
-                keep_src = SiteSet(tuple(anchor.sites.sites[k] for k in kept))
-                cut = cuts[(axis, kept)] = _integrate(anchor, keep_src, mu)
+            else:
+                kept = tuple(k for k, (u, s) in enumerate(zip(coords, sites))
+                             if _fits(_coord_add(c, u), box) and s in keep)
+                nums = cuts.get((axis, kept))
+                if nums is None:
+                    nums = cuts[(axis, kept)] = _integrate(anchor, SiteSet(
+                        tuple(anchor.sites.sites[k] for k in kept)), mu)
+                sites = [sites[k] for k in kept]
             tables[(o, t)] = FnTable.from_numerators(
-                SiteSet(tuple(sites[k] for k in kept)), anchor.n_states, *cut)
+                SiteSet(tuple(sites)), anchor.n_states, *nums)
+            if classes is not None:
+                classes[(o, t)] = (axis, kept)
     return tables
 
 
@@ -582,10 +580,7 @@ def invariant_form_from_potential_stencil(core: FnTable, template: Locale,
         potential = fn_zeros(support, n)
         for v in shifts:
             step = sum(map(mul, v, meta.strides))
-            translated = FnTable.from_numerators(
-                SiteSet(tuple(s + step for s in core.sites)), n,
-                *core.numerators)
-            potential = potential + translated.embed(support)
+            potential = potential + core.shifted(step).embed(support)
         edge = (origin, origin + meta.strides[axis])
         anchors.append(edge_differential(potential, interaction,
                                          edge).minimized())
@@ -600,20 +595,35 @@ def invariant_form_from_potential_stencil(core: FnTable, template: Locale,
 class VaradhanDecomposition:
     cocycle: Cocycle
     residual_spec: InvariantFormSpec
-    residual_form: Optional[Form]
     window: Locale
     margin: int
     mode: str
     checks: dict
-    # window mode: the window form and the state measure of its mean, read
-    # by ``residual_potential``
-    form: Optional[Form] = field(default=None, repr=False, compare=False)
+    # window mode: the decomposed stencil and nu, from which ``form``,
+    # ``residual_form`` and ``residual_potential`` are built when first read
+    spec: Optional[InvariantFormSpec] = field(default=None, repr=False,
+                                              compare=False)
     nu: Optional[StateMeasure] = field(default=None, repr=False,
                                        compare=False)
-    # window mode: ``interior_edges(window, margin)``, which the checks read
-    interior: tuple[Edge, ...] = field(default=(), repr=False, compare=False)
+    # window mode: each interior edge, in order, to its minimized residual
+    residual_interior: dict = field(default_factory=dict, repr=False,
+                                    compare=False)
     # window mode: the form's potential, where the decomposition solved it
     theta: Optional[FnTable] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def form(self) -> Optional[Form]:
+        """The window form with boundary cuts; None in local mode."""
+        return self.spec and self.spec.materialize(self.window, self.nu)
+
+    @cached_property
+    def residual_form(self) -> Optional[Form]:
+        """d(theta - theta_rho), each window edge's table at its support."""
+        if self.spec is None:
+            return None
+        placed = self.residual_spec.materialize(self.window, self.nu)
+        return Form(placed.sites, placed.interaction, placed.edges,
+                    {e: t.minimized() for e, t in placed.tables.items()})
 
     @cached_property
     def residual_potential(self) -> Optional[FnTable]:
@@ -621,14 +631,13 @@ class VaradhanDecomposition:
         decomposition's solve, or solved here on the window form where it
         made none (theta_rho has zero mean, so one pass subtracts both),
         None in local mode."""
-        if self.form is None:
+        if self.spec is None:
             return None
         # the window is within the cap the decomposition was given
-        size = self.form.space.size
-        theta = (self.theta if self.theta is not None
-                 else solve_potential(self.form, state_cap=size))
+        theta = (self.theta if self.theta is not None else
+                 solve_potential(self.form, state_cap=self.form.space.size))
         theta_rho = theta_from_cocycle(self.cocycle, self.window,
-                                       state_cap=size)
+                                       state_cap=theta.space.size)
         (a, b), den = aligned((theta, theta_rho))
         c = expectation(theta, ProductMeasure(self.nu)) * den
         p, q = c.numerator, c.denominator
@@ -645,8 +654,8 @@ def _swaps(interaction: Interaction) -> bool:
                for a in range(n) for b in range(n))
 
 
-def _residues(omega: Form, theta: FnTable, edges,
-              mu: ProductMeasure) -> list:
+def _residues(omega: Form, theta: Optional[FnTable], edges,
+              mu: ProductMeasure, classes: Optional[dict] = None) -> list:
     """Per edge (o, t) of ``edges``, o < t, its shift residue: the per-state
     tuple a -> E[theta | eta_t = a] - E[theta | eta_o = a], for the
     potential theta of omega, d theta = omega.
@@ -655,19 +664,22 @@ def _residues(omega: Form, theta: FnTable, edges,
     site swap sigma_e, which preserves the product measure mu, so the
     residue is E[theta o sigma_e - theta | eta_o = a] = E[omega_e | eta_o =
     a]: one small edge table projected onto its origin (embedded there
-    first if its support lacks it).  Otherwise it is read off the
-    single-site components of theta, one pass over the whole potential."""
+    first if its support lacks it), once per class of ``classes`` if given
+    (see ``_place``).  Otherwise it is read off the single-site components
+    of theta, one pass over the whole potential."""
     if not _swaps(omega.interaction):
         singles, _ = _site_components(theta, mu)
         return [tuple(map(sub, singles[t], singles[o])) for o, t in edges]
-    out = []
-    for o, t in edges:
-        origin = SiteSet((o,))
-        table = omega.tables[(o, t)]
-        if o not in table.sites:
-            table = table.embed(table.sites.union(origin))
-        out.append(conditional_expectation(table, origin, mu).values)
-    return out
+    done = {}
+    for e in edges:
+        key = classes[e] if classes else e
+        if key not in done:
+            origin = SiteSet(e[:1])
+            table = omega.tables[e]
+            if e[0] not in table.sites:
+                table = table.embed(table.sites.union(origin))
+            done[key] = conditional_expectation(table, origin, mu).values
+    return [done[classes[e] if classes else e] for e in edges]
 
 
 def _shift_residue(diffs, basis, context: str):
@@ -694,19 +706,17 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
 
     Both modes first check closedness on the stencil's local cycles
     (``_certify_closed``).  On windows within the state cap (window mode)
-    the window form omega is materialized, with boundary cuts, and solved
-    for a potential theta only where that check does not apply (rules or
-    dimensions outside its gate, or local cycles past the cap); the
-    cocycle rho is read off the shift residue on the interior
-    (``margin``, a non-negative int, by default ``stencil_radius + 1``),
-    and the residual form omega - d theta_rho is returned edge by edge at
-    each table's own support, with the residual potential, theta -
-    theta_rho - E[theta], built when first read from the window's solve
-    (made then where the decomposition made none).
-    On larger windows
-    (local mode) a rule outside the local-cycle check is checked by one
-    solve on a box instead (``_validate_closed_locally``, its radius,
-    never null, in ``checks["closedness_window_radius"]``), or
+    the stencil is placed on the interior edges only (``margin``, a
+    non-negative int, by default ``stencil_radius + 1``), cut at the window
+    boundary; the cocycle rho is read off their shift residues, and the
+    residual omega - d theta_rho is placed there and checked, each class of
+    placed table (see ``_place``) read once.  The window form omega is
+    solved for a potential theta only outside the closedness check's gate.
+    ``form``, ``residual_form`` (every window edge) and the residual
+    potential theta - theta_rho - E[theta] are built when first read.
+    On larger windows (local mode) a rule outside the local-cycle check is
+    checked by one solve on a box instead (``_validate_closed_locally``,
+    its radius, never null, in ``checks["closedness_window_radius"]``), or
     SpaceTooLarge where neither fits the cap.  The cocycle is read off
     that solve along its own edges (for an irreducibly quantified rule the
     gauge of its potential, constant on the configuration graph's
@@ -755,13 +765,21 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     checks: dict = {"mode": mode, "margin": margin,
                     "stencil_radius": spec.stencil_radius}
     solved = _certify_closed(spec, window, state_cap)
+    classes: dict = {}
     if mode == "window":
-        omega = spec.materialize(window, nu)
         # a certified stencil has a closed window form, and its rule swaps,
         # so the residues read no potential
-        theta = (None if solved is not None
-                 else solve_potential(omega, state_cap=state_cap))
-        chart, edges = window.lattice, tuple(_interior(window, margin)[1])
+        theta = (None if solved is not None else solve_potential(
+            spec.materialize(window, nu), state_cap=state_cap))
+        sites = siteset(window.sites)
+        within = _interior(window, margin)
+
+        def on_interior(stencil: InvariantFormSpec, classes: dict) -> dict:
+            return _place([stencil.anchor_table(axis) for axis in range(dim)],
+                          stencil.template, window, sites, nu, within, classes)
+        tables = on_interior(spec, classes)
+        omega = Form(sites, interaction, tuple(tables), tables)
+        chart, edges = window.lattice, omega.edges
         where = "interior"
     else:
         if solved is not None:
@@ -773,7 +791,7 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
         chart, omega, theta = solved
         edges = omega.edges
         where = "probe"   # the closedness solve's window
-    residues = _residues(omega, theta, edges, ProductMeasure(nu))
+    residues = _residues(omega, theta, edges, ProductMeasure(nu), classes)
     rows = []
     for axis in range(dim):
         # the solve's edges along the axis, by ascending origin
@@ -789,48 +807,45 @@ def decompose_invariant_form(spec: InvariantFormSpec, window: Locale,
     residual_spec = spec - invariant_form_from_cocycle(rho, interaction, dim)
     if mode == "window":
         # d(theta - theta_rho): the cocycle's stencil is d theta_rho
-        placed = residual_spec.materialize(window, nu)
-        residual_form = Form(placed.sites, interaction, placed.edges,
-                             {e: t.minimized()
-                              for e, t in placed.tables.items()})
-        checks["residual_interior_zero"] = all(
-            residual_form.tables[e].is_zero() for e in edges)
-        checks["residual_interior_invariant"] = _interior_invariance(
-            residual_form, window.lattice, edges)
+        classes = {}
+        residual, zero, invariant = _interior_residual(
+            on_interior(residual_spec, classes), classes, window.lattice)
+        checks["residual_interior_zero"] = zero
+        checks["residual_interior_invariant"] = invariant
     else:
-        omega = nu = residual_form = theta = None
-        edges = ()
+        spec = nu = theta = None
+        residual = {}
     checks["residual_stencil_zero"] = all(
         residual_spec.anchor_table(axis).is_zero()
         for axis in range(dim))
 
-    return VaradhanDecomposition(rho, residual_spec, residual_form, window,
-                                 margin, mode, checks, omega, nu, edges,
-                                 theta)
+    return VaradhanDecomposition(rho, residual_spec, window, margin, mode,
+                                 checks, spec, nu, residual, theta)
 
 
-def _interior_invariance(form: Form, meta: LatticeMeta, inner) -> bool:
-    """Are the (support-minimized) tables of the interior edges ``inner``
-    translation consistent along every axis?  Each is compared with the
-    first interior edge of its axis, moved onto it where it fits."""
-    first: dict[int, tuple] = {}
-    for (o, t) in inner:
-        axis = meta.strides.index(t - o)
-        table = form.tables[(o, t)].minimized()
+def _interior_residual(tables: dict, classes: dict,
+                       meta: LatticeMeta) -> tuple[dict, bool, bool]:
+    """The interior residual ``tables`` support-minimized; are they all
+    zero, and each equal to the first interior edge's of its axis moved
+    onto it where that fits?  Tables of one class (see ``_place``) are
+    translates: each class is minimized, tested and compared once."""
+    out, reps, first, compared = {}, {}, {}, set()
+    invariant = True
+    for (o, t), table in tables.items():
+        key = classes[(o, t)]
+        if key not in reps:
+            reps[key] = o, table.minimized()
+        rep_o, rep = reps[key]
+        out[(o, t)] = table = rep.shifted(o - rep_o)
         c = meta.site_to_coord(o)
-        if axis not in first:
-            coords, _ = _offsets(table.sites, meta, c, meta)
-            first[axis] = (table, o, _fitting(coords, meta.radius))
-        ref, ref_o, bounds = first[axis]
-        if not _fits(c, bounds):
-            continue
-        step = o - ref_o
-        expected = FnTable.from_numerators(
-            SiteSet(tuple(s + step for s in ref.sites)), ref.n_states,
-            *ref.numerators)
-        if not expected.equals(table):
-            return False
-    return True
+        if key[0] not in first:
+            first[key[0]] = (table, o, _fitting(
+                _offsets(table.sites, meta, c, meta)[0], meta.radius))
+        ref, ref_o, bounds = first[key[0]]
+        if invariant and key not in compared and _fits(c, bounds):
+            compared.add(key)
+            invariant = ref.shifted(o - ref_o).equals(table)
+    return out, all(m.is_zero() for _, m in reps.values()), invariant
 
 
 def _certify_closed(spec: InvariantFormSpec, window: Locale,
@@ -934,14 +949,12 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
     chart = (window.lattice if window.lattice.radius >= need
              else lattice_window(dim, need).lattice)
     origin = _origin(chart)
-    steps = [_offsets(anchor.sites, template, zero, chart)[1]
-             for anchor in anchors]
+    moved = [_rechart(anchor, template, chart) for anchor in anchors]
 
     def placed(axis, at):
-        o = origin + sum(map(mul, at, chart.strides))
-        return (o, o + chart.strides[axis]), FnTable.from_numerators(
-            SiteSet(tuple(o + d for d in steps[axis])), n,
-            *anchors[axis].numerators)
+        step = sum(map(mul, at, chart.strides))
+        return ((origin + step, origin + step + chart.strides[axis]),
+                moved[axis].shifted(step))
 
     tables = dict(placed(axis, at) for axis, at in window_edges)
     sites = siteset(s for edge, table in tables.items()
@@ -958,21 +971,6 @@ def _certify_closed(spec: InvariantFormSpec, window: Locale,
                 lhs.minimized().equals(rhs.minimized())):
             raise _square_not_closed(e, f, lhs, rhs)
     return chart, omega, theta
-
-
-def _square_not_closed(e: Edge, f: Edge, lhs: FnTable,
-                       rhs: FnTable) -> NotClosed:
-    """NotClosed for the square eta -e-> -f-> -e-> -f-> eta at the first
-    configuration of the union where Delta_f omega_e (``lhs``) and
-    Delta_e omega_f (``rhs``) differ; its integral, omega_e(eta) +
-    omega_f(eta^e) - omega_e(eta^f) - omega_f(eta), is rhs - lhs there."""
-    sites = lhs.sites.union(rhs.sites)
-    a, b = lhs.embed(sites).values, rhs.embed(sites).values
-    idx = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-    start = Config(sites, ConfigSpace(sites, lhs.n_states).decode(idx))
-    return NotClosed("stencil has a commuting square with nonzero integral",
-                     witness=Path(start, (e, f, e[::-1], f[::-1])),
-                     integral=b[idx] - a[idx], cycle_length=4)
 
 
 def _validate_closed_locally(spec: InvariantFormSpec, nu: StateMeasure,

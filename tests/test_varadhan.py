@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import colocal as cl
-from colocal import varadhan
+from colocal import cli, jsonio, varadhan
 from colocal.cli import main
 from colocal.measure import _site_components
 from conftest import rank_mod, three_state_d2_stencil_not_closed
@@ -217,7 +219,7 @@ def test_decompose_pure_cocycle_round_trip():
     assert dec.cocycle.images == ((F(1),),)
     assert dec.checks["residual_interior_zero"]
     assert dec.checks["residual_stencil_zero"]
-    assert dec.interior == cl.interior_edges(window, 2)
+    assert tuple(dec.residual_interior) == cl.interior_edges(window, 2)
 
 
 def test_decompose_pure_exact_part():
@@ -835,11 +837,29 @@ def perturbed_round_trips(draw):
     """A ``window_round_trips`` stencil with its anchor moved by delta
     (possibly 0) at one configuration that the swap moves, and, if drawn,
     by -delta at its image, which keeps the anchor alternating; still zero
-    where phi fixes."""
+    where phi fixes.  If drawn, it is also moved by gamma (eta_o - eta_t)
+    [eta_y = b] (gamma possibly 0), y two sites beyond the anchor edge
+    (o, t): on every window cycle y stays put and this is d of gamma
+    sum_x x eta_x, but a square with an edge that moves y tells its states
+    apart, so such a stencil fails on squares only."""
     spec, _, nu, _ = draw(window_round_trips())
-    anchor = spec.anchor_table(0)
+    anchor, (o_site, t_site) = spec.anchor_table(0), spec.anchor_edge(0)
+    template = spec.template
+    if draw(st.booleans(), label="far"):
+        y = draw(st.sampled_from([o_site - 2, t_site + 2]), label="y")
+        b = draw(st.integers(0, anchor.n_states - 1), label="b")
+        gamma = draw(st.integers(-2, 2), label="gamma")
+        # d=1 site ids are coordinates
+        template = cl.lattice_window(1, radius=max(template.lattice.radius,
+                                                   abs(y)))
+        anchor = anchor.embed(anchor.sites.union(cl.siteset([y])))
+        o, t, k = map(anchor.sites.position, (o_site, t_site, y))
+        anchor = cl.FnTable(anchor.sites, anchor.n_states, tuple(
+            v + gamma * (d[o] - d[t]) * (d[k] == b) for v, d in zip(
+                anchor.values, map(anchor.space.decode,
+                                   range(anchor.space.size)))))
     space = anchor.space
-    o, t = (anchor.sites.position(s) for s in spec.anchor_edge(0))
+    o, t = map(anchor.sites.position, (o_site, t_site))
     moved = [i for i in range(space.size)
              if space.decode(i)[o] != space.decode(i)[t]]
     i = draw(st.sampled_from(moved), label="configuration")
@@ -852,7 +872,7 @@ def perturbed_round_trips(draw):
         digits[o], digits[t] = digits[t], digits[o]
         values[space.encode(digits)] -= delta
     anchor = cl.FnTable(anchor.sites, anchor.n_states, tuple(values))
-    return cl.invariant_spec_from_anchors(spec.template, spec.interaction,
+    return cl.invariant_spec_from_anchors(template, spec.interaction,
                                           [anchor]), nu
 
 
@@ -1018,3 +1038,192 @@ def test_window_mode_exclusion_reads_no_site_components(tmp_path,
     assert residual.sites == cl.siteset(window.sites)
     # d theta = d theta_rho: constant on each of the 22 particle counts
     assert len(set(residual.numerators[0])) <= 22
+
+
+# -- window mode works on the interior it reports -----------------------------
+
+def exclusion_json(n):
+    """The schema-v1 interaction of n-state exclusion."""
+    return {"states": list(range(n)), "base": 0,
+            "phi": [[[a, b], [b, a]] for a in range(n) for b in range(n)
+                    if a != b]}
+
+
+@st.composite
+def interior_cases(draw):
+    """A product measure and the stencil of a random cocycle plus a random
+    potential core along axis 0: d=1 with 2 or 3 states (a core on 2 or 3
+    sites) or d=2 with two states (1 or 2 sites); a margin from 0 to the
+    default and a window whose interior keeps an edge along each axis at
+    the default margin.  The state cap is the window's own space, so d=2
+    runs in window mode on windows it never enumerates."""
+    dim, n = draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]))
+    inter = cl.exclusion_interaction(n)
+    raw = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    nu = cl.state_measure([F(w, sum(raw)) for w in raw])
+    ratio = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    core_len = draw(st.sampled_from([2, 3] if dim == 1 else [1, 2]))
+    template = cl.lattice_window(dim, radius=core_len)
+    core_sites = cl.siteset(template.site_at((k,) + (0,) * (dim - 1))
+                            for k in range(core_len))
+    core = cl.FnTable(core_sites, n, tuple(draw(st.lists(
+        ratio, min_size=n ** core_len, max_size=n ** core_len))))
+    basis = cl.conserved_quantities(inter, nu)
+    rho = cl.cocycle_from_coefficients(basis, [
+        draw(st.lists(ratio, min_size=len(basis), max_size=len(basis)))
+        for _ in range(dim)])
+    spec = cl.invariant_form_from_potential_stencil(core, template, inter) \
+        + cl.invariant_form_from_cocycle(rho, inter, dim)
+    default = spec.stencil_radius + 1
+    margin = draw(st.integers(0, default), label="margin")
+    radius = draw(st.integers(default + 1, default + 3 - dim),
+                  label="radius")
+    return spec, cl.lattice_window(dim, radius=radius), nu, margin
+
+
+def interior_invariant(tables, window, edges) -> bool:
+    """Oracle of ``residual_interior_invariant``: each interior edge's table
+    equals the first interior edge of its axis moved onto it by
+    coordinates, wherever every moved site is in the window."""
+    first = {}
+    for o, t in edges:
+        table = tables[(o, t)]
+        ref_o, ref = first.setdefault(t - o, (o, table))
+        move = [a - b for a, b in zip(window.coord_of(o),
+                                      window.coord_of(ref_o))]
+        moved = tuple(window.site_at([x + m for x, m in zip(
+            window.coord_of(s), move)]) for s in ref.sites)
+        if None not in moved and (moved, ref.values) != (table.sites.sites,
+                                                        table.values):
+            return False
+    return True
+
+
+@settings(max_examples=30)
+@given(interior_cases())
+def test_window_mode_equals_the_whole_window_reference(case):
+    """Window mode, which places the stencil and its residual on the
+    interior edges only, each class of table read once, returns what the
+    whole-window forms give: the cocycle is every interior edge's residue
+    E[omega_e | eta_o = a] of ``spec.materialize(window, nu)``, and the six
+    checks, the CLI's ``residual_interior_edges`` and the lazily built
+    ``residual_form`` are read off ``residual_spec.materialize(window,
+    nu)``, boundary cuts included."""
+    spec, window, nu, margin = case
+    inter, dim, n = spec.interaction, spec.dim, spec.interaction.n_states
+    cap = n ** len(window.sites)
+    dec = cl.decompose_invariant_form(spec, window, nu, margin=margin,
+                                      state_cap=cap)
+    edges = cl.interior_edges(window, margin)
+    assert tuple(dec.residual_interior) == edges
+    omega = spec.materialize(window, nu)
+    for o, t in edges:
+        origin = cl.siteset([o])
+        table = omega.tables[(o, t)]
+        residue = cl.conditional_expectation(
+            table.embed(table.sites.union(origin)), origin,
+            cl.ProductMeasure(nu)).values
+        axis = window.lattice.strides.index(t - o)
+        assert residue == dec.cocycle.generator_state_table(axis)
+    residual_spec = spec - cl.invariant_form_from_cocycle(dec.cocycle, inter,
+                                                          dim)
+    residual = residual_spec.materialize(window, nu)
+    tables = {e: table.minimized() for e, table in residual.tables.items()}
+    checks = {"mode": "window", "margin": margin,
+              "stencil_radius": spec.stencil_radius,
+              "residual_interior_zero": all(tables[e].is_zero()
+                                            for e in edges),
+              "residual_interior_invariant": interior_invariant(
+                  tables, window, edges),
+              "residual_stencil_zero": all(
+                  residual_spec.anchor_table(axis).is_zero()
+                  for axis in range(dim))}
+    assert dec.checks == checks
+    payload = {"interaction": exclusion_json(n), "dim": dim,
+               "nu": [f"{w.numerator}/{w.denominator}" for w in nu.weights],
+               "window": {"lattice": {"dim": dim,
+                                      "radius": window.lattice.radius}},
+               "stencil": jsonio.invariant_spec_to_json(spec),
+               "margin": margin}
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        src.write_text(json.dumps(payload))
+        assert main(["varadhan", "--input", str(src), "--output", str(out),
+                     "--state-cap", str(cap)]) == 0
+        result = json.loads(out.read_text())["result"]
+    assert result["checks"] == checks
+    assert result["cocycle"] == json.loads(json.dumps(
+        jsonio.cocycle_to_json(dec.cocycle)))
+    assert result["residual_interior_edges"] == [
+        {"edge": list(e), "support": list(tables[e].sites),
+         "values": jsonio.format_numerators(*tables[e].numerators)}
+        for e in edges]
+    # read last: the whole-window residual form, built now
+    assert dec.residual_form.edges == residual.edges
+    for e in residual.edges:
+        assert dec.residual_form.tables[e] == tables[e]
+
+
+def test_window_varadhan_cli_places_only_the_interior(tmp_path, monkeypatch):
+    """A window-mode ``varadhan`` run on the window goldens writes the
+    golden bytes with no edge placed outside the interior: no
+    ``InvariantFormSpec.materialize`` and no ``_place`` on the window
+    reaches past it, and nothing solves the window.  Read afterwards,
+    ``residual_form`` and ``residual_potential`` are each built once (the
+    latter from ``form``, one materialize and one solve) and equal the
+    whole-window reference."""
+    placed, materialized, decompositions = [], [], []
+    real_place = varadhan._place
+    real_materialize = cl.InvariantFormSpec.materialize
+    real_decompose = cli.decompose_invariant_form
+
+    def place(anchors, src, window, *args):
+        tables = real_place(anchors, src, window, *args)
+        placed.append((window, set(tables)))
+        return tables
+
+    def materialize(spec, window, nu, *args):
+        materialized.append((spec, window))
+        return real_materialize(spec, window, nu, *args)
+
+    def decompose(*args, **kwargs):
+        decompositions.append(real_decompose(*args, **kwargs))
+        return decompositions[-1]
+    monkeypatch.setattr(varadhan, "_place", place)
+    monkeypatch.setattr(cl.InvariantFormSpec, "materialize", materialize)
+    monkeypatch.setattr(cli, "decompose_invariant_form", decompose)
+    solved = recorded_solves(monkeypatch)
+    for name in ("varadhan-window", "varadhan-window-margin"):
+        placed.clear(), materialized.clear(), solved.clear()
+        out = tmp_path / f"{name}.out.json"
+        assert main(["varadhan", "--input", str(GOLDEN / f"{name}.json"),
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.out.json").read_bytes()
+        dec = decompositions[-1]
+        window, nu = dec.window, dec.nu
+        assert dec.mode == "window"
+        inner = set(cl.interior_edges(window, dec.margin))
+        on_window = [edges for w, edges in placed if w is window]
+        assert len(on_window) == 2   # the stencil and its residual
+        assert all(edges == inner for edges in on_window)
+        assert not [w for _, w in materialized if w is window]
+        sites = cl.siteset(window.sites)
+        assert sites not in solved   # the certificate solves its cycles
+        materialized.clear(), solved.clear()
+        residual = dec.residual_form
+        assert materialized == [(dec.residual_spec, window)] and not solved
+        potential = dec.residual_potential
+        assert materialized[1:] == [(dec.spec, window)]
+        assert solved == [sites]
+        assert dec.residual_form is residual
+        assert dec.residual_potential is potential
+        assert len(materialized) == 2 and len(solved) == 1
+        reference = real_materialize(dec.residual_spec, window, nu)
+        assert residual.edges == reference.edges
+        for e in reference.edges:
+            assert residual.tables[e] == reference.tables[e].minimized()
+        theta = cl.solve_potential(real_materialize(dec.spec, window, nu))
+        expected = (theta - cl.theta_from_cocycle(dec.cocycle, window)).shift(
+            -cl.expectation(theta, cl.ProductMeasure(nu)))
+        assert (potential.sites, potential.values) == (expected.sites,
+                                                       expected.values)
